@@ -21,7 +21,12 @@ cargo test -q
 # when disabled), the eviction-order determinism property and the indexed
 # deferral verifier's equivalence with the string-scan reference; run them
 # by name so a test-harness filter or workspace reshuffle can never
-# silently drop them from the gate.
+# silently drop them from the gate. snapshot_pressure and
+# dependency_sharing also carry the former bench gates: the budget sweep's
+# shape (the unlimited point never evicts, constrained budgets do, the
+# tightest hits less with no better p99) and the sharing grid's wins
+# (sharing+deferral beats deferral alone on mean and p99, and the shared
+# cells fork), each with a same-seed rerun.
 echo "==> cargo test -q --test chaos_sweep --test golden_reports --test antipattern_lints" \
      "--test fleet_determinism --test fleet_streaming_equivalence --test snapshot_pressure" \
      "--test dependency_sharing --test snapshot_eviction_order" \
@@ -40,20 +45,6 @@ for code in R-UL R-TN FWB-FLT FWB-JSN FL-HW; do
     cargo run --release --quiet --bin slimstart -- \
         lint "$code" --deny warnings --cold-starts 60 > /dev/null
 done
-
-# The hot-path bench harness must run end to end and emit well-formed JSON
-# (the binary validates its own report before writing); --smoke keeps the
-# iteration counts CI-sized. --check is the perf-regression gate: the run
-# fails if any current path is more than 3x slower than its own in-run
-# reference baseline, so the gate is immune to machine-speed differences.
-# The gate also covers the snapshot_pressure sweep: the unlimited point
-# must not evict, constrained budgets must, and the tightest budget must
-# show a lower hit rate and no-better p99 cold start than unlimited.
-# Since PR 10 the same run gates the dependency_sharing grid: combined
-# sharing+deferral mean and p99 cold start must stay strictly below
-# deferral-only, and the sharing cells must actually fork from zygotes.
-echo "==> slimstart bench --smoke --check"
-cargo run --release --quiet --bin slimstart -- bench --smoke --out target/bench-smoke.json --check
 
 # The benchmark package's own checks on tiny inputs: determinism (traced
 # and untraced), the optimization gate, the analyzer re-run against the

@@ -7,7 +7,6 @@
 
 use std::collections::HashSet;
 
-use serde::{Deserialize, Serialize};
 use slimstart_simcore::intern::Interner;
 use slimstart_simcore::time::SimDuration;
 
@@ -19,7 +18,7 @@ use crate::library::{Library, PackageTree};
 use crate::module::Module;
 
 /// An entry point of the application.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Handler {
     name: String,
     function: FunctionId,
@@ -41,7 +40,7 @@ impl Handler {
 ///
 /// Construct with [`AppBuilder`]; mutate only through the provided methods
 /// (the optimizers flip import modes and strip modules).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Application {
     name: String,
     modules: Vec<Module>,

@@ -11,13 +11,12 @@
 //! [`Call`]: StmtKind::Call
 //! [`Branch`]: StmtKind::Branch
 
-use serde::{Deserialize, Serialize};
 use slimstart_simcore::time::SimDuration;
 
 use crate::ids::{FunctionId, ModuleId};
 
 /// Whether a call site is resolvable statically.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CallKind {
     /// A syntactically visible call: static analysis resolves the target.
     Direct,
@@ -27,7 +26,7 @@ pub enum CallKind {
 }
 
 /// A call site inside a function body.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CallSite {
     /// The callee.
     pub target: FunctionId,
@@ -36,7 +35,7 @@ pub struct CallSite {
 }
 
 /// One statement in a function body.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Stmt {
     /// Source line of the statement.
     pub line: u32,
@@ -45,7 +44,7 @@ pub struct Stmt {
 }
 
 /// Statement payloads.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum StmtKind {
     /// Consume virtual compute time.
     Work(SimDuration),
@@ -83,7 +82,7 @@ impl StmtKind {
 }
 
 /// A function definition.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Function {
     name: String,
     module: ModuleId,

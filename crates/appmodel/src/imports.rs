@@ -6,12 +6,10 @@
 //! use point; the target's load cost is paid only on executions that
 //! actually reach it.
 
-use serde::{Deserialize, Serialize};
-
 use crate::ids::ModuleId;
 
 /// How an import is declared in the source.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ImportMode {
     /// Module-top-level `import X`: the target loads eagerly when the
     /// importer loads.
@@ -34,7 +32,7 @@ impl ImportMode {
 }
 
 /// One import declaration inside a module.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ImportDecl {
     /// The imported module.
     pub target: ModuleId,

@@ -8,13 +8,11 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::ids::ModuleId;
 use crate::module::Module;
 
 /// A library: a top-level package plus all modules beneath it.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Library {
     name: String,
     modules: Vec<ModuleId>,
@@ -51,7 +49,7 @@ impl Library {
 
 /// A node of a library's package tree: a dotted path with aggregated
 /// direct-member and descendant modules.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PackageNode {
     /// Dotted path of this package (e.g. `nltk.sem`).
     pub path: String,
@@ -63,7 +61,7 @@ pub struct PackageNode {
 
 /// A package tree built from a set of modules, for hierarchical
 /// initialization-overhead breakdowns (paper Fig. 6 / Eqs. 1–3).
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PackageTree {
     nodes: BTreeMap<String, PackageNode>,
     roots: Vec<String>,

@@ -7,13 +7,12 @@
 //! observable work at import time (registering plugins, opening files) and
 //! must therefore never be converted to deferred loading by the optimizer.
 
-use serde::{Deserialize, Serialize};
 use slimstart_simcore::time::SimDuration;
 
 use crate::ids::LibraryId;
 
 /// A loadable module.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Module {
     name: String,
     file: String,

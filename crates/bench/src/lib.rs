@@ -14,11 +14,9 @@
 //! * `SLIMSTART_THREADS` — fleet worker threads (default: available
 //!   parallelism; never changes results, only wall-clock).
 
-pub mod hotpath;
 pub mod runner;
 pub mod table;
 
-pub use hotpath::{validate_json, BenchConfig, BenchReport};
 pub use runner::{
     cold_starts, run_catalog_app, run_catalog_app_averaged, run_fleet, runs, seed, threads,
     ExperimentRun,

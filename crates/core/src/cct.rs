@@ -16,8 +16,8 @@
 //! per-node `Vec<usize>` of children, and the `(parent, key) → child`
 //! lookup uses a seedless FxHash map, so inserting a hot path is a few
 //! fixed-width probes with no per-node heap allocations. A faithful
-//! pre-arena implementation is retained in [`reference`] for differential
-//! testing and as the benchmark's legacy baseline.
+//! pre-arena implementation lives in the `cct_equivalence` differential
+//! suite, which checks this tree against it.
 
 use fxhash::FxHashMap;
 use slimstart_appmodel::Application;
@@ -302,145 +302,6 @@ impl Cct {
     }
 }
 
-/// The pre-arena CCT, retained verbatim as a differential-testing oracle
-/// and as the `slimstart bench` legacy baseline: per-node `Vec` of
-/// children, `std`-hasher index, merging by re-inserting one path per
-/// sample. Not used on any production path.
-pub mod reference {
-    use std::collections::HashMap;
-
-    use slimstart_pyrt::stack::Frame;
-
-    use super::{root_key, CctKey};
-
-    /// One calling-context node of the reference tree.
-    #[derive(Debug, Clone, PartialEq, Eq)]
-    pub struct RefNode {
-        /// Identity.
-        pub key: CctKey,
-        /// Parent node index (`None` for the root).
-        pub parent: Option<usize>,
-        /// Child node indices, insertion-ordered.
-        pub children: Vec<usize>,
-        /// Samples whose innermost frame landed here.
-        pub self_samples: u64,
-        /// Of those, samples taken during module initialization.
-        pub self_init_samples: u64,
-    }
-
-    /// The original `HashMap`-indexed calling context tree.
-    #[derive(Debug, Clone, Default)]
-    pub struct ReferenceCct {
-        nodes: Vec<RefNode>,
-        index: HashMap<(usize, CctKey), usize>,
-    }
-
-    impl ReferenceCct {
-        /// Creates an empty tree with just the synthetic root.
-        pub fn new() -> Self {
-            ReferenceCct {
-                nodes: vec![RefNode {
-                    key: root_key(),
-                    parent: None,
-                    children: Vec::new(),
-                    self_samples: 0,
-                    self_init_samples: 0,
-                }],
-                index: HashMap::new(),
-            }
-        }
-
-        /// Inserts one sampled call path, bumping the leaf's self count.
-        pub fn insert(&mut self, path: &[Frame], is_init: bool) {
-            if path.is_empty() {
-                return;
-            }
-            let mut node = 0usize;
-            for frame in path {
-                let key = CctKey {
-                    kind: frame.kind,
-                    line: frame.line,
-                };
-                node = match self.index.get(&(node, key)) {
-                    Some(&child) => child,
-                    None => {
-                        let child = self.nodes.len();
-                        self.nodes.push(RefNode {
-                            key,
-                            parent: Some(node),
-                            children: Vec::new(),
-                            self_samples: 0,
-                            self_init_samples: 0,
-                        });
-                        self.nodes[node].children.push(child);
-                        self.index.insert((node, key), child);
-                        child
-                    }
-                };
-            }
-            self.nodes[node].self_samples += 1;
-            if is_init {
-                self.nodes[node].self_init_samples += 1;
-            }
-        }
-
-        /// All nodes (index 0 is the synthetic root).
-        pub fn nodes(&self) -> &[RefNode] {
-            &self.nodes
-        }
-
-        /// Total samples recorded.
-        pub fn total_samples(&self) -> u64 {
-            self.nodes.iter().map(|n| n.self_samples).sum()
-        }
-
-        /// Inclusive sample counts, index-aligned with nodes.
-        pub fn inclusive(&self) -> Vec<u64> {
-            let mut inclusive: Vec<u64> = self.nodes.iter().map(|n| n.self_samples).collect();
-            for i in (1..self.nodes.len()).rev() {
-                let parent = self.nodes[i].parent.expect("non-root has parent");
-                inclusive[parent] += inclusive[i];
-            }
-            inclusive
-        }
-
-        /// The root-to-node path of frames (root exclusive), outermost
-        /// first.
-        pub fn path_of(&self, i: usize) -> Vec<Frame> {
-            let mut frames = Vec::new();
-            let mut cur = i;
-            while cur != 0 {
-                let n = &self.nodes[cur];
-                frames.push(Frame {
-                    kind: n.key.kind,
-                    line: n.key.line,
-                });
-                cur = n.parent.expect("non-root has parent");
-            }
-            frames.reverse();
-            frames
-        }
-
-        /// Merges another tree into this one, one insert per sample (the
-        /// original quadratic-ish algorithm).
-        pub fn merge(&mut self, other: &ReferenceCct) {
-            for (i, node) in other.nodes.iter().enumerate().skip(1) {
-                if node.self_samples == 0 {
-                    continue;
-                }
-                let frames = other.path_of(i);
-                let runtime = node.self_samples - node.self_init_samples;
-                for _ in 0..runtime {
-                    self.insert(&frames, false);
-                }
-                for _ in 0..node.self_init_samples {
-                    self.insert(&frames, true);
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -621,34 +482,5 @@ mod tests {
             assert_eq!(a.self_samples, b.self_samples);
             assert_eq!(a.self_init_samples, b.self_init_samples);
         }
-    }
-
-    #[test]
-    fn merge_matches_reference_merge() {
-        let paths: Vec<(Vec<Frame>, bool)> = vec![
-            (vec![call(0, 1)], false),
-            (vec![call(0, 1), call(1, 2)], false),
-            (vec![init(0, 1)], true),
-            (vec![call(0, 1), call(1, 2)], true),
-            (vec![call(2, 9)], false),
-        ];
-        let mut arena_a = Cct::new();
-        let mut arena_b = Cct::new();
-        let mut ref_a = reference::ReferenceCct::new();
-        let mut ref_b = reference::ReferenceCct::new();
-        for (i, (path, is_init)) in paths.iter().enumerate() {
-            if i % 2 == 0 {
-                arena_a.insert(path, *is_init);
-                ref_a.insert(path, *is_init);
-            } else {
-                arena_b.insert(path, *is_init);
-                ref_b.insert(path, *is_init);
-            }
-        }
-        arena_a.merge(&arena_b);
-        ref_a.merge(&ref_b);
-        assert_eq!(arena_a.total_samples(), ref_a.total_samples());
-        assert_eq!(arena_a.len(), ref_a.nodes().len());
-        assert_eq!(arena_a.inclusive(), ref_a.inclusive());
     }
 }

@@ -9,38 +9,11 @@
 use std::fmt::Write as _;
 
 use slimstart_platform::metrics::{AppMetrics, Speedup};
+use slimstart_simcore::json::{escape, num};
 
 use crate::detect::{InefficiencyReport, UsageClass};
 use crate::pipeline::PipelineOutcome;
 use crate::resilience::ResilienceOutcome;
-
-/// Escapes a string for inclusion in JSON output.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Formats a float the JSON way (finite; NaN/inf become null).
-fn num(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x:.6}")
-    } else {
-        "null".to_string()
-    }
-}
 
 /// Serializes an [`InefficiencyReport`] — the paper's report file format.
 pub fn report_to_json(report: &InefficiencyReport) -> String {

@@ -61,12 +61,10 @@ const FLEET_CHAOS_TAG: u64 = 0xFEE7_CA05;
 /// that a 10k-app fleet still yields ~300 stealable units.
 pub const DEFAULT_CHUNK: usize = 32;
 
-/// A per-app stall hook: given the population index, how long the worker
-/// should sleep before running that app. Models the collector/deploy
-/// round-trip latency a real fleet pays per application — overlappable
-/// across workers, hence what a thread sweep measures on I/O-bound
-/// populations. Also the test hook the work-queue property suite uses to
-/// perturb scheduling without touching seeds.
+/// A per-app stall hook for tests: given the population index, how long
+/// the worker should sleep before running that app. The work-queue
+/// property suite uses it to perturb scheduling without touching seeds;
+/// the report must not move.
 pub type StallHook = Arc<dyn Fn(usize) -> Duration + Send + Sync>;
 
 /// One work-queue item: a chunk of consecutive population indices.
@@ -202,15 +200,6 @@ impl FleetConfig {
     #[must_use]
     pub fn with_stall_hook(mut self, stall: StallHook) -> Self {
         self.stall = Some(stall);
-        self
-    }
-
-    /// Installs a uniform per-app stall of `micros` microseconds (the
-    /// `slimstart fleet --stall-us` surface). Zero removes the hook.
-    #[must_use]
-    pub fn with_stall_micros(mut self, micros: u64) -> Self {
-        self.stall = (micros > 0)
-            .then(|| Arc::new(move |_: usize| Duration::from_micros(micros)) as StallHook);
         self
     }
 
@@ -955,8 +944,12 @@ mod tests {
     #[test]
     fn stall_hook_slows_the_run_but_not_the_report() {
         let (plain, _) = quick_fleet(3, 1).run().unwrap();
-        let stalled =
-            FleetOrchestrator::new(quick_fleet(3, 1).config().clone().with_stall_micros(200));
+        let stalled = FleetOrchestrator::new(
+            quick_fleet(3, 1)
+                .config()
+                .clone()
+                .with_stall_hook(Arc::new(|_| Duration::from_micros(200))),
+        );
         let (report, stats) = stalled.run().unwrap();
         assert_eq!(plain.to_json(), report.to_json());
         assert!(stats.wall_clock >= Duration::from_micros(3 * 200));

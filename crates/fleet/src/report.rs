@@ -33,6 +33,7 @@
 use std::fmt::Write as _;
 
 use slimstart_platform::metrics::Speedup;
+use slimstart_simcore::json::{escape, num};
 
 /// Version tag leading the serialized report. Bump whenever the summary
 /// layout, histogram geometry, or scaling constants change.
@@ -69,34 +70,6 @@ pub const HIST_LOG2_WIDTH: f64 = 0.0625;
 /// to multiples of 2^-24 before summing, making the sum exact and
 /// associative in `i128`.
 pub const HIST_SCALE_BITS: u32 = 24;
-
-/// Escapes a string for inclusion in JSON output.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Formats a float the JSON way (finite; NaN/inf become null).
-fn num(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x:.6}")
-    } else {
-        "null".to_string()
-    }
-}
 
 /// SplitMix64 finalizer — the mixing step behind the order-independent
 /// seed digest.

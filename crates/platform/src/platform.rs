@@ -302,31 +302,7 @@ impl Platform {
     ) -> Result<(), RuntimeFault> {
         let root = self.app.handler_module(handler);
         for _ in 0..count {
-            let time_scale = self.sample_time_scale();
-            let id = self.next_container_id;
-            self.next_container_id += 1;
-            let mut container = Container::with_plan(
-                id,
-                Arc::clone(&self.app),
-                Arc::clone(&self.plan),
-                time_scale,
-                SimTime::ZERO,
-            );
-            if let Some(zygote) = &self.config.zygote {
-                container.process_mut().set_zygote(Arc::clone(zygote));
-            }
-            if let Some(factory) = &self.config.observer_factory {
-                let dropped = self
-                    .config
-                    .chaos
-                    .as_ref()
-                    .is_some_and(|c| c.sampler_dropout());
-                if !dropped {
-                    container.process_mut().attach_observer(factory());
-                }
-            }
-            let provision = self.config.provision_cost.mul_f64(time_scale);
-            let runtime_startup = self.config.runtime_startup_cost.mul_f64(time_scale);
+            let (mut container, provision, runtime_startup) = self.new_container(SimTime::ZERO);
             let load = self.cold_start_container(&mut container, root, SimTime::ZERO)?;
             // The container is busy until its warm-up completes.
             container.occupy(SimTime::ZERO, provision + runtime_startup + load);
@@ -467,34 +443,7 @@ impl Platform {
             wait += (self.config.provision_cost + self.config.runtime_startup_cost) * crashes;
         }
 
-        let time_scale = self.sample_time_scale();
-        let id = self.next_container_id;
-        self.next_container_id += 1;
-        let mut container = Container::with_plan(
-            id,
-            Arc::clone(&self.app),
-            Arc::clone(&self.plan),
-            time_scale,
-            inv.at,
-        );
-        if let Some(zygote) = &self.config.zygote {
-            container.process_mut().set_zygote(Arc::clone(zygote));
-        }
-        if let Some(factory) = &self.config.observer_factory {
-            // Chaos: a sampler dropout window — the profiler attachment
-            // fails for this container's whole lifetime (zero samples).
-            let dropped = self
-                .config
-                .chaos
-                .as_ref()
-                .is_some_and(|c| c.sampler_dropout());
-            if !dropped {
-                container.process_mut().attach_observer(factory());
-            }
-        }
-
-        let provision = self.config.provision_cost.mul_f64(time_scale);
-        let runtime_startup = self.config.runtime_startup_cost.mul_f64(time_scale);
+        let (mut container, provision, runtime_startup) = self.new_container(inv.at);
         let root = self.app.handler_module(inv.handler);
         let load = self.cold_start_container(&mut container, root, inv.at)?;
         let init = provision + runtime_startup + load;
@@ -521,10 +470,45 @@ impl Platform {
             e2e_latency: e2e,
             deferred_load_time: outcome.deferred_load_time,
             peak_mem_kb: outcome.peak_mem_kb + base,
-            container: id,
+            container: container.id(),
         };
         self.containers.push(container);
         Ok(record)
+    }
+
+    /// Provisions a fresh container created at `at`: draws its jitter time
+    /// scale, takes the next id, and attaches the node zygote and the
+    /// observer. Returns it with its scaled provision and runtime-startup
+    /// costs; loading its module graph is left to the caller.
+    fn new_container(&mut self, at: SimTime) -> (Container, SimDuration, SimDuration) {
+        let time_scale = self.sample_time_scale();
+        let id = self.next_container_id;
+        self.next_container_id += 1;
+        let mut container = Container::with_plan(
+            id,
+            Arc::clone(&self.app),
+            Arc::clone(&self.plan),
+            time_scale,
+            at,
+        );
+        if let Some(zygote) = &self.config.zygote {
+            container.process_mut().set_zygote(Arc::clone(zygote));
+        }
+        if let Some(factory) = &self.config.observer_factory {
+            // Chaos: a sampler dropout window — the profiler attachment
+            // fails for this container's whole lifetime (zero samples).
+            let dropped = self
+                .config
+                .chaos
+                .as_ref()
+                .is_some_and(|c| c.sampler_dropout());
+            if !dropped {
+                container.process_mut().attach_observer(factory());
+            }
+        }
+        let provision = self.config.provision_cost.mul_f64(time_scale);
+        let runtime_startup = self.config.runtime_startup_cost.mul_f64(time_scale);
+        (container, provision, runtime_startup)
     }
 
     /// All containers busy and at the cap: wait for the first to free up.

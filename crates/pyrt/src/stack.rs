@@ -161,15 +161,6 @@ impl CallStack {
     pub fn fingerprint(&self) -> u64 {
         self.chain.last().copied().unwrap_or(EMPTY_FINGERPRINT)
     }
-
-    /// A snapshot of the current path (outermost first), for the sampler.
-    ///
-    /// Allocates a fresh `Vec` per call — the legacy capture path. The
-    /// sampler's zero-clone path pairs [`CallStack::fingerprint`] with a
-    /// shared `Arc<[Frame]>` cache instead.
-    pub fn snapshot(&self) -> Vec<Frame> {
-        self.frames.clone()
-    }
 }
 
 #[cfg(test)]
@@ -304,15 +295,5 @@ mod tests {
         assert!(s.in_init());
         s.pop();
         assert!(!s.in_init());
-    }
-
-    #[test]
-    fn snapshot_is_independent_copy() {
-        let mut s = CallStack::new();
-        s.push(FrameKind::Call(FunctionId::from_index(0)), 1);
-        let snap = s.snapshot();
-        s.pop();
-        assert_eq!(snap.len(), 1);
-        assert_eq!(s.depth(), 0);
     }
 }

@@ -15,15 +15,12 @@
 //! non-empty bucket with one occupancy-bitmap scan per level and cascades
 //! coarse buckets down as the cursor reaches them, so each event is touched
 //! at most [`LEVELS`] times over its lifetime — versus the O(log n)
-//! comparisons *per operation* of the [`reference`] binary heap it
-//! replaced. Ties at the same instant still pop in `seq` (insertion) order:
+//! comparisons *per operation* of the binary heap it replaced. Ties at the same instant still pop in `seq` (insertion) order:
 //! level-0 buckets resolve to a single microsecond, and draining one picks
 //! the minimum `(at, seq)` entry.
 //!
-//! The previous `BinaryHeap` implementation is retained as
-//! [`reference::ReferenceEventQueue`] — the differential-testing oracle
-//! (`tests/event_wheel_differential.rs`) and the baseline the
-//! `slimstart bench` `event_queue` section races.
+//! The previous `BinaryHeap` implementation lives on as the
+//! differential-testing oracle of the `event_wheel_differential` suite.
 
 use crate::time::SimTime;
 
@@ -429,123 +426,9 @@ impl<T> Default for EventQueue<T> {
     }
 }
 
-pub mod reference {
-    //! The pre-wheel `BinaryHeap` event queue, retained verbatim as the
-    //! differential-testing oracle and bench baseline (the same pattern as
-    //! `slimstart_core::cct::reference`).
-
-    use std::cmp::Ordering;
-    use std::collections::BinaryHeap;
-
-    use crate::time::SimTime;
-
-    #[derive(Debug, Clone)]
-    struct Entry<T> {
-        at: SimTime,
-        seq: u64,
-        payload: T,
-    }
-
-    impl<T> PartialEq for Entry<T> {
-        fn eq(&self, other: &Self) -> bool {
-            self.at == other.at && self.seq == other.seq
-        }
-    }
-
-    impl<T> Eq for Entry<T> {}
-
-    impl<T> PartialOrd for Entry<T> {
-        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-            Some(self.cmp(other))
-        }
-    }
-
-    impl<T> Ord for Entry<T> {
-        fn cmp(&self, other: &Self) -> Ordering {
-            // BinaryHeap is a max-heap; reverse for earliest-first, with seq
-            // as a FIFO tie-break.
-            other
-                .at
-                .cmp(&self.at)
-                .then_with(|| other.seq.cmp(&self.seq))
-        }
-    }
-
-    /// The heap-backed oracle with the exact [`super::EventQueue`] API.
-    #[derive(Debug, Clone)]
-    pub struct ReferenceEventQueue<T> {
-        heap: BinaryHeap<Entry<T>>,
-        next_seq: u64,
-    }
-
-    impl<T> ReferenceEventQueue<T> {
-        /// Creates an empty queue.
-        pub fn new() -> Self {
-            ReferenceEventQueue {
-                heap: BinaryHeap::new(),
-                next_seq: 0,
-            }
-        }
-
-        /// Schedules `payload` at instant `at`.
-        pub fn schedule(&mut self, at: SimTime, payload: T) {
-            let seq = self.next_seq;
-            self.next_seq += 1;
-            self.heap.push(Entry { at, seq, payload });
-        }
-
-        /// Removes and returns the earliest event, if any.
-        pub fn pop(&mut self) -> Option<(SimTime, T)> {
-            self.heap.pop().map(|e| (e.at, e.payload))
-        }
-
-        /// The due time of the earliest event, if any.
-        pub fn peek_time(&self) -> Option<SimTime> {
-            self.heap.peek().map(|e| e.at)
-        }
-
-        /// Number of pending events.
-        pub fn len(&self) -> usize {
-            self.heap.len()
-        }
-
-        /// Whether the queue has no pending events.
-        pub fn is_empty(&self) -> bool {
-            self.heap.is_empty()
-        }
-
-        /// Drains all events due at or before `now`, earliest first.
-        pub fn pop_due(&mut self, now: SimTime) -> Vec<(SimTime, T)> {
-            let mut due = Vec::new();
-            self.pop_due_into(now, &mut due);
-            due
-        }
-
-        /// Drains all events due at or before `now` into `buf`, earliest
-        /// first. `buf` is cleared first.
-        pub fn pop_due_into(&mut self, now: SimTime, buf: &mut Vec<(SimTime, T)>) {
-            buf.clear();
-            while let Some(t) = self.peek_time() {
-                if t > now {
-                    break;
-                }
-                buf.push(self.pop().expect("peeked event exists"));
-            }
-        }
-    }
-
-    impl<T> Default for ReferenceEventQueue<T> {
-        fn default() -> Self {
-            ReferenceEventQueue::new()
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::reference::ReferenceEventQueue;
     use super::*;
-    use crate::rng::SimRng;
     use crate::time::SimTime;
 
     #[test]
@@ -678,54 +561,5 @@ mod tests {
         let mut expected = times.clone();
         expected.sort_unstable();
         assert_eq!(popped, expected);
-    }
-
-    #[test]
-    fn matches_reference_heap_on_random_interleavings() {
-        for seed in 0..8u64 {
-            let mut rng = SimRng::seed_from(0xE4E47 ^ seed);
-            let mut wheel = EventQueue::new();
-            let mut heap = ReferenceEventQueue::new();
-            let mut base: u64 = 0;
-            for _ in 0..2_000 {
-                match rng.next_below(4) {
-                    0 | 1 => {
-                        // Mixed horizons: ties, near, far, overflow-far.
-                        let at = match rng.next_below(4) {
-                            0 => base,
-                            1 => base + rng.next_below(1_000) as u64,
-                            2 => base + rng.next_below(600_000_000) as u64,
-                            _ => base + (1u64 << 43) + rng.next_below(1_000) as u64,
-                        };
-                        let t = SimTime::from_micros(at);
-                        wheel.schedule(t, at);
-                        heap.schedule(t, at);
-                    }
-                    2 => {
-                        assert_eq!(wheel.peek_time(), heap.peek_time());
-                        let (w, h) = (wheel.pop(), heap.pop());
-                        assert_eq!(w, h);
-                        if let Some((t, _)) = w {
-                            base = base.max(t.as_micros());
-                        }
-                    }
-                    _ => {
-                        let now = SimTime::from_micros(base + rng.next_below(10_000) as u64);
-                        let mut wb = Vec::new();
-                        let mut hb = Vec::new();
-                        wheel.pop_due_into(now, &mut wb);
-                        heap.pop_due_into(now, &mut hb);
-                        assert_eq!(wb, hb);
-                        base = base.max(now.as_micros());
-                    }
-                }
-                assert_eq!(wheel.len(), heap.len());
-            }
-            // Drain fully; order must agree to the last event.
-            while let Some(h) = heap.pop() {
-                assert_eq!(wheel.pop(), Some(h));
-            }
-            assert!(wheel.is_empty());
-        }
     }
 }

@@ -17,6 +17,8 @@
 //! * [`event`] — a generic discrete-event queue keyed by virtual time.
 //! * [`intern`] — an insertion-ordered string interner issuing dense
 //!   [`Symbol`] handles for hot-path name lookups.
+//! * [`json`] — the string escape and float encoder shared by every
+//!   hand-rolled JSON writer.
 //!
 //! # Example
 //!
@@ -35,6 +37,7 @@
 pub mod dist;
 pub mod event;
 pub mod intern;
+pub mod json;
 pub mod rng;
 pub mod stats;
 pub mod time;

@@ -5,8 +5,6 @@
 //! [`Percentiles`] computes exact order statistics, and [`Histogram`] bins
 //! values for the figure-style outputs.
 
-use serde::{Deserialize, Serialize};
-
 /// Online summary statistics (count, mean, variance, min, max) using
 /// Welford's algorithm.
 ///
@@ -22,7 +20,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(s.count(), 3);
 /// assert!((s.mean() - 2.0).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Summary {
     count: u64,
     mean: f64,
@@ -155,7 +153,7 @@ impl FromIterator<f64> for Summary {
 /// assert_eq!(p.quantile(0.99), Some(99.0)); // nearest rank
 /// assert_eq!(p.quantile(0.5), Some(50.0));
 /// ```
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Percentiles {
     values: Vec<f64>,
     sorted: bool,
@@ -263,7 +261,7 @@ impl FromIterator<f64> for Percentiles {
 ///
 /// Out-of-range observations clamp into the first/last bin so that mass is
 /// never silently dropped.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Histogram {
     lo: f64,
     hi: f64,

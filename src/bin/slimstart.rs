@@ -35,9 +35,6 @@
 //!                                           (sub-ms each; use for 10k+ runs)
 //!     --chunk <C>                           population indices per
 //!                                           work-stealing chunk (default 32)
-//!     --stall-us <U>                        per-app stall workers overlap
-//!                                           (modeled collector/deploy
-//!                                           round-trip; default 0)
 //!     --snapshot-budget <BYTES>             enable the node snapshot pool
 //!                                           with this per-node byte budget
 //!                                           (`64m`-style suffixes allowed;
@@ -69,22 +66,8 @@
 //!                                           (default: $SLIMSTART_FAULT_RATE
 //!                                           or 0.1)
 //!     --apps/--threads/--runs/--seed/--cold-starts/--light/--chunk/
-//!     --stall-us/--snapshot-budget/--node-size/--zygotes/--fork-cost-us/
-//!     --json as for `fleet`
-//! slimstart bench [options]                 hot-path micro-benchmarks
-//!     --smoke                               tiny iteration counts (CI)
-//!     --seed <S>                            bench seed (default 2025)
-//!     --threads <T>                         fleet sweep max threads
-//!     --fleet-apps <N>                      override the fleet sweep size
-//!                                           (default 10000; 240 in smoke)
-//!     --out <PATH>                          also write the JSON report here
-//!     --check                               fail if any current path runs
-//!                                           >3x slower than its in-run
-//!                                           legacy baseline, the fleet
-//!                                           report is not byte-identical
-//!                                           across thread counts, or the
-//!                                           sweep shows no parallel scaling
-//!                                           (CI perf gate)
+//!     --snapshot-budget/--node-size/--zygotes/--fork-cost-us/--json as
+//!     for `fleet`
 //! slimstart help                            this text
 //! ```
 //!
@@ -143,7 +126,6 @@ fn main() -> ExitCode {
         "trace" => cmd_trace(&args[1..]),
         "fleet" => cmd_fleet(&args[1..]),
         "chaos" => cmd_chaos(&args[1..]),
-        "bench" => cmd_bench(&args[1..]),
         "help" | "--help" | "-h" => {
             print_help();
             Ok(())
@@ -172,9 +154,8 @@ USAGE:
     slimstart source <CODE> <MODULE>
     slimstart graph <CODE> [--optimized] [--seed S]
     slimstart trace [--seed S]
-    slimstart fleet [--apps N] [--threads T] [--runs R] [--seed S] [--cold-starts N] [--light] [--chunk C] [--stall-us U] [--snapshot-budget B] [--node-size N] [--zygotes Z] [--fork-cost-us U] [--json]
-    slimstart chaos [--fault-rate P] [--apps N] [--threads T] [--runs R] [--seed S] [--cold-starts N] [--light] [--chunk C] [--stall-us U] [--snapshot-budget B] [--node-size N] [--zygotes Z] [--fork-cost-us U] [--json]
-    slimstart bench [--smoke] [--seed S] [--threads T] [--fleet-apps N] [--out PATH] [--check]
+    slimstart fleet [--apps N] [--threads T] [--runs R] [--seed S] [--cold-starts N] [--light] [--chunk C] [--snapshot-budget B] [--node-size N] [--zygotes Z] [--fork-cost-us U] [--json]
+    slimstart chaos [--fault-rate P] [--apps N] [--threads T] [--runs R] [--seed S] [--cold-starts N] [--light] [--chunk C] [--snapshot-budget B] [--node-size N] [--zygotes Z] [--fork-cost-us U] [--json]
     slimstart help
 
 Run `cargo bench -p slimstart-bench` to regenerate every paper table/figure."
@@ -513,7 +494,6 @@ fn parse_fleet_config(args: &[String]) -> Result<(FleetConfig, bool), String> {
     let cold_starts = flag_value(args, "--cold-starts")?.unwrap_or(500) as usize;
     let runs = flag_value(args, "--runs")?.unwrap_or(1) as usize;
     let chunk = flag_value(args, "--chunk")?.unwrap_or(32) as usize;
-    let stall_us = flag_value(args, "--stall-us")?.unwrap_or(0);
     let light = args.iter().any(|a| a == "--light");
     if apps == 0 {
         return Err("--apps must be at least 1".to_string());
@@ -527,8 +507,7 @@ fn parse_fleet_config(args: &[String]) -> Result<(FleetConfig, bool), String> {
         .with_seed(seed)
         .with_cold_starts(cold_starts)
         .with_runs(runs.max(1))
-        .with_chunk(chunk)
-        .with_stall_micros(stall_us);
+        .with_chunk(chunk);
     let node_size = match flag_value(args, "--node-size")? {
         Some(0) => return Err("--node-size must be at least 1".to_string()),
         Some(n) => Some(n as usize),
@@ -651,43 +630,6 @@ fn cmd_chaos(args: &[String]) -> Result<(), String> {
     }
     let (config, light) = parse_fleet_config(args)?;
     run_fleet(config.with_chaos(ChaosConfig::uniform(rate)), light, json)
-}
-
-fn cmd_bench(args: &[String]) -> Result<(), String> {
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let seed = flag_value(args, "--seed")?.unwrap_or(2025);
-    let threads = match flag_value(args, "--threads")? {
-        Some(t) => (t as usize).max(1),
-        None => std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1),
-    };
-    let fleet_apps = flag_value(args, "--fleet-apps")?.map(|n| n as usize);
-    let config = slimstart::bench::BenchConfig {
-        smoke,
-        seed,
-        threads,
-        fleet_apps,
-    };
-    let report = slimstart::bench::hotpath::run(&config);
-    print!("{}", report.render_text());
-    let json = report.to_json();
-    // The harness validates its own output so a writer regression fails
-    // `slimstart bench --smoke` in CI rather than corrupting BENCH_*.json.
-    slimstart::bench::validate_json(&json)
-        .map_err(|e| format!("bench report JSON is malformed: {e}"))?;
-    if let Some(path) = flag_value_str(args, "--out")? {
-        std::fs::write(&path, &json).map_err(|e| format!("writing {path}: {e}"))?;
-        println!("wrote {path}");
-    }
-    if args.iter().any(|a| a == "--check") {
-        report.check_regressions()?;
-        println!(
-            "perf gate: every current path within 3x of its in-run baseline; \
-             fleet reports byte-identical across the thread sweep"
-        );
-    }
-    Ok(())
 }
 
 fn cmd_trace(args: &[String]) -> Result<(), String> {

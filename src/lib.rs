@@ -21,8 +21,8 @@
 //!   verifier, import lints, over-approximation auditor);
 //! * [`fleet`] — the parallel fleet orchestrator (deterministic fan-out of
 //!   N applications across a worker pool, aggregated [`FleetReport`]);
-//! * [`bench`] — the experiment harness (paper tables/figures and the
-//!   `slimstart bench` hot-path micro-benchmarks).
+//! * [`bench`] — the experiment harness (one target per paper table or
+//!   figure).
 //!
 //! The CI/CD pipeline itself is a composition of [`Stage`]s over a shared
 //! [`PipelineCtx`](slimstart_core::stage::PipelineCtx); see [`stages`] for

@@ -1,7 +1,7 @@
 //! Per-node live dependency sharing: integration contract for the zygote
 //! pool (PR 10).
 //!
-//! Three properties are pinned here:
+//! Four properties are pinned here:
 //!
 //! 1. **Determinism.** A zygote-enabled fleet serializes byte-identically
 //!    across 1/2/4 worker threads — the pool is planned sequentially up
@@ -13,15 +13,24 @@
 //! 3. **Benefit.** Sharing the node's hottest closure strictly lowers the
 //!    fleet's summed baseline cold-init time versus the same fleet without
 //!    a pool.
+//! 4. **Grid.** A Table-3-style grid over the heavy catalog — baseline,
+//!    deferral alone, sharing alone, both combined — where deferral never
+//!    raises the mean, sharing lowers it, sharing plus deferral strictly
+//!    beats deferral alone on mean and p99, only the shared cells fork,
+//!    and a same-seed rerun of both extremes is identical.
 
 use std::fs;
 use std::path::PathBuf;
+use std::sync::Arc;
 
-use slimstart::appmodel::catalog::light_population;
-use slimstart::fleet::{FleetConfig, FleetOrchestrator, FleetReport, NodeZygotePool};
+use slimstart::appmodel::catalog::{fleet_population, light_population};
+use slimstart::appmodel::Application;
+use slimstart::fleet::{FleetConfig, FleetOrchestrator, FleetReport, NodeZygotePool, ZygotePlan};
 use slimstart::platform::chaos::ChaosConfig;
-use slimstart::platform::PlatformConfig;
-use slimstart_core::pipeline::PipelineConfig;
+use slimstart::platform::{Invocation, Platform, PlatformConfig};
+use slimstart::pyrt::zygote::{ZygoteCounters, ZygoteImage};
+use slimstart::simcore::time::SimTime;
+use slimstart_core::pipeline::{Pipeline, PipelineConfig};
 
 fn base_config(threads: usize) -> FleetConfig {
     FleetConfig::default()
@@ -138,5 +147,142 @@ fn sharing_strictly_lowers_summed_baseline_cold_init() {
         "sharing must lower summed baseline cold init ({} >= {})",
         sum(&shared),
         sum(&unshared)
+    );
+}
+
+/// One cell of the dependency-sharing grid.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct SharingCell {
+    /// Mean cold-start init latency across every app, microseconds.
+    mean_cold_us: u64,
+    /// p99 cold-start init latency, microseconds.
+    p99_cold_us: u64,
+    /// Cold starts that forked from a zygote (0 for unshared cells).
+    forks: u64,
+    /// Module loads acquired at fork cost (0 for unshared cells).
+    forked_loads: u64,
+}
+
+/// Runs one cell of the sharing grid: every app gets its own platform
+/// (snapshots and jitter off, so only load costs move the numbers),
+/// optionally forking each cold start from its planned node zygote.
+/// Returns the cell's aggregate cold-start latencies and fork counters.
+fn sharing_cell(
+    apps: &[(usize, Arc<Application>)],
+    plan: Option<&ZygotePlan>,
+    seed: u64,
+    cold_starts: usize,
+) -> SharingCell {
+    let counters = Arc::new(ZygoteCounters::default());
+    let mut cold_us: Vec<u64> = Vec::with_capacity(apps.len() * cold_starts);
+    for &(index, ref app) in apps {
+        let mut cfg = PlatformConfig::default()
+            .without_jitter()
+            .without_snapshots();
+        if let Some(spec) = plan.and_then(|p| p.spec(index)) {
+            cfg = cfg.with_zygote(Arc::new(ZygoteImage::for_app(
+                app,
+                &spec.ranked,
+                spec.resident_prefix,
+                plan.expect("spec implies plan").fork_cost(),
+                Arc::clone(&counters),
+            )));
+        }
+        let app_seed = seed ^ (index as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let mut platform = Platform::new(Arc::clone(app), cfg, app_seed);
+        let handler = app
+            .handler_by_name("handler")
+            .expect("catalog handler exists");
+        let invocations: Vec<Invocation> = (0..cold_starts)
+            .map(|k| Invocation {
+                at: SimTime::from_millis(k as u64 * 11 * 60 * 1000),
+                handler,
+                seed: k as u64 + 1,
+            })
+            .collect();
+        let records = platform
+            .run(&invocations)
+            .expect("sharing run is fault-free");
+        cold_us.extend(
+            records
+                .iter()
+                .filter(|r| r.cold)
+                .map(|r| r.init_latency.as_micros()),
+        );
+    }
+    cold_us.sort_unstable();
+    let (mean_cold_us, p99_cold_us) = if cold_us.is_empty() {
+        (0, 0)
+    } else {
+        (
+            cold_us.iter().sum::<u64>() / cold_us.len() as u64,
+            cold_us[(cold_us.len() - 1) * 99 / 100],
+        )
+    };
+    SharingCell {
+        mean_cold_us,
+        p99_cold_us,
+        forks: counters.forks(),
+        forked_loads: counters.forked_loads(),
+    }
+}
+
+#[test]
+fn dependency_sharing_grid_shows_combined_wins() {
+    // Each catalog app is built once and pushed through the full pipeline
+    // once: its shipped deployment is the "deferral" variant, its
+    // unoptimized input the "baseline". A node zygote plan is drawn over
+    // the baseline population, then every variant's cold starts are
+    // measured with and without forking.
+    let (seed, cold_starts) = (2025, 6);
+    let population = fleet_population(8);
+    let mut baseline_owned: Vec<(usize, Application)> = Vec::with_capacity(population.len());
+    let mut deferral: Vec<(usize, Arc<Application>)> = Vec::with_capacity(population.len());
+    for (i, entry) in population.iter().enumerate() {
+        let app_seed = seed ^ (i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let built = entry.build(app_seed).expect("catalog app builds");
+        let pipeline_cfg = PipelineConfig::default()
+            .with_seed(app_seed)
+            .with_cold_starts(10)
+            .with_platform(PlatformConfig::default().without_jitter());
+        let outcome = Pipeline::new(pipeline_cfg)
+            .run(&built.app, &entry.workload_weights())
+            .expect("pipeline run succeeds");
+        deferral.push((i, outcome.final_app));
+        baseline_owned.push((i, built.app));
+    }
+    let plan = NodeZygotePool::default_geometry().plan(&baseline_owned);
+    let baseline: Vec<(usize, Arc<Application>)> = baseline_owned
+        .into_iter()
+        .map(|(i, app)| (i, Arc::new(app)))
+        .collect();
+
+    let baseline_cell = sharing_cell(&baseline, None, seed, cold_starts);
+    let deferral_cell = sharing_cell(&deferral, None, seed, cold_starts);
+    let sharing = sharing_cell(&baseline, Some(&plan), seed, cold_starts);
+    let both = sharing_cell(&deferral, Some(&plan), seed, cold_starts);
+
+    assert!(sharing.forks > 0, "shared cells fork: {sharing:?}");
+    assert!(sharing.forked_loads > 0, "resident modules acquired");
+    assert_eq!(baseline_cell.forks, 0);
+    assert_eq!(deferral_cell.forks, 0);
+    assert!(deferral_cell.mean_cold_us <= baseline_cell.mean_cold_us);
+    assert!(
+        sharing.mean_cold_us < baseline_cell.mean_cold_us,
+        "sharing alone must beat baseline: {sharing:?} vs {baseline_cell:?}"
+    );
+    assert!(
+        both.mean_cold_us < deferral_cell.mean_cold_us
+            && both.p99_cold_us < deferral_cell.p99_cold_us,
+        "sharing+deferral must strictly beat deferral alone: {both:?} vs {deferral_cell:?}"
+    );
+    // Both extremes reproduce under the same seed.
+    assert_eq!(
+        sharing_cell(&baseline, None, seed, cold_starts),
+        baseline_cell
+    );
+    assert_eq!(
+        sharing_cell(&deferral, Some(&plan), seed, cold_starts),
+        both
     );
 }

@@ -8,17 +8,130 @@
 //! 1. **Same pops.** Every `pop` returns the same `(time, payload)` pair from
 //!    both queues, including FIFO tie-breaking for events scheduled at the
 //!    same instant.
-//! 2. **Same batches.** `pop_due_into` drains the same due prefix in the same
-//!    order at every probed horizon.
-//! 3. **Same bookkeeping.** `len`/`peek_time` agree after every operation.
+//! 2. **Same batches.** `pop_due_into` (and `pop_due`) drains the same due
+//!    prefix in the same order at every probed horizon.
+//! 3. **Same bookkeeping.** `len`/`is_empty`/`peek_time` agree after every
+//!    operation.
 //!
 //! The generated schedules deliberately include same-instant ties, past-time
 //! schedules (at times already popped), and far-future offsets beyond the
 //! wheel's 2^42 µs horizon so the overflow spill/rescue path is exercised.
 
-use slimstart::simcore::event::reference::ReferenceEventQueue;
 use slimstart::simcore::event::EventQueue;
 use slimstart::simcore::{SimRng, SimTime};
+
+use reference::ReferenceEventQueue;
+
+mod reference {
+    //! The pre-wheel `BinaryHeap` event queue, retained verbatim as the
+    //! differential-testing oracle.
+
+    use std::cmp::Ordering;
+    use std::collections::BinaryHeap;
+
+    use slimstart::simcore::SimTime;
+
+    #[derive(Debug, Clone)]
+    struct Entry<T> {
+        at: SimTime,
+        seq: u64,
+        payload: T,
+    }
+
+    impl<T> PartialEq for Entry<T> {
+        fn eq(&self, other: &Self) -> bool {
+            self.at == other.at && self.seq == other.seq
+        }
+    }
+
+    impl<T> Eq for Entry<T> {}
+
+    impl<T> PartialOrd for Entry<T> {
+        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+
+    impl<T> Ord for Entry<T> {
+        fn cmp(&self, other: &Self) -> Ordering {
+            // BinaryHeap is a max-heap; reverse for earliest-first, with seq
+            // as a FIFO tie-break.
+            other
+                .at
+                .cmp(&self.at)
+                .then_with(|| other.seq.cmp(&self.seq))
+        }
+    }
+
+    /// The heap-backed oracle with the exact [`super::EventQueue`] API.
+    #[derive(Debug, Clone)]
+    pub struct ReferenceEventQueue<T> {
+        heap: BinaryHeap<Entry<T>>,
+        next_seq: u64,
+    }
+
+    impl<T> ReferenceEventQueue<T> {
+        /// Creates an empty queue.
+        pub fn new() -> Self {
+            ReferenceEventQueue {
+                heap: BinaryHeap::new(),
+                next_seq: 0,
+            }
+        }
+
+        /// Schedules `payload` at instant `at`.
+        pub fn schedule(&mut self, at: SimTime, payload: T) {
+            let seq = self.next_seq;
+            self.next_seq += 1;
+            self.heap.push(Entry { at, seq, payload });
+        }
+
+        /// Removes and returns the earliest event, if any.
+        pub fn pop(&mut self) -> Option<(SimTime, T)> {
+            self.heap.pop().map(|e| (e.at, e.payload))
+        }
+
+        /// The due time of the earliest event, if any.
+        pub fn peek_time(&self) -> Option<SimTime> {
+            self.heap.peek().map(|e| e.at)
+        }
+
+        /// Number of pending events.
+        pub fn len(&self) -> usize {
+            self.heap.len()
+        }
+
+        /// Whether the queue has no pending events.
+        pub fn is_empty(&self) -> bool {
+            self.heap.is_empty()
+        }
+
+        /// Drains all events due at or before `now`, earliest first.
+        pub fn pop_due(&mut self, now: SimTime) -> Vec<(SimTime, T)> {
+            let mut due = Vec::new();
+            self.pop_due_into(now, &mut due);
+            due
+        }
+
+        /// Drains all events due at or before `now` into `buf`, earliest
+        /// first. `buf` is cleared first.
+        pub fn pop_due_into(&mut self, now: SimTime, buf: &mut Vec<(SimTime, T)>) {
+            buf.clear();
+            while let Some(t) = self.peek_time() {
+                if t > now {
+                    break;
+                }
+                buf.push(self.pop().expect("peeked event exists"));
+            }
+        }
+    }
+
+    impl<T> Default for ReferenceEventQueue<T> {
+        fn default() -> Self {
+            ReferenceEventQueue::new()
+        }
+    }
+}
 
 /// One randomized interleaving: mixed schedule / pop / pop_due_into traffic
 /// driven against both queues in lockstep.
@@ -80,13 +193,24 @@ fn drive(seed: u64, ops: usize) {
         }
         assert_eq!(wheel.len(), heap.len(), "seed {seed} op {op}: len diverged");
         assert_eq!(
+            wheel.is_empty(),
+            heap.is_empty(),
+            "seed {seed} op {op}: is_empty diverged"
+        );
+        assert_eq!(
             wheel.peek_time(),
             heap.peek_time(),
             "seed {seed} op {op}: peek_time diverged"
         );
     }
 
-    // Full drain must agree to the last event.
+    // The allocating batch drain agrees too, then a full drain must agree
+    // to the last event.
+    assert_eq!(
+        wheel.pop_due(now),
+        heap.pop_due(now),
+        "seed {seed}: pop_due diverged at {now:?}"
+    );
     while let Some(expected) = heap.pop() {
         assert_eq!(wheel.pop(), Some(expected), "seed {seed}: drain diverged");
     }
@@ -138,4 +262,53 @@ fn far_future_overflow_agrees_with_the_heap() {
         assert_eq!(wheel.pop(), Some(expected));
     }
     assert!(wheel.is_empty());
+}
+
+#[test]
+fn matches_reference_heap_on_random_interleavings() {
+    for seed in 0..8u64 {
+        let mut rng = SimRng::seed_from(0xE4E47 ^ seed);
+        let mut wheel = EventQueue::new();
+        let mut heap = ReferenceEventQueue::new();
+        let mut base: u64 = 0;
+        for _ in 0..2_000 {
+            match rng.next_below(4) {
+                0 | 1 => {
+                    // Mixed horizons: ties, near, far, overflow-far.
+                    let at = match rng.next_below(4) {
+                        0 => base,
+                        1 => base + rng.next_below(1_000) as u64,
+                        2 => base + rng.next_below(600_000_000) as u64,
+                        _ => base + (1u64 << 43) + rng.next_below(1_000) as u64,
+                    };
+                    let t = SimTime::from_micros(at);
+                    wheel.schedule(t, at);
+                    heap.schedule(t, at);
+                }
+                2 => {
+                    assert_eq!(wheel.peek_time(), heap.peek_time());
+                    let (w, h) = (wheel.pop(), heap.pop());
+                    assert_eq!(w, h);
+                    if let Some((t, _)) = w {
+                        base = base.max(t.as_micros());
+                    }
+                }
+                _ => {
+                    let now = SimTime::from_micros(base + rng.next_below(10_000) as u64);
+                    let mut wb = Vec::new();
+                    let mut hb = Vec::new();
+                    wheel.pop_due_into(now, &mut wb);
+                    heap.pop_due_into(now, &mut hb);
+                    assert_eq!(wb, hb);
+                    base = base.max(now.as_micros());
+                }
+            }
+            assert_eq!(wheel.len(), heap.len());
+        }
+        // Drain fully; order must agree to the last event.
+        while let Some(h) = heap.pop() {
+            assert_eq!(wheel.pop(), Some(h));
+        }
+        assert!(wheel.is_empty());
+    }
 }

@@ -1,6 +1,6 @@
 //! Working-set snapshot restore under node memory pressure.
 //!
-//! Three guarantees from the PR 9 design:
+//! Four guarantees:
 //!
 //! 1. **Differential oracle.** With an unlimited budget and a full working
 //!    set (the app touches every module it loads), the lazy restore path
@@ -13,6 +13,13 @@
 //! 3. **Redeploy invalidation.** A fingerprint change must *evict* stale
 //!    entries from the shared pool store (counted as evictions), not
 //!    merely miss alongside them.
+//! 4. **Budget sweep shape.** A node of apps swept from an unlimited
+//!    budget down to a quarter of its unlimited footprint: the unlimited
+//!    point never evicts, constrained budgets do, the tightest budget hits
+//!    less and has no better p99 cold start, and a same-seed rerun of both
+//!    extremes is identical. The sweep is not monotone in between (the
+//!    50% point thrashes to zero hits); this test pins its shape, not
+//!    monotonicity.
 
 use std::sync::Arc;
 
@@ -457,4 +464,219 @@ fn redeploy_fingerprint_change_evicts_stale_pool_entries() {
         .expect("v2 runs");
     assert_eq!(store.misses(), 2, "one miss per generation");
     assert_eq!(store.hits(), hits_v1 + 2, "v2 rebuilds and then hits");
+}
+
+/// Apps packed per modeled node in the pressure sweep.
+const PRESSURE_NODE_SIZE: usize = 4;
+/// Handlers — and hence snapshot roots — per pressure app.
+const PRESSURE_HANDLERS: usize = 3;
+
+/// Builds one synthetic pressure app. Each handler pulls a hot library
+/// module (touched at runtime, so it stays in the working set) and a cold
+/// transitive module that is loaded eagerly but — except for a rare
+/// branch on handler 0 — never touched, so lazy restore omits it. Module
+/// costs and footprints vary by `slot` so the node's apps compete for the
+/// shared budget asymmetrically.
+fn pressure_app(slot: usize) -> Arc<Application> {
+    let mut b = AppBuilder::new(format!("pressure{slot}"));
+    for h in 0..PRESSURE_HANDLERS {
+        let lib = b.add_library(format!("lib{h}"));
+        let entry_mod = b.add_app_module(format!("h{h}"), ms(1), 64);
+        let hot = b.add_library_module(
+            format!("lib{h}"),
+            ms((20 + 10 * h + 5 * slot) as u64),
+            (512 + 256 * h + 128 * slot) as u64,
+            false,
+            lib,
+        );
+        let cold = b.add_library_module(
+            format!("lib{h}.cold"),
+            ms((80 + 20 * h) as u64),
+            96,
+            false,
+            lib,
+        );
+        b.add_import(entry_mod, hot, 2, ImportMode::Global)
+            .expect("import is valid");
+        b.add_import(hot, cold, 3, ImportMode::Global)
+            .expect("import is valid");
+        let mut body = vec![Stmt {
+            line: 6,
+            kind: StmtKind::Work(ms(2)),
+        }];
+        if h == 0 {
+            // Rare cold-module access: exercises the lazy-restore fault
+            // path (the module loads on first touch at real cost).
+            body.push(Stmt {
+                line: 7,
+                kind: StmtKind::Branch {
+                    probability: 0.02,
+                    body: vec![Stmt {
+                        line: 8,
+                        kind: StmtKind::Touch(cold),
+                    }],
+                },
+            });
+        }
+        let work = b.add_function(format!("work{h}"), hot, 5, body);
+        let entry = b.add_function(
+            format!("main{h}"),
+            entry_mod,
+            4,
+            vec![Stmt {
+                line: 5,
+                kind: StmtKind::call(work),
+            }],
+        );
+        b.add_handler(format!("main{h}"), entry);
+    }
+    Arc::new(b.finish().expect("pressure app builds"))
+}
+
+/// One budget point of the sweep: the node's summed store counters and
+/// its cold-start latency percentiles.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct PressurePoint {
+    /// Modeled node memory budget for snapshots; `None` is unlimited.
+    node_budget_bytes: Option<u64>,
+    hits: u64,
+    misses: u64,
+    evictions: u64,
+    faulted_loads: u64,
+    resident_bytes: u64,
+    p99_cold_us: u64,
+    mean_cold_us: u64,
+}
+
+impl PressurePoint {
+    /// Snapshot hit rate in `[0, 1]`; 0.0 when nothing was consulted.
+    fn hit_rate(&self) -> f64 {
+        let total = self.hits + self.misses;
+        if total == 0 {
+            0.0
+        } else {
+            self.hits as f64 / total as f64
+        }
+    }
+}
+
+/// Runs the node once at `node_budget` and distills counters and cold-start
+/// latency percentiles. Every invocation arrives past the keep-alive
+/// window, so each is a cold start that consults the app's pool shard.
+fn pressure_point(
+    apps: &[Arc<Application>],
+    node_budget: Option<u64>,
+    seed: u64,
+    cold_starts: usize,
+) -> PressurePoint {
+    let pool = NodeSnapshotPool::new(node_budget, PRESSURE_NODE_SIZE, true);
+    let mut point = PressurePoint {
+        node_budget_bytes: node_budget,
+        hits: 0,
+        misses: 0,
+        evictions: 0,
+        faulted_loads: 0,
+        resident_bytes: 0,
+        p99_cold_us: 0,
+        mean_cold_us: 0,
+    };
+    let mut cold_us: Vec<u64> = Vec::with_capacity(apps.len() * cold_starts);
+    for (i, app) in apps.iter().enumerate() {
+        let store = pool.store_for(i);
+        let cfg = PlatformConfig::default().with_snapshot_store(Arc::clone(&store));
+        let app_seed = seed ^ (i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let mut platform = Platform::new(Arc::clone(app), cfg, app_seed);
+        let handlers: Vec<_> = (0..PRESSURE_HANDLERS)
+            .map(|h| {
+                app.handler_by_name(&format!("main{h}"))
+                    .expect("pressure handler exists")
+            })
+            .collect();
+        let invocations: Vec<Invocation> = (0..cold_starts)
+            .map(|k| Invocation {
+                at: SimTime::from_millis(k as u64 * 11 * 60 * 1000),
+                handler: handlers[k % PRESSURE_HANDLERS],
+                seed: k as u64 + 1,
+            })
+            .collect();
+        let records = platform
+            .run(&invocations)
+            .expect("pressure run is fault-free");
+        cold_us.extend(
+            records
+                .iter()
+                .filter(|r| r.cold)
+                .map(|r| r.init_latency.as_micros()),
+        );
+        let stats = store.stats();
+        point.hits += stats.hits;
+        point.misses += stats.misses;
+        point.evictions += stats.evictions;
+        point.faulted_loads += stats.faulted_loads;
+        point.resident_bytes += stats.resident_bytes;
+    }
+    cold_us.sort_unstable();
+    if !cold_us.is_empty() {
+        point.p99_cold_us = cold_us[(cold_us.len() - 1) * 99 / 100];
+        point.mean_cold_us = cold_us.iter().sum::<u64>() / cold_us.len() as u64;
+    }
+    point
+}
+
+#[test]
+fn snapshot_pressure_sweep_shows_budget_pressure() {
+    // 400 cold starts per app keeps unlimited-point misses under 1% of
+    // samples, so the p99 contrast between budget points reflects steady
+    // state, not warm-up.
+    let (seed, cold_starts) = (2025, 400);
+    let apps: Vec<Arc<Application>> = (0..PRESSURE_NODE_SIZE).map(pressure_app).collect();
+    // The unlimited point calibrates the constrained budgets: 100%, 50%
+    // and 25% of its measured resident bytes, fair-shared across shards.
+    let unlimited = pressure_point(&apps, None, seed, cold_starts);
+    let base = unlimited.resident_bytes;
+    let mut points = vec![unlimited];
+    for (num, den) in [(1u64, 1u64), (1, 2), (1, 4)] {
+        let budget = Some((base * num / den).max(1));
+        points.push(pressure_point(&apps, budget, seed, cold_starts));
+    }
+
+    assert_eq!(points.len(), 4);
+    let unlimited = &points[0];
+    let tightest = points.last().expect("sweep has points");
+    assert_eq!(unlimited.node_budget_bytes, None);
+    assert_eq!(unlimited.evictions, 0);
+    assert!(unlimited.hit_rate() > 0.9, "{unlimited:?}");
+    assert!(
+        points.iter().skip(1).any(|p| p.evictions > 0),
+        "constrained budgets must evict: {points:?}"
+    );
+    assert!(
+        tightest.hit_rate() < unlimited.hit_rate(),
+        "tightest budget hit rate {:.3} not below unlimited {:.3}",
+        tightest.hit_rate(),
+        unlimited.hit_rate()
+    );
+    assert!(
+        tightest.p99_cold_us >= unlimited.p99_cold_us,
+        "tightest budget p99 {} us below unlimited {} us",
+        tightest.p99_cold_us,
+        unlimited.p99_cold_us
+    );
+    // Budgets were honored: each constrained point's resident bytes stay
+    // within its node budget.
+    for p in points.iter().skip(1) {
+        let budget = p.node_budget_bytes.expect("constrained point");
+        assert!(
+            p.resident_bytes <= budget,
+            "resident {} exceeds budget {}",
+            p.resident_bytes,
+            budget
+        );
+    }
+    // Both extremes reproduce under the same seed.
+    assert_eq!(pressure_point(&apps, None, seed, cold_starts), points[0]);
+    assert_eq!(
+        pressure_point(&apps, tightest.node_budget_bytes, seed, cold_starts),
+        *tightest
+    );
 }
