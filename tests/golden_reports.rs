@@ -3,9 +3,10 @@
 //! With chaos disabled, nothing in this PR-stream may perturb a single
 //! byte of the paper-facing artifacts: the fleet text table (Table 2
 //! style), the FaaSLight comparison outcome (Table 3 style), the fleet
-//! JSON, and the per-app pipeline JSON. Each test renders the artifact at
-//! a pinned (seed, cold-starts) configuration and diffs it against a
-//! committed golden under `tests/golden/`.
+//! JSON (plain, and under each node-pool snapshot restore shape), and the
+//! per-app pipeline JSON. Each test renders the artifact at a pinned
+//! (seed, cold-starts) configuration and diffs it against a committed
+//! golden under `tests/golden/`.
 //!
 //! Regenerate intentionally with:
 //!
@@ -22,9 +23,13 @@ use slimstart::appmodel::catalog::by_code;
 use slimstart::core::export::outcome_to_json;
 use slimstart::core::pipeline::{Pipeline, PipelineConfig, PipelineOutcome};
 use slimstart::core::stage::StageEngine;
-use slimstart::fleet::{FleetConfig, FleetOrchestrator};
+use slimstart::fleet::{
+    FleetConfig, FleetOrchestrator, FleetReport, NodeSnapshotPool, NodeZygotePool,
+};
 use slimstart::platform::chaos::ChaosConfig;
 use slimstart::platform::PlatformConfig;
+use slimstart::pyrt::zygote::DEFAULT_FORK_COST;
+use slimstart::simcore::time::SimDuration;
 use slimstart::stages::StripStage;
 
 fn golden_path(name: &str) -> PathBuf {
@@ -97,6 +102,69 @@ fn fleet_json_matches_golden() {
         );
     let (report, _) = FleetOrchestrator::new(config).run().expect("fleet runs");
     check_golden("fleet_report.json", &report.to_json());
+}
+
+/// Runs 4 apps × 10 cold starts at seed 2025 on the default (jittered)
+/// platform under `config`'s node pools. The three cells below pin one
+/// snapshot restore shape each, so every restore path is byte-pinned, not
+/// only the full-stream replay the unpooled goldens exercise.
+fn node_pool_report(config: FleetConfig) -> FleetReport {
+    let config = config
+        .with_apps(4)
+        .with_threads(2)
+        .with_seed(2025)
+        .with_cold_starts(10);
+    FleetOrchestrator::new(config).run().expect("fleet runs").0
+}
+
+#[test]
+fn zygote_full_restore_fleet_json_matches_golden() {
+    // A zygote pool alone keeps the default full-stream snapshot store:
+    // cold starts fork, and hits restore the whole capture under the
+    // zygote's fork-cost substitution.
+    let report = node_pool_report(FleetConfig::default().with_zygote_pool(NodeZygotePool::new(
+        2,
+        4,
+        DEFAULT_FORK_COST,
+    )));
+    let zygotes = report.zygotes.expect("zygote summary");
+    assert!(zygotes.forks > 0 && zygotes.forked_loads > 0, "{zygotes:?}");
+    check_golden("fleet_zygote_full_restore.json", &report.to_json());
+}
+
+#[test]
+fn lazy_restore_fleet_json_matches_golden() {
+    // A lazy snapshot pool alone: hits replay the recorded working set
+    // and the omitted modules fault in at first use.
+    let report = node_pool_report(
+        FleetConfig::default().with_snapshot_pool(NodeSnapshotPool::new(None, 4, true)),
+    );
+    let snapshots = report.snapshots.expect("snapshot summary");
+    assert!(
+        snapshots.hits > 0 && snapshots.faulted_loads > 0,
+        "{snapshots:?}"
+    );
+    check_golden("fleet_lazy_restore.json", &report.to_json());
+}
+
+#[test]
+fn forked_lazy_restore_fleet_json_matches_golden() {
+    // Both pools, with a fork cost high enough to keep cheap modules out
+    // of the zygote: hits replay the working set plus the zygote-resident
+    // modules, and the rest still fault.
+    let report = node_pool_report(
+        FleetConfig::default()
+            .with_snapshot_pool(NodeSnapshotPool::new(None, 4, true))
+            .with_zygote_pool(NodeZygotePool::new(2, 4, SimDuration::from_millis(5))),
+    );
+    let snapshots = report.snapshots.expect("snapshot summary");
+    assert!(
+        snapshots.hits > 0 && snapshots.faulted_loads > 0,
+        "{snapshots:?}"
+    );
+    let zygotes = report.zygotes.expect("zygote summary");
+    assert!(zygotes.forks > 0 && zygotes.forked_loads > 0, "{zygotes:?}");
+    check_golden("fleet_forked_lazy_restore.json", &report.to_json());
 }
 
 #[test]
