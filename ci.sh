@@ -15,24 +15,27 @@ cargo test -q
 # The conformance suites guard the chaos-off byte-identity contract, the
 # fault-injection invariants, the anti-pattern lint/auto-fix contract, the
 # fleet scale-out determinism cells, the streaming-vs-retained oracle
-# differential, the snapshot-pool pressure invariants (lazy-restore
-# oracle, budget bound, redeploy invalidation), the zygote-pool
-# dependency-sharing contract (thread-count byte identity, v3 passthrough
-# when disabled), the eviction-order determinism property and the indexed
-# deferral verifier's equivalence with the string-scan reference; run them
-# by name so a test-harness filter or workspace reshuffle can never
-# silently drop them from the gate. snapshot_pressure and
+# differential, the snapshot-restore equivalence (restores match the loader
+# walk byte for byte across the chaos grid), the snapshot-pool pressure
+# invariants (lazy-restore oracle, budget bound, redeploy invalidation),
+# the zygote-pool dependency-sharing contract (thread-count byte identity,
+# v3 passthrough when disabled), the eviction-order determinism property
+# and the indexed deferral verifier's equivalence with the string-scan
+# reference; run them by name so a test-harness filter or workspace
+# reshuffle can never silently drop them from the gate. snapshot_pressure and
 # dependency_sharing also carry the former bench gates: the budget sweep's
 # shape (the unlimited point never evicts, constrained budgets do, the
 # tightest hits less with no better p99) and the sharing grid's wins
 # (sharing+deferral beats deferral alone on mean and p99, and the shared
 # cells fork), each with a same-seed rerun.
 echo "==> cargo test -q --test chaos_sweep --test golden_reports --test antipattern_lints" \
-     "--test fleet_determinism --test fleet_streaming_equivalence --test snapshot_pressure" \
+     "--test fleet_determinism --test fleet_streaming_equivalence" \
+     "--test snapshot_equivalence --test snapshot_pressure" \
      "--test dependency_sharing --test snapshot_eviction_order" \
      "--test analyzer_index_equivalence"
 cargo test -q --test chaos_sweep --test golden_reports --test antipattern_lints \
-    --test fleet_determinism --test fleet_streaming_equivalence --test snapshot_pressure \
+    --test fleet_determinism --test fleet_streaming_equivalence \
+    --test snapshot_equivalence --test snapshot_pressure \
     --test dependency_sharing --test snapshot_eviction_order \
     --test analyzer_index_equivalence
 

@@ -108,8 +108,8 @@ pub struct FleetConfig {
     /// keeps every report byte-identical to a chaos-free build.
     pub chaos: ChaosConfig,
     /// Node-level snapshot budgeting. `None` (the default) keeps PR 5
-    /// behavior: per-app unbounded full-stream stores controlled by
-    /// `SLIMSTART_NO_SNAPSHOT`, and no snapshot counters in the report.
+    /// behavior: per-app unbounded full-stream stores, and no snapshot
+    /// counters in the report.
     pub snapshot: Option<NodeSnapshotPool>,
     /// Node-level zygote pool (live dependency sharing). `None` (the
     /// default) keeps every cold start booting an empty runtime and the
@@ -605,8 +605,7 @@ fn run_app(
     // scheduling cannot even share cache state across population indices —
     // thread-count independence stays structural, not incidental. With a
     // node pool the store is the app's bounded fair share of its node's
-    // budget (explicit constructor, no env sniffing); without one it is
-    // the PR 5 unbounded default gated on `SLIMSTART_NO_SNAPSHOT`. When a
+    // budget; without one it is an unbounded full-stream store. When a
     // zygote pool shares the node, its resident bytes come off the node's
     // snapshot budget first — zygotes and snapshot caches compete for the
     // same modeled memory.
@@ -615,7 +614,7 @@ fn run_app(
             Some(pool.store_for_reserved(index, spec.node_reserve_bytes))
         }
         (Some(pool), None) => Some(pool.store_for(index)),
-        (None, _) => SnapshotStore::default_for_env(),
+        (None, _) => Some(Arc::new(SnapshotStore::new())),
     };
     // One counter block spans the app's containers and runs; runs are
     // sequential, so the totals are deterministic.

@@ -82,13 +82,6 @@ impl NodeSnapshotPool {
         self
     }
 
-    /// Sets the restore mode (`false` = PR 5 full-stream replay).
-    #[must_use]
-    pub fn with_lazy_restore(mut self, lazy: bool) -> Self {
-        self.lazy_restore = lazy;
-        self
-    }
-
     /// The modeled per-node budget in bytes (`None` = unlimited).
     pub fn node_budget_bytes(&self) -> Option<u64> {
         self.node_budget_bytes

@@ -254,13 +254,14 @@ impl ZygotePlan {
     }
 }
 
-/// One app's zygote assignment: the chosen image's prefetch-ordered
-/// ranking, how much of it is resident, and the node-wide bytes all
-/// zygotes of its node pin (shared with the snapshot budget).
+/// One app's zygote assignment: the chosen image's hotness ranking, how
+/// much of it is resident, and the node-wide bytes all zygotes of its
+/// node pin (shared with the snapshot budget).
 #[derive(Debug, Clone)]
 pub struct AppZygoteSpec {
     /// The chosen zygote's hotness ranking, hottest first — feeds
-    /// [`slimstart_pyrt::zygote::ZygoteImage::for_app`] directly.
+    /// [`slimstart_pyrt::zygote::ZygoteImage::for_app`] directly, which
+    /// reads only its resident prefix.
     pub ranked: Arc<[String]>,
     /// How many leading ranked names the zygote holds resident.
     pub resident_prefix: usize,

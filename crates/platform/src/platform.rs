@@ -47,15 +47,15 @@ pub struct PlatformConfig {
     /// [`ChaosPlan::none`] (no draws, no overhead).
     pub chaos: Option<Arc<ChaosPlan>>,
     /// Cold-start snapshot cache shared by this deployment's containers;
-    /// `None` replays every cold start through the loader. Restores are
-    /// byte-identical to replays, so this is purely a simulation-speed
-    /// knob (`SLIMSTART_NO_SNAPSHOT=1` disables the default store).
+    /// `None` replays every cold start through the loader. Full-stream
+    /// restores are byte-identical to replays, so with the default store
+    /// this is purely a simulation-speed knob.
     pub snapshot_store: Option<Arc<SnapshotStore>>,
     /// Node zygote this deployment's containers fork from, if any: every
     /// cold start attaches the image, so resident modules are acquired at
-    /// fork cost and lazy restores replay in prefetch order. Warm starts
-    /// and keep-alive are untouched — sharing only changes what a cold
-    /// start pays, never whether one happens.
+    /// fork cost, and restores replay them even when the working set
+    /// leaves them out. Warm starts and keep-alive are untouched — sharing
+    /// only changes what a cold start pays, never whether one happens.
     pub zygote: Option<Arc<ZygoteImage>>,
 }
 
@@ -90,7 +90,7 @@ impl Default for PlatformConfig {
             max_containers: 1_000,
             observer_factory: None,
             chaos: None,
-            snapshot_store: SnapshotStore::default_for_env(),
+            snapshot_store: Some(Arc::new(SnapshotStore::new())),
             zygote: None,
         }
     }
@@ -223,9 +223,11 @@ impl Platform {
     /// always replay for real — the profiler must see every advance — and
     /// unobserved full-stream replays are byte-identical either way, so
     /// records, load events and golden reports cannot tell the paths
-    /// apart. A lazy-restore store additionally replays only the recorded
-    /// working set, modeling a REAP-style restore: the cold start gets
-    /// cheaper and omitted modules fault in at first use.
+    /// apart. Once a lazy-restore store has recorded a working set, a
+    /// restore replays only that set, modeling a REAP-style restore: the
+    /// cold start gets cheaper and omitted modules fault in at first use.
+    /// A full-stream store never records one, so its restores replay the
+    /// whole capture.
     fn cold_start_container(
         &self,
         container: &mut Container,
@@ -238,11 +240,7 @@ impl Platform {
         };
         let key = SnapshotKey::new(root, self.snapshot_fingerprint);
         if let Some(snapshot) = store.get(&key, now) {
-            let load = if store.lazy_restore() {
-                container.process_mut().restore_snapshot_lazy(&snapshot)
-            } else {
-                container.process_mut().restore_snapshot(&snapshot)
-            };
+            let load = container.process_mut().restore_snapshot_lazy(&snapshot);
             container.set_snapshot(key, snapshot);
             return Ok(load);
         }

@@ -61,7 +61,6 @@ pub struct Process {
     /// Loaded-module bitset (one bit per module id), so the loader's
     /// closure fast path is a handful of word operations.
     loaded: Vec<u64>,
-    loaded_count: usize,
     /// Modules the handler actually used post-load (one bit per module
     /// id): set on every function entry and explicit touch, cumulative
     /// across invocations. This is the raw material of the REAP-style
@@ -79,7 +78,8 @@ pub struct Process {
     in_cold_start: bool,
     /// The zygote this process forked from, if any: modules resident in
     /// the image load at its flat fork cost instead of their init cost,
-    /// and lazy restores replay in its prefetch order.
+    /// and every restore replays them whether or not they are in the
+    /// working set.
     zygote: Option<Arc<ZygoteImage>>,
 }
 
@@ -88,7 +88,10 @@ impl std::fmt::Debug for Process {
         f.debug_struct("Process")
             .field("app", &self.app.name())
             .field("clock", &self.clock)
-            .field("loaded", &self.loaded_count)
+            .field(
+                "loaded",
+                &self.loaded.iter().map(|w| w.count_ones()).sum::<u32>(),
+            )
             .field("mem_kb", &self.mem_kb)
             .field("observed", &self.observer.is_some())
             .field("forked", &self.zygote.is_some())
@@ -134,7 +137,6 @@ impl Process {
             clock: SimTime::ZERO,
             stack: CallStack::new(),
             loaded: vec![0u64; words],
-            loaded_count: 0,
             touched: vec![0u64; words],
             lazy_omitted: vec![0u64; words],
             faulted_loads: 0,
@@ -155,10 +157,7 @@ impl Process {
     ///
     /// Debug-asserts that nothing has loaded yet.
     pub fn set_zygote(&mut self, image: Arc<ZygoteImage>) {
-        debug_assert!(
-            self.loaded_count == 0 && self.load_events.is_empty(),
-            "zygote fork of a non-fresh process"
-        );
+        debug_assert!(self.is_fresh(), "zygote fork of a non-fresh process");
         image.note_fork();
         self.zygote = Some(image);
     }
@@ -214,11 +213,15 @@ impl Process {
         self.loaded[module.index() / 64] & (1u64 << (module.index() % 64)) != 0
     }
 
+    /// Whether nothing has loaded yet.
+    fn is_fresh(&self) -> bool {
+        self.load_events.is_empty() && self.loaded.iter().all(|&w| w == 0)
+    }
+
     #[inline]
     fn mark_loaded(&mut self, module: ModuleId) {
         let (word, bit) = (module.index() / 64, 1u64 << (module.index() % 64));
         self.loaded[word] |= bit;
-        self.loaded_count += 1;
         if self.lazy_omitted[word] & bit != 0 {
             // First use of a module a working-set restore left out: the
             // load cost being paid right now is the fault the lazy
@@ -348,7 +351,6 @@ impl Process {
         Snapshot {
             loads,
             loaded: self.loaded.clone().into_boxed_slice(),
-            loaded_count: self.loaded_count,
             nominal_init,
             // Unrefined: no invocation has recorded a working set yet, so
             // restores replay the full stream until the store refines it.
@@ -368,19 +370,53 @@ impl Process {
     /// Debug-asserts that this process is fresh (nothing loaded) and
     /// unobserved.
     pub fn restore_snapshot(&mut self, snapshot: &Snapshot) -> SimDuration {
-        debug_assert!(
-            self.loaded_count == 0 && self.load_events.is_empty(),
-            "snapshot restore into a non-fresh process"
-        );
+        self.replay(snapshot, &snapshot.loaded)
+    }
+
+    /// REAP-style restore: replays only the snapshot's recorded working
+    /// set eagerly and leaves the remaining modules unloaded, to be
+    /// faulted in by the ordinary first-use deferred-load path at their
+    /// real init cost. Unrefined snapshots (no working set recorded yet)
+    /// replay the full stream, exactly like [`Process::restore_snapshot`].
+    /// In a process forked from a zygote every zygote-resident captured
+    /// module replays too, at fork cost: the fork maps it in regardless.
+    ///
+    /// # Panics
+    ///
+    /// Debug-asserts that this process is fresh (nothing loaded) and
+    /// unobserved.
+    pub fn restore_snapshot_lazy(&mut self, snapshot: &Snapshot) -> SimDuration {
+        self.replay(
+            snapshot,
+            snapshot.working.as_deref().unwrap_or(&snapshot.loaded),
+        )
+    }
+
+    /// The one restore kernel. Replays, in capture order, every captured
+    /// load that is in `eager` or resident in this process's zygote (a
+    /// fork maps those in regardless), charging each through the same
+    /// zygote substitution and per-load `time_scale` rounding as the
+    /// loader. Every other captured module is marked omitted, so its first
+    /// use counts as a working-set fault.
+    fn replay(&mut self, snapshot: &Snapshot, eager: &[u64]) -> SimDuration {
+        debug_assert!(self.is_fresh(), "snapshot restore into a non-fresh process");
         debug_assert!(
             self.observer.is_none(),
             "snapshot restore into an observed process"
         );
-        debug_assert_eq!(
-            self.loaded.len(),
-            snapshot.loaded.len(),
+        debug_assert!(
+            self.loaded.len() == snapshot.loaded.len() && eager.len() == snapshot.loaded.len(),
             "snapshot from a different application shape"
         );
+        let zygote = self.zygote.as_deref();
+        let mut selected_count = 0usize;
+        for (word, (&captured, &eager)) in snapshot.loaded.iter().zip(eager).enumerate() {
+            let resident = zygote.map_or(0, |z| z.resident()[word]);
+            let selected = (eager | resident) & captured;
+            self.loaded[word] = selected;
+            self.lazy_omitted[word] = captured & !selected;
+            selected_count += selected.count_ones() as usize;
+        }
         let start = self.clock;
         let scale = self.time_scale;
         // `mul_f64(1.0)` is exact identity for any µs count below 2^53
@@ -389,159 +425,38 @@ impl Process {
         let unscaled = scale == 1.0;
         let mut clock = self.clock;
         let mut mem_kb = self.mem_kb;
-        let zygote = self.zygote.clone();
-        self.load_events.extend(snapshot.loads.iter().map(|load| {
-            // Snapshots record nominal charges; a restore under a zygote
-            // must substitute the fork cost for resident modules exactly
-            // as the real forked cold start it replays did.
-            let raw = match &zygote {
-                Some(z) => z.effective_cost(load.module, load.init_cost),
-                None => load.init_cost,
-            };
-            // Per-load scaling, not a scaled sum: mul_f64 rounds per call
-            // and the replay must round exactly like the loader did.
-            let scaled = if unscaled { raw } else { raw.mul_f64(scale) };
-            clock += scaled;
-            mem_kb += load.mem_kb;
-            LoadEvent {
-                module: load.module,
-                at: clock,
-                self_cost: scaled,
-                during_init: true,
-            }
-        }));
+        let loaded = &self.loaded;
+        self.load_events.reserve(selected_count);
+        self.load_events.extend(
+            snapshot
+                .loads
+                .iter()
+                .filter(|load| {
+                    let index = load.module.index();
+                    loaded[index / 64] & (1u64 << (index % 64)) != 0
+                })
+                .map(|load| {
+                    // Snapshots record nominal charges; a restore under a
+                    // zygote substitutes the fork cost for resident
+                    // modules exactly as the real forked cold start did.
+                    let raw = zygote.map_or(load.init_cost, |z| {
+                        z.effective_cost(load.module, load.init_cost)
+                    });
+                    // Per-load scaling, not a scaled sum: mul_f64 rounds
+                    // per call and the replay must round like the loader.
+                    let scaled = if unscaled { raw } else { raw.mul_f64(scale) };
+                    clock += scaled;
+                    mem_kb += load.mem_kb;
+                    LoadEvent {
+                        module: load.module,
+                        at: clock,
+                        self_cost: scaled,
+                        during_init: true,
+                    }
+                }),
+        );
         self.clock = clock;
         self.mem_kb = mem_kb;
-        self.loaded.copy_from_slice(&snapshot.loaded);
-        self.loaded_count = snapshot.loaded_count;
-        self.bump_peak();
-        self.clock.since(start)
-    }
-
-    /// REAP-style restore: replays only the snapshot's recorded working
-    /// set eagerly (same per-load `time_scale` rounding as
-    /// [`Process::restore_snapshot`]) and leaves the remaining modules
-    /// unloaded, to be faulted in by the ordinary first-use deferred-load
-    /// path at their real init cost. Unrefined snapshots (no working set
-    /// recorded yet) fall back to the full stream.
-    ///
-    /// With a full working set this is byte-identical to
-    /// [`Process::restore_snapshot`] — the retained differential oracle.
-    ///
-    /// When this process forked from a zygote the replay set additionally
-    /// includes every zygote-resident module in the snapshot (the fork
-    /// maps them in regardless, at fork cost) and is replayed in
-    /// **prefetch order** — the image's hotness ranking, hottest first,
-    /// capture order breaking ties — so early invocations stop faulting
-    /// sooner. Without a zygote the capture-order path below is untouched.
-    ///
-    /// # Panics
-    ///
-    /// Debug-asserts that this process is fresh (nothing loaded) and
-    /// unobserved.
-    pub fn restore_snapshot_lazy(&mut self, snapshot: &Snapshot) -> SimDuration {
-        let Some(working) = snapshot.working.as_deref() else {
-            return self.restore_snapshot(snapshot);
-        };
-        debug_assert!(
-            self.loaded_count == 0 && self.load_events.is_empty(),
-            "snapshot restore into a non-fresh process"
-        );
-        debug_assert!(
-            self.observer.is_none(),
-            "snapshot restore into an observed process"
-        );
-        debug_assert_eq!(
-            self.loaded.len(),
-            snapshot.loaded.len(),
-            "snapshot from a different application shape"
-        );
-        if let Some(zygote) = self.zygote.clone() {
-            return self.restore_lazy_forked(snapshot, working, &zygote);
-        }
-        let start = self.clock;
-        let scale = self.time_scale;
-        let unscaled = scale == 1.0;
-        let mut clock = self.clock;
-        let mut mem_kb = self.mem_kb;
-        let mut loaded_count = 0usize;
-        for load in snapshot.loads.iter() {
-            let (word, bit) = (load.module.index() / 64, 1u64 << (load.module.index() % 64));
-            if working[word] & bit != 0 {
-                let scaled = if unscaled {
-                    load.init_cost
-                } else {
-                    load.init_cost.mul_f64(scale)
-                };
-                clock += scaled;
-                mem_kb += load.mem_kb;
-                loaded_count += 1;
-                self.load_events.push(LoadEvent {
-                    module: load.module,
-                    at: clock,
-                    self_cost: scaled,
-                    during_init: true,
-                });
-            } else {
-                self.lazy_omitted[word] |= bit;
-            }
-        }
-        self.clock = clock;
-        self.mem_kb = mem_kb;
-        self.loaded.copy_from_slice(working);
-        self.loaded_count = loaded_count;
-        self.bump_peak();
-        self.clock.since(start)
-    }
-
-    /// The zygote-forked arm of [`Process::restore_snapshot_lazy`]:
-    /// replays `working ∪ (resident ∩ snapshot.loads)` sorted by the
-    /// image's prefetch rank (capture position breaks ties, and unranked
-    /// modules sort after every ranked one), charging resident modules
-    /// the fork cost. Everything else is omitted for first-use faulting,
-    /// exactly like the unforked lazy path.
-    fn restore_lazy_forked(
-        &mut self,
-        snapshot: &Snapshot,
-        working: &[u64],
-        zygote: &ZygoteImage,
-    ) -> SimDuration {
-        let start = self.clock;
-        let scale = self.time_scale;
-        let unscaled = scale == 1.0;
-        // (prefetch rank, capture position) per replayed load: sorting the
-        // pairs is the prefetch order, and position keeps it deterministic.
-        let mut replay: Vec<(u32, usize)> = Vec::with_capacity(snapshot.loads.len());
-        for (position, load) in snapshot.loads.iter().enumerate() {
-            let index = load.module.index();
-            let (word, bit) = (index / 64, 1u64 << (index % 64));
-            if working[word] & bit != 0 || zygote.is_resident(load.module) {
-                replay.push((zygote.rank(load.module), position));
-            } else {
-                self.lazy_omitted[word] |= bit;
-            }
-        }
-        replay.sort_unstable();
-        let mut clock = self.clock;
-        let mut mem_kb = self.mem_kb;
-        for &(_, position) in &replay {
-            let load = &snapshot.loads[position];
-            let raw = zygote.effective_cost(load.module, load.init_cost);
-            let scaled = if unscaled { raw } else { raw.mul_f64(scale) };
-            clock += scaled;
-            mem_kb += load.mem_kb;
-            self.load_events.push(LoadEvent {
-                module: load.module,
-                at: clock,
-                self_cost: scaled,
-                during_init: true,
-            });
-            let index = load.module.index();
-            self.loaded[index / 64] |= 1u64 << (index % 64);
-        }
-        self.clock = clock;
-        self.mem_kb = mem_kb;
-        self.loaded_count = replay.len();
         self.bump_peak();
         self.clock.since(start)
     }
@@ -678,10 +593,10 @@ impl Process {
         let before = self.clock;
         self.stack.set_line(1);
         let nominal = app.module(module).init_cost();
-        let raw = match &self.zygote {
-            Some(z) => z.effective_cost(module, nominal),
-            None => nominal,
-        };
+        let raw = self
+            .zygote
+            .as_deref()
+            .map_or(nominal, |z| z.effective_cost(module, nominal));
         self.advance(raw);
         let self_cost = self.clock.since(before);
 
@@ -1259,7 +1174,10 @@ mod tests {
         // Raw (unscaled) charges: 1 + 2 + 10 + 50 + 25 ms.
         assert_eq!(snapshot.nominal_init, ms(88));
         assert_eq!(snapshot.loads.len(), 5);
-        assert_eq!(snapshot.loaded_count, 5);
+        assert_eq!(
+            snapshot.loaded.iter().map(|w| w.count_ones()).sum::<u32>(),
+            5
+        );
     }
 
     #[test]
@@ -1340,9 +1258,10 @@ mod tests {
     #[test]
     fn zygote_full_restore_matches_forked_cold_start() {
         // Snapshots record nominal charges (captured without a zygote);
-        // restoring under a zygote must reproduce a real forked cold start
-        // bit for bit at every time scale — the platform's snapshot cache
-        // relies on this equivalence.
+        // restoring under a zygote — fully, or lazily before any working
+        // set is recorded — must reproduce a real forked cold start bit for
+        // bit at every time scale. The platform's snapshot cache relies on
+        // this equivalence.
         let (app, root, h) = build_app(true);
         let plan = Arc::new(LoaderPlan::build(&app));
         let mut origin = Process::with_plan(Arc::clone(&app), Arc::clone(&plan), 1.0);
@@ -1357,28 +1276,34 @@ mod tests {
                 Arc::new(ZygoteCounters::default()),
             ))
         };
+        let restores: [fn(&mut Process, &Snapshot) -> SimDuration; 2] =
+            [Process::restore_snapshot, Process::restore_snapshot_lazy];
         for scale in [1.0, 0.5, 1.37, 2.0] {
-            let mut real = Process::with_plan(Arc::clone(&app), Arc::clone(&plan), scale);
-            real.set_zygote(image(&app));
-            let real_init = real.cold_start(root).unwrap();
-            let mut restored = Process::with_plan(Arc::clone(&app), Arc::clone(&plan), scale);
-            restored.set_zygote(image(&app));
-            let fast = restored.restore_snapshot(&snapshot);
-            assert_eq!(fast, real_init, "init latency at scale {scale}");
-            assert_eq!(restored.clock(), real.clock());
-            assert_eq!(restored.load_events(), real.load_events());
-            assert_eq!(restored.mem_kb(), real.mem_kb());
-            // The deferred first-use load of the cold subtree behaves the
-            // same after either path (lib.cold is not resident: full cost).
-            let a = real.invoke(h, &mut SimRng::seed_from(9)).unwrap();
-            let b = restored.invoke(h, &mut SimRng::seed_from(9)).unwrap();
-            assert_eq!(a, b);
-            assert_eq!(restored.load_events(), real.load_events());
+            for restore in restores {
+                let mut real = Process::with_plan(Arc::clone(&app), Arc::clone(&plan), scale);
+                real.set_zygote(image(&app));
+                let real_init = real.cold_start(root).unwrap();
+                let mut restored = Process::with_plan(Arc::clone(&app), Arc::clone(&plan), scale);
+                restored.set_zygote(image(&app));
+                let fast = restore(&mut restored, &snapshot);
+                assert_eq!(fast, real_init, "init latency at scale {scale}");
+                assert_eq!(restored.clock(), real.clock());
+                assert_eq!(restored.load_events(), real.load_events());
+                assert_eq!(restored.mem_kb(), real.mem_kb());
+                // The deferred first-use load of the cold subtree behaves
+                // the same after either path (lib.cold is not resident:
+                // full cost), and an unrefined lazy restore omits nothing.
+                let a = real.invoke(h, &mut SimRng::seed_from(9)).unwrap();
+                let b = restored.invoke(h, &mut SimRng::seed_from(9)).unwrap();
+                assert_eq!(a, b);
+                assert_eq!(restored.load_events(), real.load_events());
+                assert_eq!(restored.take_faulted_loads(), 0);
+            }
         }
     }
 
     #[test]
-    fn zygote_lazy_restore_replays_prefetch_order_and_acquires_resident() {
+    fn zygote_lazy_restore_replays_capture_order_and_acquires_resident() {
         let (app, root, h) = build_app(false);
         let mut origin = Process::new(Arc::clone(&app), 1.0);
         origin.cold_start(root).unwrap();
@@ -1390,40 +1315,54 @@ mod tests {
         }
         snapshot.working = Some(working.into_boxed_slice());
 
-        let counters = Arc::new(ZygoteCounters::default());
-        // Node ranking: lib.cold hottest (and resident), then lib, then
-        // handler; lib.hot and lib.cold.leaf unranked.
-        let image = Arc::new(ZygoteImage::for_app(
-            &app,
-            &["lib.cold", "lib", "handler"],
-            1,
-            SimDuration::from_micros(100),
-            Arc::clone(&counters),
-        ));
-        let mut p = Process::new(Arc::clone(&app), 1.0);
-        p.set_zygote(image);
-        let init = p.restore_snapshot_lazy(&snapshot);
-        // Replay set = working {handler, lib} ∪ resident {lib.cold},
-        // prefetch order (not capture order): lib.cold at fork cost first,
-        // then lib and handler at their nominal costs.
-        let names: Vec<&str> = p
-            .load_events()
-            .iter()
-            .map(|e| app.module(e.module).name())
-            .collect();
-        assert_eq!(names, vec!["lib.cold", "lib", "handler"]);
-        assert_eq!(init, SimDuration::from_micros(100) + ms(2) + ms(1));
-        assert_eq!(counters.forked_loads(), 1);
-        assert!(p.is_loaded(app.module_by_name("lib.cold").unwrap()));
-        assert!(!p.is_loaded(app.module_by_name("lib.hot").unwrap()));
-        assert!(!p.is_loaded(app.module_by_name("lib.cold.leaf").unwrap()));
-        assert_eq!(p.mem_kb(), 128 + 256 + 5_000);
-        // Omitted modules still fault in at first use: the handler's call
-        // into lib.hot (unranked, not resident) pays its full cost.
-        let out = p.invoke(h, &mut SimRng::seed_from(1)).unwrap();
-        assert_eq!(out.deferred_load_time, ms(10));
-        assert_eq!(out.exec_time, ms(14));
-        assert_eq!(p.take_faulted_loads(), 1);
-        let _ = root;
+        for scale in [1.0, 0.5, 1.37, 2.0] {
+            let counters = Arc::new(ZygoteCounters::default());
+            // Node ranking: lib.cold hottest (and resident), then handler,
+            // then lib — an order that differs from capture order; lib.hot
+            // and lib.cold.leaf unranked.
+            let image = Arc::new(ZygoteImage::for_app(
+                &app,
+                &["lib.cold", "handler", "lib"],
+                1,
+                SimDuration::from_micros(100),
+                Arc::clone(&counters),
+            ));
+            let mut p = Process::new(Arc::clone(&app), scale);
+            p.set_zygote(image);
+            let init = p.restore_snapshot_lazy(&snapshot);
+            // Replay set = working {handler, lib} ∪ resident {lib.cold}, in
+            // capture order whatever the ranking: lib.cold at fork cost,
+            // then lib and handler at their nominal costs, each scaled on
+            // its own.
+            let charges = [SimDuration::from_micros(100), ms(2), ms(1)];
+            let mut at = SimTime::ZERO;
+            let expected: Vec<LoadEvent> = ["lib.cold", "lib", "handler"]
+                .iter()
+                .zip(charges)
+                .map(|(name, raw)| {
+                    let self_cost = raw.mul_f64(scale);
+                    at += self_cost;
+                    LoadEvent {
+                        module: app.module_by_name(name).unwrap(),
+                        at,
+                        self_cost,
+                        during_init: true,
+                    }
+                })
+                .collect();
+            assert_eq!(p.load_events(), &expected[..], "replay at scale {scale}");
+            assert_eq!(init, at.since(SimTime::ZERO));
+            assert_eq!(counters.forked_loads(), 1);
+            assert!(p.is_loaded(app.module_by_name("lib.cold").unwrap()));
+            assert!(!p.is_loaded(app.module_by_name("lib.hot").unwrap()));
+            assert!(!p.is_loaded(app.module_by_name("lib.cold.leaf").unwrap()));
+            assert_eq!(p.mem_kb(), 128 + 256 + 5_000);
+            // Omitted modules still fault in at first use: the handler's
+            // call into lib.hot (unranked, not resident) pays its full cost.
+            let out = p.invoke(h, &mut SimRng::seed_from(1)).unwrap();
+            assert_eq!(out.deferred_load_time, ms(10).mul_f64(scale));
+            assert_eq!(out.exec_time, ms(10).mul_f64(scale) + ms(4).mul_f64(scale));
+            assert_eq!(p.take_faulted_loads(), 1);
+        }
     }
 }

@@ -11,16 +11,16 @@
 //!
 //! Two refinements sit on top of the PR 5 full-stream design:
 //!
-//! * **Working sets (REAP-style).** After an invocation has run, the
-//!   platform records which modules the handler actually touched and
-//!   refines the stored snapshot with that bitmap
-//!   ([`SnapshotStore::refine`]). A store created in lazy-restore mode
-//!   then replays only the working set eagerly
-//!   ([`crate::process::Process::restore_snapshot_lazy`]); everything
-//!   else faults in on first import through the ordinary deferred-load
-//!   path, paying its real init cost through the same per-load
-//!   `mul_f64(time_scale)` rounding. Unrefined snapshots (no invocation
-//!   observed yet) always restore the full stream.
+//! * **Working sets (REAP-style).** After an invocation has run, a store
+//!   created in lazy-restore mode records which modules the handler
+//!   actually touched and refines the stored snapshot with that bitmap
+//!   ([`SnapshotStore::refine`]). Restores then replay only the working
+//!   set eagerly ([`crate::process::Process::restore_snapshot_lazy`]);
+//!   everything else faults in on first import through the ordinary
+//!   deferred-load path, paying its real init cost through the same
+//!   per-load `mul_f64(time_scale)` rounding. Unrefined snapshots (no
+//!   invocation observed yet, or a full-stream store) always restore the
+//!   full stream.
 //! * **Byte-accounted budgets.** A store built with
 //!   [`SnapshotStore::with_limits`] tracks the modeled resident bytes of
 //!   every entry (the memory a restore of it would map in) and evicts
@@ -40,12 +40,16 @@
 //! additionally folds its chaos configuration into the fingerprint so
 //! perturbed experiments never share entries with clean ones.
 //!
-//! Restores are byte-exact: [`crate::process::Process::restore_snapshot`]
-//! re-applies the stored raw charges through the restoring process's own
-//! `time_scale` with the same per-module rounding the loader uses, so
-//! load events, clocks, and memory are identical to a real replay at any
-//! jittered container speed. With a full working set the lazy path is
-//! byte-identical to the full stream — the retained differential oracle.
+//! Restores are byte-exact: one kernel behind
+//! [`crate::process::Process::restore_snapshot`] and
+//! [`crate::process::Process::restore_snapshot_lazy`] replays the selected
+//! loads (the eager set plus any zygote-resident captured modules) in
+//! capture order and re-applies the stored raw charges through the
+//! restoring process's own `time_scale` with the same per-module rounding
+//! the loader uses, so load events, clocks, and memory are identical to a
+//! real replay at any jittered container speed. With a full working set
+//! the lazy path is byte-identical to the full stream — the retained
+//! differential oracle.
 //! Snapshots are only taken from — and only restored into — unobserved
 //! processes: a profiling deployment must run its observer callbacks for
 //! real.
@@ -53,7 +57,7 @@
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 use fxhash::FxHasher;
 use slimstart_appmodel::{Application, ModuleId};
@@ -111,8 +115,6 @@ pub struct Snapshot {
     pub loads: Box<[SnapLoad]>,
     /// The loaded-module bitset after the replay (one bit per module id).
     pub loaded: Box<[u64]>,
-    /// Number of set bits in `loaded`.
-    pub loaded_count: usize,
     /// Cumulative nominal (unscaled) init latency of the replay.
     pub nominal_init: SimDuration,
     /// The recorded working set (one bit per module id), a subset of
@@ -196,7 +198,8 @@ pub struct SnapshotStore {
     inner: Mutex<StoreInner>,
     /// Byte budget; `None` = unlimited (the PR 5 behavior).
     budget_bytes: Option<u64>,
-    /// Whether restores from this store may replay only the working set.
+    /// Whether the platform records working sets into this store (and so
+    /// whether restores from it may replay only the working set).
     lazy_restore: bool,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -213,8 +216,7 @@ impl SnapshotStore {
 
     /// The explicit constructor: `budget_bytes` caps the modeled resident
     /// bytes (`None` = unlimited), `lazy_restore` enables working-set
-    /// restores. This is what the fleet's node pool uses instead of env
-    /// sniffing.
+    /// refinement. This is what the fleet's node pool uses.
     pub fn with_limits(budget_bytes: Option<u64>, lazy_restore: bool) -> SnapshotStore {
         SnapshotStore {
             budget_bytes,
@@ -223,21 +225,8 @@ impl SnapshotStore {
         }
     }
 
-    /// Creates a shared handle to a fresh unlimited store, or `None` when
-    /// snapshots are disabled via the `SLIMSTART_NO_SNAPSHOT=1` escape
-    /// hatch. The env var is resolved once per process and cached.
-    pub fn default_for_env() -> Option<Arc<SnapshotStore>> {
-        static DISABLED: OnceLock<bool> = OnceLock::new();
-        let disabled = *DISABLED
-            .get_or_init(|| std::env::var_os("SLIMSTART_NO_SNAPSHOT").is_some_and(|v| v == *"1"));
-        if disabled {
-            None
-        } else {
-            Some(Arc::new(SnapshotStore::new()))
-        }
-    }
-
-    /// Whether restores from this store replay only the working set.
+    /// Whether this store records working sets, so restores from it
+    /// replay only the working set.
     pub fn lazy_restore(&self) -> bool {
         self.lazy_restore
     }
@@ -515,12 +504,10 @@ mod tests {
         for l in loads.iter() {
             loaded[0] |= 1 << l.module.index();
         }
-        let loaded_count = loaded[0].count_ones() as usize;
         let nominal_init = loads.iter().map(|l| l.init_cost).sum();
         Snapshot {
             loads,
             loaded: Box::new(loaded),
-            loaded_count,
             nominal_init,
             working: None,
         }

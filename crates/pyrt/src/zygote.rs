@@ -11,11 +11,10 @@
 //!
 //! A [`ZygoteImage`] is the process-level view of one such fork: which
 //! modules of *this* application are resident in the chosen zygote (a
-//! bitset over module ids), the fork acquisition cost, and the node's
-//! hotness ranking (`prefetch` ranks). The fleet layer plans images from
-//! node-wide profiles (load cost × member-app hit frequency) and hands
-//! one to every container of an app; [`crate::process::Process`] applies
-//! it at each cost-charging point:
+//! bitset over module ids) and the fork acquisition cost. The fleet layer
+//! plans images from node-wide profiles (load cost × member-app hit
+//! frequency) and hands one to every container of an app;
+//! [`crate::process::Process`] applies it at each cost-charging point:
 //!
 //! * the loader ([`crate::process::Process::cold_start`] and deferred
 //!   first-use loads) charges the fork cost instead of `init_cost` for
@@ -24,10 +23,8 @@
 //!   record *nominal* charges, so a restore under a zygote reproduces
 //!   exactly what a real forked cold start would have paid;
 //! * lazy (working-set) restores replay the working set **plus** the
-//!   resident modules (the fork maps them in regardless), in **prefetch
-//!   order**: hottest-ranked modules first, so early invocations stop
-//!   faulting sooner. Without a zygote the capture-order replay is
-//!   untouched.
+//!   resident modules (the fork maps them in regardless), in capture
+//!   order like every other restore.
 //!
 //! Memory is modeled conservatively: acquired modules still count their
 //! full footprint in the forked process (no copy-on-write dedup), and
@@ -46,10 +43,6 @@ use slimstart_simcore::time::SimDuration;
 /// Default per-module fork acquisition cost: mapping an initialized
 /// module from the zygote is near-free next to running its top level.
 pub const DEFAULT_FORK_COST: SimDuration = SimDuration::from_micros(100);
-
-/// Rank assigned to modules the node ranking never scored: they replay
-/// after every ranked module, in capture order.
-const UNRANKED: u32 = u32::MAX;
 
 /// Lifetime fork counters of one application's zygote attachment, shared
 /// across its containers and measurement runs.
@@ -79,8 +72,8 @@ impl ZygoteCounters {
     }
 }
 
-/// One application's view of the zygote it forks from: residency bitset,
-/// fork cost, and the node's hotness ranking for prefetch ordering.
+/// One application's view of the zygote it forks from: residency bitset
+/// and fork cost.
 pub struct ZygoteImage {
     /// Resident-module bitset (one bit per module id of this app).
     resident: Box<[u64]>,
@@ -89,9 +82,6 @@ pub struct ZygoteImage {
     resident_bytes: u64,
     /// Flat nominal cost of acquiring one resident module at fork.
     fork_cost: SimDuration,
-    /// Prefetch rank per module id (lower = hotter); [`UNRANKED`] for
-    /// modules the node ranking never scored.
-    prefetch: Box<[u32]>,
     counters: Arc<ZygoteCounters>,
 }
 
@@ -110,10 +100,9 @@ impl ZygoteImage {
     ///
     /// `ranked` is the node's hotness ranking, hottest first (module
     /// names, so one ranking spans every app on the node); the first
-    /// `resident_prefix` ranked names are resident in the zygote, the
-    /// rest only contribute prefetch ranks. Names `app` does not define
-    /// are ignored — a node ranking naturally mentions other apps'
-    /// modules.
+    /// `resident_prefix` ranked names are resident in the zygote and the
+    /// rest are ignored. Names `app` does not define are ignored too — a
+    /// node ranking naturally mentions other apps' modules.
     pub fn for_app<S: AsRef<str>>(
         app: &Application,
         ranked: &[S],
@@ -123,19 +112,15 @@ impl ZygoteImage {
     ) -> ZygoteImage {
         let words = app.modules().len().div_ceil(64);
         let mut resident = vec![0u64; words].into_boxed_slice();
-        let mut prefetch = vec![UNRANKED; app.modules().len()].into_boxed_slice();
         let mut resident_count = 0usize;
         let mut resident_bytes = 0u64;
-        for (rank, name) in ranked.iter().enumerate() {
+        for name in ranked.iter().take(resident_prefix) {
             let Some(module) = app.module_by_name(name.as_ref()) else {
                 continue;
             };
             let index = module.index();
-            if prefetch[index] == UNRANKED {
-                prefetch[index] = rank as u32;
-            }
             let (word, bit) = (index / 64, 1u64 << (index % 64));
-            if rank < resident_prefix && resident[word] & bit == 0 {
+            if resident[word] & bit == 0 {
                 resident[word] |= bit;
                 resident_count += 1;
                 resident_bytes += app.module(module).mem_kb() * 1024;
@@ -146,7 +131,6 @@ impl ZygoteImage {
             resident_count,
             resident_bytes,
             fork_cost,
-            prefetch,
             counters,
         }
     }
@@ -157,11 +141,10 @@ impl ZygoteImage {
         self.resident[module.index() / 64] & (1u64 << (module.index() % 64)) != 0
     }
 
-    /// The module's prefetch rank (lower = hotter; unranked modules sort
-    /// after every ranked one).
+    /// The resident-module bitset (one bit per module id of this app).
     #[inline]
-    pub fn rank(&self, module: ModuleId) -> u32 {
-        self.prefetch[module.index()]
+    pub(crate) fn resident(&self) -> &[u64] {
+        &self.resident
     }
 
     /// The flat nominal fork acquisition cost per resident module.
@@ -191,9 +174,9 @@ impl ZygoteImage {
 
     /// The effective raw (unscaled) charge for loading `module`: the fork
     /// cost when the zygote already holds it (counted as a forked load),
-    /// its nominal cost otherwise. Every cost-charging point — the
-    /// loader, full restores, lazy restores — routes through this so fork
-    /// semantics stay consistent across paths.
+    /// its nominal cost otherwise. Both cost-charging points — the loader
+    /// and the restore kernel — route through this so fork semantics stay
+    /// consistent across paths.
     #[inline]
     pub fn effective_cost(&self, module: ModuleId, nominal: SimDuration) -> SimDuration {
         if self.is_resident(module) {
@@ -223,7 +206,7 @@ mod tests {
     }
 
     #[test]
-    fn image_resolves_names_ranks_and_residency() {
+    fn image_resolves_names_and_residency() {
         let app = app();
         let ranked = ["lib.hot", "lib", "other.app.module", "handler"];
         let image = ZygoteImage::for_app(
@@ -239,10 +222,6 @@ mod tests {
         assert!(image.is_resident(hot));
         assert!(image.is_resident(root));
         assert!(!image.is_resident(handler), "past the resident prefix");
-        assert_eq!(image.rank(hot), 0);
-        assert_eq!(image.rank(root), 1);
-        assert_eq!(image.rank(handler), 3);
-        assert_eq!(image.rank(app.module_by_name("main").unwrap()), UNRANKED);
         assert_eq!(image.resident_count(), 2);
         assert_eq!(image.resident_bytes(), (1_000 + 256) * 1024);
     }

@@ -43,8 +43,7 @@
 //!                                           $SLIMSTART_SNAPSHOT_BUDGET env
 //!                                           var, else no pool). Restores
 //!                                           replay only the recorded
-//!                                           working set unless
-//!                                           $SLIMSTART_NO_LAZY_RESTORE=1.
+//!                                           working set.
 //!     --node-size <N>                       apps packed per modeled node
 //!                                           (default 8; needs a node pool:
 //!                                           --snapshot-budget or --zygotes)
@@ -531,8 +530,8 @@ fn parse_fleet_config(args: &[String]) -> Result<(FleetConfig, bool), String> {
 
 /// Resolves the node snapshot pool for `fleet`/`chaos`: the
 /// `--snapshot-budget` flag, falling back to `SLIMSTART_SNAPSHOT_BUDGET`;
-/// no pool when neither is set. `SLIMSTART_NO_LAZY_RESTORE=1` switches
-/// restores back to PR 5 full-stream replay.
+/// no pool when neither is set. Pool stores restore lazily: only the
+/// recorded working set replays eagerly.
 fn parse_snapshot_pool(
     args: &[String],
     node_size: Option<usize>,
@@ -545,11 +544,10 @@ fn parse_snapshot_pool(
         },
     };
     let node_budget = parse_budget(&budget)?;
-    let lazy = std::env::var("SLIMSTART_NO_LAZY_RESTORE").map_or(true, |v| v != "1");
     Ok(Some(NodeSnapshotPool::new(
         node_budget,
         node_size.unwrap_or(DEFAULT_NODE_SIZE),
-        lazy,
+        true,
     )))
 }
 

@@ -44,7 +44,6 @@ fn synthetic_snapshot(rng: &mut SimRng) -> Snapshot {
     }
     let nominal_init = loads.iter().map(|l| l.init_cost).sum();
     Snapshot {
-        loaded_count: loaded[0].count_ones() as usize,
         loaded: Box::new(loaded),
         nominal_init,
         working: None,
