@@ -19,10 +19,12 @@ cargo test -q
 # walk byte for byte across the chaos grid), the snapshot-pool pressure
 # invariants (lazy-restore oracle, budget bound, redeploy invalidation),
 # the zygote-pool dependency-sharing contract (thread-count byte identity,
-# v3 passthrough when disabled), the eviction-order determinism property
-# and the indexed deferral verifier's equivalence with the string-scan
-# reference; run them by name so a test-harness filter or workspace
-# reshuffle can never silently drop them from the gate. snapshot_pressure and
+# v3 passthrough when disabled), the eviction-order determinism property,
+# the indexed deferral verifier's equivalence with the string-scan
+# reference and the run-weighted utilization and init roll-up's
+# equivalence with the per-sample and package-tree references; run them by
+# name so a test-harness filter or workspace reshuffle can never silently
+# drop them from the gate. snapshot_pressure and
 # dependency_sharing also carry the former bench gates: the budget sweep's
 # shape (the unlimited point never evicts, constrained budgets do, the
 # tightest hits less with no better p99) and the sharing grid's wins
@@ -32,12 +34,12 @@ echo "==> cargo test -q --test chaos_sweep --test golden_reports --test antipatt
      "--test fleet_determinism --test fleet_streaming_equivalence" \
      "--test snapshot_equivalence --test snapshot_pressure" \
      "--test dependency_sharing --test snapshot_eviction_order" \
-     "--test analyzer_index_equivalence"
+     "--test analyzer_index_equivalence --test utilization_equivalence"
 cargo test -q --test chaos_sweep --test golden_reports --test antipattern_lints \
     --test fleet_determinism --test fleet_streaming_equivalence \
     --test snapshot_equivalence --test snapshot_pressure \
     --test dependency_sharing --test snapshot_eviction_order \
-    --test analyzer_index_equivalence
+    --test analyzer_index_equivalence --test utilization_equivalence
 
 # The catalog's five below-gate fixture apps must stay lint-clean at the
 # warning level: `--deny warnings` exits 1 on any warning-or-worse

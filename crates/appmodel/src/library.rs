@@ -78,38 +78,30 @@ impl PackageTree {
     {
         let mut tree = PackageTree::default();
         for (id, module) in modules {
-            let parts: Vec<&str> = module.name().split('.').collect();
-            let mut path = String::new();
-            for (i, part) in parts.iter().enumerate() {
-                let parent = if i == 0 { None } else { Some(path.clone()) };
-                if i > 0 {
-                    path.push('.');
-                }
-                path.push_str(part);
-                let is_new = !tree.nodes.contains_key(&path);
-                if is_new {
+            let mut parent: Option<&str> = None;
+            for path in module.package_prefixes() {
+                if !tree.nodes.contains_key(path) {
                     tree.nodes.insert(
-                        path.clone(),
+                        path.to_owned(),
                         PackageNode {
-                            path: path.clone(),
+                            path: path.to_owned(),
                             direct_modules: Vec::new(),
                             children: Vec::new(),
                         },
                     );
                     match parent {
                         Some(p) => {
-                            let parent_node = tree
-                                .nodes
-                                .get_mut(&p)
-                                .expect("parent inserted before child");
-                            parent_node.children.push(path.clone());
+                            let parent_node =
+                                tree.nodes.get_mut(p).expect("parent inserted before child");
+                            parent_node.children.push(path.to_owned());
                         }
-                        None => tree.roots.push(path.clone()),
+                        None => tree.roots.push(path.to_owned()),
                     }
                 }
+                parent = Some(path);
             }
             tree.nodes
-                .get_mut(&path)
+                .get_mut(module.name())
                 .expect("leaf node just ensured")
                 .direct_modules
                 .push(id);

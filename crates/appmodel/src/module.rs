@@ -113,6 +113,17 @@ impl Module {
         self.name.rsplit_once('.').map(|(parent, _)| parent)
     }
 
+    /// Every dotted prefix of the name, outermost first, ending with the
+    /// name itself (`nltk.sem.logic` → `nltk`, `nltk.sem`,
+    /// `nltk.sem.logic`). The name is split at every `.` byte, so an empty
+    /// component yields a prefix ending in `.` (`a..b` → `a`, `a.`, `a..b`).
+    pub fn package_prefixes(&self) -> impl Iterator<Item = &str> + '_ {
+        let name = self.name.as_str();
+        name.match_indices('.')
+            .map(move |(end, _)| &name[..end])
+            .chain(std::iter::once(name))
+    }
+
     /// The depth of the module in the package hierarchy
     /// (`nltk` → 1, `nltk.sem.logic` → 3).
     pub fn depth(&self) -> usize {
@@ -165,6 +176,16 @@ mod tests {
         assert_eq!(module("nltk.sem.logic").parent_package(), Some("nltk.sem"));
         assert_eq!(module("nltk").depth(), 1);
         assert_eq!(module("nltk.sem.logic").depth(), 3);
+    }
+
+    #[test]
+    fn package_prefixes_run_outermost_first_and_end_with_the_name() {
+        let prefixes = |name: &str| -> Vec<String> {
+            module(name).package_prefixes().map(str::to_owned).collect()
+        };
+        assert_eq!(prefixes("a"), ["a"]);
+        assert_eq!(prefixes("a.b.c"), ["a", "a.b", "a.b.c"]);
+        assert_eq!(prefixes("a..b"), ["a", "a.", "a..b"]);
     }
 
     #[test]

@@ -74,13 +74,8 @@ fn leaf_only_package_utilization(
             continue;
         }
         total += 1;
-        let leaf_module = s.leaf().module(app);
-        let name = app.module(leaf_module).name();
-        let bytes = name.as_bytes();
-        for i in 0..=bytes.len() {
-            if i == bytes.len() || bytes[i] == b'.' {
-                *counts.entry(name[..i].to_string()).or_insert(0) += 1;
-            }
+        for prefix in app.module(s.leaf().module(app)).package_prefixes() {
+            *counts.entry(prefix.to_string()).or_insert(0) += 1;
         }
     }
     counts

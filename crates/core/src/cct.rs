@@ -23,7 +23,7 @@ use fxhash::FxHashMap;
 use slimstart_appmodel::Application;
 use slimstart_pyrt::stack::{Frame, FrameKind};
 
-use crate::profile::SampleRecord;
+use crate::profile::{path_runs, SampleRecord};
 
 /// Intrusive-link sentinel: "no node".
 const NONE: u32 = u32::MAX;
@@ -118,14 +118,17 @@ impl Cct {
         }
     }
 
-    /// Builds a tree from a batch of samples.
+    /// Builds a tree from a batch of samples, with one
+    /// [`Cct::insert_weighted`] per run of consecutive samples that share
+    /// one path allocation. The tree equals one [`Cct::insert`] per sample,
+    /// node order included.
     pub fn from_samples<'a, I>(samples: I) -> Cct
     where
         I: IntoIterator<Item = &'a SampleRecord>,
     {
         let mut cct = Cct::new();
-        for s in samples {
-            cct.insert(&s.path, s.is_init);
+        for run in path_runs(samples) {
+            cct.insert_weighted(run.path, run.samples, run.init_samples);
         }
         cct
     }

@@ -83,13 +83,7 @@ impl ProfileHistory {
 
     /// A CCT over every retained sample.
     pub fn merged_cct(&self) -> Cct {
-        let mut cct = Cct::new();
-        for w in &self.windows {
-            for s in &w.store.samples {
-                cct.insert(&s.path, s.is_init);
-            }
-        }
-        cct
+        Cct::from_samples(self.windows.iter().flat_map(|w| &w.store.samples))
     }
 
     /// Per-window utilization of one package — the trend the adaptive

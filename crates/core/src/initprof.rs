@@ -60,16 +60,22 @@ impl InitBreakdown {
             }
         }
 
-        let tree = app.package_tree();
+        // Eq. 3: a package's subtree is every module it is a dotted prefix
+        // of. Every package of the app is listed, measured or not.
         let mut by_package = BTreeMap::new();
-        for node in tree.iter() {
-            let total: SimDuration = tree
-                .modules_under(&node.path)
-                .iter()
-                .filter_map(|m| by_module.get(m))
-                .copied()
-                .sum();
-            by_package.insert(node.path.clone(), total);
+        for module in app.modules() {
+            for prefix in module.package_prefixes() {
+                if !by_package.contains_key(prefix) {
+                    by_package.insert(prefix.to_owned(), SimDuration::ZERO);
+                }
+            }
+        }
+        for (m, d) in &by_module {
+            for prefix in app.module(*m).package_prefixes() {
+                *by_package
+                    .get_mut(prefix)
+                    .expect("every module's prefixes are seeded") += *d;
+            }
         }
 
         let total: SimDuration = by_module.values().copied().sum();

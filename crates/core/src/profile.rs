@@ -43,6 +43,43 @@ impl SampleRecord {
     }
 }
 
+/// A maximal run of consecutive samples that share one path allocation.
+pub(crate) struct PathRun<'a> {
+    /// The run's call path.
+    pub(crate) path: &'a [Frame],
+    /// Samples in the run.
+    pub(crate) samples: u64,
+    /// Of those, samples taken during module initialization.
+    pub(crate) init_samples: u64,
+}
+
+/// Groups `samples` into [`PathRun`]s, so an analysis can walk each
+/// repeated stack once and weigh it by the run's length.
+///
+/// Runs are detected with [`Arc::ptr_eq`]. Every sample stays borrowed for
+/// the whole pass, so no path allocation is freed and reused while the
+/// iterator runs: two equal pointers always mean one path. Equal paths in
+/// different allocations start separate runs, which costs only speed.
+pub(crate) fn path_runs<'a, I>(samples: I) -> impl Iterator<Item = PathRun<'a>>
+where
+    I: IntoIterator<Item = &'a SampleRecord>,
+{
+    let mut samples = samples.into_iter().peekable();
+    std::iter::from_fn(move || {
+        let first = samples.next()?;
+        let mut run = PathRun {
+            path: &first.path,
+            samples: 1,
+            init_samples: u64::from(first.is_init),
+        };
+        while let Some(next) = samples.next_if(|s| Arc::ptr_eq(&s.path, &first.path)) {
+            run.samples += 1;
+            run.init_samples += u64::from(next.is_init);
+        }
+        Some(run)
+    })
+}
+
 /// The collector: aggregated profiling data for one application deployment.
 #[derive(Debug, Clone, Default)]
 pub struct ProfileStore {
@@ -119,6 +156,39 @@ mod tests {
             is_init: false,
         };
         assert_eq!(s.leaf(), &frame(1));
+    }
+
+    #[test]
+    fn path_runs_group_consecutive_shared_paths() {
+        let a: Arc<[Frame]> = vec![frame(0)].into();
+        let b: Arc<[Frame]> = vec![frame(1)].into();
+        // Same frames as `a`, different allocation.
+        let a_copy: Arc<[Frame]> = vec![frame(0)].into();
+        let record = |path: &Arc<[Frame]>, is_init| SampleRecord {
+            path: Arc::clone(path),
+            is_init,
+        };
+        let samples = vec![
+            record(&a, false),
+            record(&a, true),
+            record(&a, false),
+            record(&b, false),
+            record(&a, false),
+            record(&a_copy, true),
+        ];
+        let runs: Vec<(Vec<Frame>, u64, u64)> = path_runs(&samples)
+            .map(|r| (r.path.to_vec(), r.samples, r.init_samples))
+            .collect();
+        assert_eq!(
+            runs,
+            vec![
+                (vec![frame(0)], 3, 1),
+                (vec![frame(1)], 1, 0),
+                (vec![frame(0)], 1, 0),
+                (vec![frame(0)], 1, 1),
+            ]
+        );
+        assert_eq!(path_runs(&[]).count(), 0);
     }
 
     #[test]

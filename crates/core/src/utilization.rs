@@ -11,11 +11,12 @@
 //! rarely on top of the stack is still credited with the activity of the
 //! work it coordinates (the Lib-1 problem).
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 
 use slimstart_appmodel::{Application, LibraryId, ModuleId};
+use slimstart_simcore::intern::{Interner, Symbol};
 
-use crate::profile::SampleRecord;
+use crate::profile::{path_runs, SampleRecord};
 
 /// Utilization of every library, package and module.
 #[derive(Debug, Clone, PartialEq)]
@@ -30,62 +31,106 @@ pub struct Utilization {
     pub by_module: HashMap<ModuleId, u64>,
 }
 
+/// Per-id sample counts that credit an id at most once per path.
+struct OncePerPath {
+    counts: Vec<u64>,
+    /// The last path (numbered from 1) that credited each id.
+    stamps: Vec<u64>,
+}
+
+impl OncePerPath {
+    fn new(ids: usize) -> Self {
+        OncePerPath {
+            counts: vec![0; ids],
+            stamps: vec![0; ids],
+        }
+    }
+
+    /// Makes room for ids below `ids`.
+    fn grow(&mut self, ids: usize) {
+        self.counts.resize(ids, 0);
+        self.stamps.resize(ids, 0);
+    }
+
+    /// Credits `weight` samples to `id` unless path `path` already did;
+    /// returns whether it credited now.
+    #[inline]
+    fn credit(&mut self, id: usize, path: u64, weight: u64) -> bool {
+        if self.stamps[id] == path {
+            return false;
+        }
+        self.stamps[id] = path;
+        self.counts[id] += weight;
+        true
+    }
+}
+
 impl Utilization {
     /// Computes utilization from raw samples.
+    ///
+    /// Each run of consecutive samples that share one path allocation is
+    /// walked once and weighted by its runtime samples. Within a path,
+    /// modules, libraries and packages are each credited once, through
+    /// per-id stamps. A sampled module's dotted prefixes are interned the
+    /// first time it is credited, and the package names are allocated once,
+    /// for the result.
     pub fn from_samples<'a, I>(samples: I, app: &Application) -> Utilization
     where
         I: IntoIterator<Item = &'a SampleRecord>,
     {
         let mut total = 0u64;
-        let mut lib_counts = vec![0u64; app.libraries().len()];
-        let mut package_counts: BTreeMap<String, u64> = BTreeMap::new();
-        let mut module_counts: HashMap<ModuleId, u64> = HashMap::new();
+        let mut libs = OncePerPath::new(app.libraries().len());
+        let mut modules = OncePerPath::new(app.modules().len());
+        let mut packages = OncePerPath::new(0);
+        let mut names = Interner::new();
+        // Module `m`'s prefixes are `prefixes[chains[m]]`, empty until the
+        // module is first credited.
+        let mut chains = vec![0..0; app.modules().len()];
+        let mut prefixes: Vec<Symbol> = Vec::new();
 
-        for sample in samples {
-            if sample.is_init {
+        for (number, run) in (1u64..).zip(path_runs(samples)) {
+            let weight = run.samples - run.init_samples;
+            if weight == 0 {
                 continue;
             }
-            total += 1;
-            let mut libs: HashSet<LibraryId> = HashSet::new();
-            let mut modules: HashSet<ModuleId> = HashSet::new();
-            let mut packages: HashSet<String> = HashSet::new();
-            for frame in sample.path.iter() {
-                let module = frame.module(app);
-                modules.insert(module);
-                if let Some(lib) = app.module(module).library() {
-                    libs.insert(lib);
+            total += weight;
+            for frame in run.path {
+                let id = frame.module(app);
+                if !modules.credit(id.index(), number, weight) {
+                    continue;
                 }
-                let name = app.module(module).name();
-                let mut end = 0;
-                let bytes = name.as_bytes();
-                for i in 0..=bytes.len() {
-                    if i == bytes.len() || bytes[i] == b'.' {
-                        end = i;
-                        packages.insert(name[..end].to_string());
-                    }
+                let module = app.module(id);
+                if let Some(lib) = module.library() {
+                    libs.credit(lib.index(), number, weight);
                 }
-                let _ = end;
-            }
-            for lib in libs {
-                lib_counts[lib.index()] += 1;
-            }
-            for m in modules {
-                *module_counts.entry(m).or_insert(0) += 1;
-            }
-            for p in packages {
-                *package_counts.entry(p).or_insert(0) += 1;
+                if chains[id.index()].is_empty() {
+                    let start = prefixes.len();
+                    prefixes.extend(module.package_prefixes().map(|p| names.intern(p)));
+                    chains[id.index()] = start..prefixes.len();
+                    packages.grow(names.len());
+                }
+                for package in &prefixes[chains[id.index()].clone()] {
+                    packages.credit(package.index(), number, weight);
+                }
             }
         }
 
+        // Every interned package was credited by the path that interned it.
         let denom = total.max(1) as f64;
         Utilization {
             total_runtime_samples: total,
-            by_library: lib_counts.iter().map(|c| *c as f64 / denom).collect(),
-            by_package: package_counts
-                .into_iter()
-                .map(|(k, c)| (k, c as f64 / denom))
+            by_library: libs.counts.iter().map(|c| *c as f64 / denom).collect(),
+            by_package: names
+                .iter()
+                .map(|(sym, name)| (name.to_owned(), packages.counts[sym.index()] as f64 / denom))
                 .collect(),
-            by_module: module_counts,
+            by_module: modules
+                .counts
+                .iter()
+                .enumerate()
+                .filter(|(_, c)| **c > 0)
+                .map(|(m, c)| (ModuleId::from_index(m), *c))
+                .collect(),
         }
     }
 

@@ -101,17 +101,12 @@ impl LoaderPlan {
         let modules = app.modules();
         let mut ancestors = Vec::with_capacity(modules.len());
         for module in modules {
-            let name = module.name();
-            let bytes = name.as_bytes();
-            let mut chain = Vec::new();
-            for i in 0..=bytes.len() {
-                if i == bytes.len() || bytes[i] == b'.' {
-                    if let Some(id) = table.module_by_name(&name[..i]) {
-                        chain.push(id);
-                    }
-                }
-            }
-            ancestors.push(chain.into_boxed_slice());
+            ancestors.push(
+                module
+                    .package_prefixes()
+                    .filter_map(|prefix| table.module_by_name(prefix))
+                    .collect(),
+            );
         }
         LoaderPlan {
             ancestors,

@@ -6,9 +6,11 @@
 //! this is the oracle that says "faster, not different".
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use slimstart::appmodel::{FunctionId, ModuleId};
 use slimstart::core::cct::{Cct, CctKey};
+use slimstart::core::profile::SampleRecord;
 use slimstart::pyrt::stack::{Frame, FrameKind};
 use slimstart::simcore::SimRng;
 
@@ -393,4 +395,71 @@ fn merge_matches_reference_merge() {
     assert_eq!(arena_a.total_samples(), ref_a.total_samples());
     assert_eq!(arena_a.len(), ref_a.nodes().len());
     assert_eq!(arena_a.inclusive(), ref_a.inclusive());
+}
+
+/// Sample records in runs that share one `Arc` path, as the sampler's
+/// capture cache emits them: each of `synth_paths`' paths becomes a run of
+/// 1–5 samples, and some runs instead resume the path of two runs back
+/// (an `Arc` reused after a different path). A quarter of the runs mix
+/// init and runtime flags.
+fn synth_runs(n: usize, seed: u64) -> Vec<SampleRecord> {
+    let mut rng = SimRng::seed_from(seed ^ 0x5eed);
+    let mut runs: Vec<Arc<[Frame]>> = Vec::new();
+    let mut samples = Vec::new();
+    for (path, is_init) in synth_paths(n, seed) {
+        let path: Arc<[Frame]> = if runs.len() >= 2 && rng.chance(0.2) {
+            Arc::clone(&runs[runs.len() - 2])
+        } else {
+            path.into()
+        };
+        runs.push(Arc::clone(&path));
+        let mixed = rng.chance(0.25);
+        for _ in 0..1 + rng.next_below(5) {
+            samples.push(SampleRecord {
+                path: Arc::clone(&path),
+                is_init: if mixed { rng.chance(0.5) } else { is_init },
+            });
+        }
+    }
+    samples
+}
+
+#[test]
+fn sample_runs_build_the_per_sample_tree() {
+    for seed in [3u64, 42, 2025] {
+        let samples = synth_runs(1_500, seed);
+        let mixed_run = samples
+            .windows(2)
+            .any(|w| Arc::ptr_eq(&w[0].path, &w[1].path) && w[0].is_init != w[1].is_init);
+        let resumed = samples
+            .windows(3)
+            .any(|w| Arc::ptr_eq(&w[0].path, &w[2].path) && !Arc::ptr_eq(&w[0].path, &w[1].path));
+        assert!(
+            mixed_run && resumed,
+            "seed {seed}: stream lacks a run shape"
+        );
+
+        let arena = Cct::from_samples(&samples);
+        let mut reference = ReferenceCct::new();
+        for s in &samples {
+            reference.insert(&s.path, s.is_init);
+        }
+        assert_eq!(
+            arena_attribution(&arena),
+            reference_attribution(&reference),
+            "seed {seed}: per-context attribution"
+        );
+        // Node order: the same key, parent and counts at every index.
+        let arena_nodes: Vec<_> = arena
+            .nodes()
+            .iter()
+            .map(|n| (n.key, n.parent, n.self_samples, n.self_init_samples))
+            .collect();
+        let ref_nodes: Vec<_> = reference
+            .nodes()
+            .iter()
+            .map(|n| (n.key, n.parent, n.self_samples, n.self_init_samples))
+            .collect();
+        assert_eq!(arena_nodes, ref_nodes, "seed {seed}: node order");
+    }
 }
