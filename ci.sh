@@ -21,8 +21,9 @@ cargo test -q
 # the zygote-pool dependency-sharing contract (thread-count byte identity,
 # v3 passthrough when disabled), the eviction-order determinism property,
 # the indexed deferral verifier's equivalence with the string-scan
-# reference and the run-weighted utilization and init roll-up's
-# equivalence with the per-sample and package-tree references; run them by
+# reference, the run-weighted utilization and init roll-up's
+# equivalence with the per-sample and package-tree references and the
+# sampler's equivalence with the per-boundary reference sampler; run them by
 # name so a test-harness filter or workspace reshuffle can never silently
 # drop them from the gate. snapshot_pressure and
 # dependency_sharing also carry the former bench gates: the budget sweep's
@@ -34,12 +35,14 @@ echo "==> cargo test -q --test chaos_sweep --test golden_reports --test antipatt
      "--test fleet_determinism --test fleet_streaming_equivalence" \
      "--test snapshot_equivalence --test snapshot_pressure" \
      "--test dependency_sharing --test snapshot_eviction_order" \
-     "--test analyzer_index_equivalence --test utilization_equivalence"
+     "--test analyzer_index_equivalence --test utilization_equivalence" \
+     "--test sampler_equivalence"
 cargo test -q --test chaos_sweep --test golden_reports --test antipattern_lints \
     --test fleet_determinism --test fleet_streaming_equivalence \
     --test snapshot_equivalence --test snapshot_pressure \
     --test dependency_sharing --test snapshot_eviction_order \
-    --test analyzer_index_equivalence --test utilization_equivalence
+    --test analyzer_index_equivalence --test utilization_equivalence \
+    --test sampler_equivalence
 
 # The catalog's five below-gate fixture apps must stay lint-clean at the
 # warning level: `--deny warnings` exits 1 on any warning-or-worse

@@ -342,9 +342,10 @@ mod tests {
     use super::*;
     use slimstart_appmodel::app::AppBuilder;
     use slimstart_appmodel::ImportMode;
-    use slimstart_pyrt::LoaderPlan;
+    use slimstart_pyrt::{LoaderPlan, Process};
     use slimstart_simcore::rng::SimRng;
     use slimstart_simcore::time::SimDuration;
+    use std::sync::Arc;
 
     fn ms(n: u64) -> SimDuration {
         SimDuration::from_millis(n)
@@ -535,17 +536,20 @@ mod tests {
     fn closure_equals_the_runtime_loader_on_apps_with_gaps() {
         let mut gaps = 0;
         for seed in 0..200u64 {
-            let app = random_gappy_app(seed);
+            let app = Arc::new(random_gappy_app(seed));
             let index = ModuleIndex::build(&app);
-            let plan = LoaderPlan::build(&app);
+            let plan = Arc::new(LoaderPlan::build(&app));
             for i in 0..app.modules().len() {
                 let m = ModuleId::from_index(i);
                 let ours = index.closure(&app, &[m], global);
-                let loader = plan.closure(&app, m);
+                // The oracle is the loader itself: what a cold start of `m`
+                // in a fresh process actually loads.
+                let mut process = Process::with_plan(Arc::clone(&app), Arc::clone(&plan), 1.0);
+                process.cold_start(m).unwrap();
                 for (j, flag) in ours.iter().enumerate() {
                     assert_eq!(
                         *flag,
-                        loader.contains(ModuleId::from_index(j)),
+                        process.is_loaded(ModuleId::from_index(j)),
                         "seed {seed}: closure of `{}` disagrees on `{}`",
                         app.module(m).name(),
                         app.module(ModuleId::from_index(j)).name()

@@ -104,7 +104,7 @@ impl AsyncCollector {
                     match ProfileBatch::decode(payload) {
                         Ok(batch) => {
                             let mut store = store_for_worker.lock();
-                            store.absorb(batch.samples, &batch.init_micros, 1);
+                            store.absorb(batch.samples, batch.init_micros, 1);
                             let mut stats = stats_for_worker.lock();
                             stats.batches += 1;
                             stats.bytes += len;

@@ -73,7 +73,10 @@ impl ProfileHistory {
         for w in &self.windows {
             merged.absorb(
                 w.store.samples.clone(),
-                &w.store.init_micros_by_module,
+                w.store
+                    .init_micros_by_module
+                    .iter()
+                    .map(|(&module, &micros)| (module, micros)),
                 w.store.batches_transferred,
             );
             merged.invocations += w.store.invocations;

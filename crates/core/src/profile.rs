@@ -121,16 +121,17 @@ impl ProfileStore {
         self.samples.iter().filter(|s| s.is_init).count() as u64
     }
 
-    /// Merges a sampler attachment's local state into the store.
+    /// Merges a sampler attachment's local state into the store: its
+    /// samples, its per-module init microseconds and its batch count.
     pub fn absorb(
         &mut self,
         samples: Vec<SampleRecord>,
-        init_micros: &HashMap<ModuleId, u64>,
+        init_micros: impl IntoIterator<Item = (ModuleId, u64)>,
         batches: u64,
     ) {
         self.samples.extend(samples);
         for (module, micros) in init_micros {
-            *self.init_micros_by_module.entry(*module).or_insert(0) += micros;
+            *self.init_micros_by_module.entry(module).or_insert(0) += micros;
         }
         self.batches_transferred += batches;
     }
@@ -201,7 +202,7 @@ mod tests {
                 path: vec![frame(0)].into(),
                 is_init: true,
             }],
-            &init,
+            init.clone(),
             1,
         );
         store.absorb(
@@ -209,7 +210,7 @@ mod tests {
                 path: vec![frame(1)].into(),
                 is_init: false,
             }],
-            &init,
+            init,
             2,
         );
         assert_eq!(store.samples.len(), 2);

@@ -4,9 +4,10 @@
 //! [`ExecutionObserver`] seam.
 //! On every virtual-time advance it:
 //!
-//! 1. captures stack snapshots at each sampling-period boundary crossed by
-//!    the interval (the timer-signal model), charging the per-sample capture
-//!    cost back to the application — the overhead Fig. 9 measures;
+//! 1. counts the sampling-period boundaries the interval crosses (the
+//!    timer-signal model) and records that many samples of the stack,
+//!    captured once for the advance, charging the per-sample capture cost
+//!    back to the application — the overhead Fig. 9 measures;
 //! 2. measures *exact* per-module initialization time by attributing the
 //!    interval to the innermost module-init frame, which yields the
 //!    hierarchical breakdown of Eqs. 1–3;
@@ -15,7 +16,6 @@
 //!    only when a batch boundary is crossed (asynchronous batched transfer,
 //!    TC-1 strategies 2–3).
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -47,18 +47,15 @@ impl std::fmt::Debug for SampleSink {
     }
 }
 
-/// Zero-clone stack capture: a one-entry cache keyed by the stack's
-/// incremental fingerprint.
+/// Zero-clone stack capture: a one-entry cache of the last captured path.
 ///
-/// Consecutive samples of an unchanged stack — the dominant case, since a
-/// single long `advance` (a module top-level, a hot work statement) crosses
-/// many sampling-period boundaries — return `Arc` clones of one shared
-/// path allocation. The fingerprint is a one-word filter; a hit is
-/// confirmed with a frame-slice comparison, so a (cosmically unlikely)
-/// fingerprint collision can never corrupt a capture.
+/// Consecutive captures of an unchanged stack return `Arc` clones of one
+/// shared path allocation. A capture reuses the cached path exactly when
+/// its frames equal the stack's. The comparison runs from the innermost
+/// frame outward, where consecutive stacks usually differ, so a miss is
+/// cheap.
 #[derive(Debug, Default)]
 pub struct CaptureCache {
-    fingerprint: u64,
     path: Option<Arc<[Frame]>>,
 }
 
@@ -72,16 +69,54 @@ impl CaptureCache {
     /// when the stack is unchanged.
     #[inline]
     pub fn capture(&mut self, stack: &CallStack) -> Arc<[Frame]> {
-        let fingerprint = stack.fingerprint();
+        let frames = stack.frames();
         if let Some(cached) = &self.path {
-            if self.fingerprint == fingerprint && cached.as_ref() == stack.frames() {
+            if cached.len() == frames.len() && cached.iter().rev().eq(frames.iter().rev()) {
                 return Arc::clone(cached);
             }
         }
-        let path: Arc<[Frame]> = stack.frames().into();
-        self.fingerprint = fingerprint;
+        let path: Arc<[Frame]> = frames.into();
         self.path = Some(Arc::clone(&path));
         path
+    }
+}
+
+/// Exact init time per module since the last flush, in microseconds.
+///
+/// A dense array indexed by module id makes each attribution one indexed
+/// add, and the list of modules attributed so far lets a flush visit only
+/// those. `None` marks a module no advance was attributed to, so a module
+/// whose init advanced 0 µs still reports its 0 entry.
+#[derive(Debug, Default)]
+struct InitTimes {
+    micros: Vec<Option<u64>>,
+    attributed: Vec<ModuleId>,
+}
+
+impl InitTimes {
+    #[inline]
+    fn add(&mut self, module: ModuleId, micros: u64) {
+        let index = module.index();
+        if index >= self.micros.len() {
+            self.micros.resize(index + 1, None);
+        }
+        match &mut self.micros[index] {
+            Some(total) => *total += micros,
+            empty => {
+                *empty = Some(micros);
+                self.attributed.push(module);
+            }
+        }
+    }
+
+    /// Yields each attributed module with its total and resets both, for
+    /// whichever sink the flush goes to. Consume it fully.
+    fn drain(&mut self) -> impl Iterator<Item = (ModuleId, u64)> + '_ {
+        let micros = &mut self.micros;
+        self.attributed.drain(..).map(move |module| {
+            let total = micros[module.index()].take();
+            (module, total.expect("an attributed module has a total"))
+        })
     }
 }
 
@@ -92,7 +127,7 @@ pub struct SamplerAttachment {
     next_sample_at: SimTime,
     buffer: Vec<SampleRecord>,
     capture: CaptureCache,
-    init_micros: HashMap<ModuleId, u64>,
+    init: InitTimes,
     pending_batches: u64,
     samples_taken: u64,
 }
@@ -135,7 +170,7 @@ impl SamplerAttachment {
             sink,
             buffer: Vec::new(),
             capture: CaptureCache::new(),
-            init_micros: HashMap::new(),
+            init: InitTimes::default(),
             pending_batches: 0,
             samples_taken: 0,
         }
@@ -145,6 +180,24 @@ impl SamplerAttachment {
     pub fn samples_taken(&self) -> u64 {
         self.samples_taken
     }
+
+    /// Steps `next_sample_at` past `to` and returns how many of the
+    /// boundaries it stepped over lie in (`from`, `to`]: the samples an
+    /// advance over that interval takes. Boundaries at or before `from`
+    /// fell inside charged overhead, which is never sampled.
+    fn take_boundaries(&mut self, from: SimTime, to: SimTime) -> u64 {
+        let next = self.next_sample_at;
+        if next > to {
+            return 0;
+        }
+        let period = self.config.period.as_micros();
+        // Boundaries in [next, t] for t >= next.
+        let through = |t: SimTime| (t.as_micros() - next.as_micros()) / period + 1;
+        let due = through(to);
+        let skipped = if from >= next { through(from) } else { 0 };
+        self.next_sample_at = next + self.config.period * due;
+        due - skipped
+    }
 }
 
 impl ExecutionObserver for SamplerAttachment {
@@ -152,46 +205,52 @@ impl ExecutionObserver for SamplerAttachment {
         // Exact init-time attribution: the interval belongs to the innermost
         // module-init frame, if any (the module actually executing its top
         // level — nested loads pause the outer module's top level).
-        if let Some(init_frame) = ctx.stack.frames().iter().rev().find(|f| f.is_init()) {
-            let module = init_frame.module(ctx.app);
-            *self.init_micros.entry(module).or_insert(0) += ctx.to.since(ctx.from).as_micros();
+        if ctx.stack.in_init() {
+            if let Some(init_frame) = ctx.stack.frames().iter().rev().find(|f| f.is_init()) {
+                self.init.add(
+                    init_frame.module(ctx.app),
+                    ctx.to.since(ctx.from).as_micros(),
+                );
+            }
         }
 
-        // Statistical sampling at period boundaries.
-        let mut overhead = SimDuration::ZERO;
-        while self.next_sample_at <= ctx.to {
-            if self.next_sample_at > ctx.from && ctx.stack.depth() > 0 {
-                self.buffer.push(SampleRecord {
-                    path: self.capture.capture(ctx.stack),
-                    is_init: ctx.stack.in_init(),
-                });
-                self.samples_taken += 1;
-                overhead += self.config.per_sample_cost;
-                if self.buffer.len().is_multiple_of(self.config.batch_size) {
-                    self.pending_batches += 1;
-                }
-            }
-            self.next_sample_at += self.config.period;
+        // Statistical sampling at period boundaries: the stack is constant
+        // over the advance, so every sample in it shares one capture.
+        let samples = self.take_boundaries(ctx.from, ctx.to);
+        if samples == 0 || ctx.stack.depth() == 0 {
+            return SimDuration::ZERO;
         }
-        overhead
+        let record = SampleRecord {
+            path: self.capture.capture(ctx.stack),
+            is_init: ctx.stack.in_init(),
+        };
+        let buffered = self.buffer.len();
+        self.buffer
+            .extend(std::iter::repeat_n(record, samples as usize));
+        self.samples_taken += samples;
+        // A batch completes at every multiple of the batch size the buffer
+        // length passes.
+        if let Some(full) = self.buffer.len().checked_div(self.config.batch_size) {
+            self.pending_batches += (full - buffered / self.config.batch_size) as u64;
+        }
+        self.config.per_sample_cost * samples
     }
 
     fn on_invocation_end(&mut self, _app: &Application) -> SimDuration {
         // Local spool hands everything to the collector; the synchronous
         // cost charged to the invocation is only the batch hand-off.
-        let flushes = self.pending_batches;
-        self.pending_batches = 0;
+        let flushes = std::mem::take(&mut self.pending_batches);
+        let samples = std::mem::take(&mut self.buffer);
         match &self.sink {
             SampleSink::Direct(store) => {
                 let mut store = store.lock();
-                store.absorb(std::mem::take(&mut self.buffer), &self.init_micros, flushes);
-                self.init_micros.clear();
+                store.absorb(samples, self.init.drain(), flushes);
                 store.invocations += 1;
             }
             SampleSink::Channel(sender) => {
                 let batch = ProfileBatch {
-                    samples: std::mem::take(&mut self.buffer),
-                    init_micros: std::mem::take(&mut self.init_micros),
+                    samples,
+                    init_micros: self.init.drain().collect(),
                 };
                 if !batch.samples.is_empty() || !batch.init_micros.is_empty() {
                     sender.send_batch(&batch);
@@ -421,6 +480,9 @@ mod tests {
         let a = cache.capture(&stack);
         let b = cache.capture(&stack);
         assert!(Arc::ptr_eq(&a, &b), "unchanged stack must share the path");
+        // Setting the line the frame already has leaves the stack unchanged.
+        stack.set_line(1);
+        assert!(Arc::ptr_eq(&a, &cache.capture(&stack)));
         stack.set_line(2);
         let c = cache.capture(&stack);
         assert!(!Arc::ptr_eq(&b, &c));
@@ -428,6 +490,11 @@ mod tests {
         stack.push(FrameKind::Call(FunctionId::from_index(1)), 3);
         let d = cache.capture(&stack);
         assert_eq!(d.len(), 2);
+        // Popping the frame and pushing one of the same kind and line back
+        // restores the cached stack, so the capture shares its path.
+        stack.pop();
+        stack.push(FrameKind::Call(FunctionId::from_index(1)), 3);
+        assert!(Arc::ptr_eq(&d, &cache.capture(&stack)));
         stack.pop();
         // Back to the previous shape: contents equal even though the cache
         // was overwritten in between.

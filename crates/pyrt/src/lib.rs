@@ -50,7 +50,7 @@ pub mod stack;
 pub mod zygote;
 
 pub use fault::RuntimeFault;
-pub use loader::{LoaderPlan, ModuleSet};
+pub use loader::LoaderPlan;
 pub use observer::{AdvanceContext, ExecutionObserver, NullObserver};
 pub use process::{InvocationOutcome, LoadEvent, Process};
 pub use snapshot::{deployment_fingerprint, SnapLoad, Snapshot, SnapshotKey, SnapshotStore};

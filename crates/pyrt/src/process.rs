@@ -58,8 +58,8 @@ pub struct Process {
     time_scale: f64,
     clock: SimTime,
     stack: CallStack,
-    /// Loaded-module bitset (one bit per module id), so the loader's
-    /// closure fast path is a handful of word operations.
+    /// Loaded-module bitset (one bit per module id): a snapshot captures
+    /// it as is, and a restore writes it a word at a time.
     loaded: Vec<u64>,
     /// Modules the handler actually used post-load (one bit per module
     /// id): set on every function entry and explicit touch, cumulative
@@ -540,50 +540,33 @@ impl Process {
     }
 
     /// Loads `module` the Python way: ancestors first, then the module.
-    ///
-    /// Fast path: when the plan's memoized transitive closure shows that
-    /// everything `module` needs is already loaded, the recursive walk
-    /// collapses to a single shallow load of `module` itself. The walk and
-    /// the shallow load are observably identical in that case — the import
-    /// loop would only touch line numbers between advances, which no
-    /// sampler can see — so load events, timestamps and stack shapes are
-    /// byte-for-byte unchanged.
     fn load_with_parents(&mut self, app: &Arc<Application>, module: ModuleId) {
         let plan = Arc::clone(&self.plan);
-        if plan
-            .closure(app, module)
-            .only_missing_is(&self.loaded, module)
-        {
-            self.load_single(app, module, true);
-            return;
-        }
         for &id in plan.ancestors(module) {
             if !self.is_loaded(id) && !app.module(id).stripped() {
-                self.load_single(app, id, false);
+                self.load_single(app, id);
             }
         }
     }
 
-    /// Loads exactly one module: runs its global imports (unless `shallow`
-    /// proved them all loaded), then its top level.
-    fn load_single(&mut self, app: &Arc<Application>, module: ModuleId, shallow: bool) {
+    /// Loads exactly one module: runs its global imports, then its top
+    /// level.
+    fn load_single(&mut self, app: &Arc<Application>, module: ModuleId) {
         debug_assert!(!self.is_loaded(module), "double load of {module}");
         // Mark first (Python registers in sys.modules before executing).
         self.mark_loaded(module);
         self.stack.push(FrameKind::ModuleInit(module), 1);
 
-        if !shallow {
-            for decl in app.imports_of(module) {
-                if !decl.mode.is_global() {
-                    continue;
-                }
-                if app.module(decl.target).stripped() {
-                    continue; // the static optimizer removed this import
-                }
-                self.stack.set_line(decl.line);
-                if !self.is_loaded(decl.target) {
-                    self.load_with_parents(app, decl.target);
-                }
+        for decl in app.imports_of(module) {
+            if !decl.mode.is_global() {
+                continue;
+            }
+            if app.module(decl.target).stripped() {
+                continue; // the static optimizer removed this import
+            }
+            self.stack.set_line(decl.line);
+            if !self.is_loaded(decl.target) {
+                self.load_with_parents(app, decl.target);
             }
         }
 
@@ -958,12 +941,71 @@ mod tests {
         assert!(!p.has_observer());
     }
 
+    /// The names of the modules a cold start of `root` loads in a fresh
+    /// process, read back module by module with `is_loaded`.
+    fn fresh_load_set<'a>(app: &'a Arc<Application>, root: &str) -> Vec<&'a str> {
+        let mut p = Process::new(Arc::clone(app), 1.0);
+        p.cold_start(app.module_by_name(root).unwrap()).unwrap();
+        app.modules()
+            .iter()
+            .enumerate()
+            .filter(|&(i, _)| p.is_loaded(ModuleId::from_index(i)))
+            .map(|(_, module)| module.name())
+            .collect()
+    }
+
     #[test]
-    fn shallow_fast_path_is_equivalent_to_walk() {
+    fn cold_start_loads_global_imports_only() {
+        let (app, _, _) = build_app(true);
+        // The deferred lib.cold subtree is not part of the eager load.
+        assert_eq!(
+            fresh_load_set(&app, "handler"),
+            vec!["handler", "lib", "lib.hot"]
+        );
+    }
+
+    #[test]
+    fn cold_start_of_submodule_loads_package_ancestry() {
+        let (app, _, _) = build_app(true);
+        // Loading lib.cold.leaf pulls in lib (an ancestor), which pulls in
+        // lib.hot; nothing imports the handler.
+        assert_eq!(
+            fresh_load_set(&app, "lib.cold.leaf"),
+            vec!["lib", "lib.hot", "lib.cold", "lib.cold.leaf"]
+        );
+    }
+
+    #[test]
+    fn cold_start_loads_the_eager_load_set() {
+        let (app, _, _) = build_app(true);
+        for i in 0..app.modules().len() {
+            let m = ModuleId::from_index(i);
+            let mut p = Process::new(Arc::clone(&app), 1.0);
+            p.cold_start(m).unwrap();
+            // eager_load_set has no parent-package rule, so it can only be a
+            // subset of what the loader brings in; every eager module must
+            // load.
+            for e in app.eager_load_set(m) {
+                assert!(p.is_loaded(e), "module {i}: missing {e}");
+            }
+        }
+    }
+
+    #[test]
+    fn cold_start_skips_stripped_modules() {
+        let (app, _, _) = build_app(true);
+        let mut app2 = (*app).clone();
+        let hot = app2.module_by_name("lib.hot").unwrap();
+        app2.module_mut(hot).set_stripped(true);
+        let app2 = Arc::new(app2);
+        assert_eq!(fresh_load_set(&app2, "handler"), vec!["handler", "lib"]);
+    }
+
+    #[test]
+    fn deferred_module_with_loaded_dependencies_loads_alone_under_any_plan() {
         // lib.cold is deferred and all of its dependencies load eagerly, so
-        // its first use hits the closure fast path (everything but lib.cold
-        // itself already loaded) — outcomes must match the full-walk
-        // semantics exactly.
+        // its first use loads lib.cold and nothing else, and a fresh process
+        // sharing the plan behaves exactly like one that builds its own.
         let mut b = AppBuilder::new("t3");
         let lib = b.add_library("lib");
         let h = b.add_app_module("handler", ms(1), 0);
@@ -1010,8 +1052,8 @@ mod tests {
             .collect();
         assert_eq!(names, vec!["lib.hot", "lib", "handler", "lib.cold"]);
 
-        // A fresh process sharing the (now-memoized) plan is identical to
-        // one that builds its own.
+        // A fresh process sharing the plan is identical to one that builds
+        // its own.
         let mut shared = Process::with_plan(Arc::clone(&app), plan, 1.0);
         let mut private = Process::new(Arc::clone(&app), 1.0);
         assert_eq!(shared.cold_start(hm), private.cold_start(hm));

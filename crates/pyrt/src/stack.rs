@@ -58,33 +58,14 @@ impl Frame {
     }
 }
 
-/// Fingerprint of the empty stack. Any non-zero constant works; a fixed
-/// odd pattern keeps `fingerprint()` total without an `Option`.
-const EMPTY_FINGERPRINT: u64 = 0x9e37_79b9_7f4a_7c15;
-
-/// One link of the incremental hash chain: parent fingerprint mixed with
-/// the frame's own hash (FxHash-style rotate-xor-multiply, seedless and
-/// deterministic).
-#[inline]
-fn chain_link(parent: u64, frame: &Frame) -> u64 {
-    (parent.rotate_left(5) ^ fxhash::hash64(frame)).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95)
-}
-
 /// The live activation stack of a process.
 ///
-/// Alongside the frames it maintains two incremental summaries so the
-/// sampling hot path never has to walk the stack:
-///
-/// * a **hash chain** — `chain[i]` fingerprints `frames[..=i]`, updated in
-///   O(1) on push/pop/set-line, so [`CallStack::fingerprint`] identifies
-///   the whole current path in one word (used by the sampler to dedupe
-///   repeated identical stacks without cloning them);
-/// * an **init-frame counter** making [`CallStack::in_init`] O(1) instead
-///   of a scan.
+/// Alongside the frames it keeps a count of live module-init frames, so
+/// [`CallStack::in_init`] is O(1) instead of a scan. `push`, `pop` and
+/// `set_line` touch only the frames and that counter.
 #[derive(Debug, Clone, Default)]
 pub struct CallStack {
     frames: Vec<Frame>,
-    chain: Vec<u64>,
     init_frames: usize,
 }
 
@@ -97,8 +78,6 @@ impl CallStack {
     /// Pushes a new activation.
     pub fn push(&mut self, kind: FrameKind, line: u32) {
         let frame = Frame { kind, line };
-        let parent = self.fingerprint();
-        self.chain.push(chain_link(parent, &frame));
         self.frames.push(frame);
         if frame.is_init() {
             self.init_frames += 1;
@@ -112,7 +91,6 @@ impl CallStack {
     /// Panics if the stack is empty (an interpreter bug).
     pub fn pop(&mut self) -> Frame {
         let frame = self.frames.pop().expect("CallStack::pop on empty stack");
-        self.chain.pop();
         if frame.is_init() {
             self.init_frames -= 1;
         }
@@ -123,17 +101,7 @@ impl CallStack {
     /// from statement to statement).
     pub fn set_line(&mut self, line: u32) {
         if let Some(top) = self.frames.last_mut() {
-            if top.line == line {
-                return;
-            }
             top.line = line;
-            let parent = if self.chain.len() >= 2 {
-                self.chain[self.chain.len() - 2]
-            } else {
-                EMPTY_FINGERPRINT
-            };
-            let link = chain_link(parent, top);
-            *self.chain.last_mut().expect("chain tracks frames") = link;
         }
     }
 
@@ -151,15 +119,6 @@ impl CallStack {
     /// taken now would be classified as an initialization sample.
     pub fn in_init(&self) -> bool {
         self.init_frames > 0
-    }
-
-    /// One-word fingerprint of the whole current path (frames and lines).
-    /// Equal stacks always produce equal fingerprints; the (astronomically
-    /// rare) converse collision is why consumers confirm with a slice
-    /// comparison before reusing a cached path.
-    #[inline]
-    pub fn fingerprint(&self) -> u64 {
-        self.chain.last().copied().unwrap_or(EMPTY_FINGERPRINT)
     }
 }
 
@@ -241,46 +200,6 @@ mod tests {
         };
         assert_eq!(init.function_name(&app), "<module:init>");
         assert!(init.is_init());
-    }
-
-    #[test]
-    fn fingerprint_tracks_stack_identity() {
-        let mut a = CallStack::new();
-        let mut b = CallStack::new();
-        assert_eq!(a.fingerprint(), b.fingerprint());
-
-        a.push(FrameKind::Call(FunctionId::from_index(0)), 1);
-        b.push(FrameKind::Call(FunctionId::from_index(0)), 1);
-        assert_eq!(a.fingerprint(), b.fingerprint());
-
-        a.set_line(7);
-        assert_ne!(a.fingerprint(), b.fingerprint());
-        b.set_line(7);
-        assert_eq!(a.fingerprint(), b.fingerprint());
-
-        a.push(FrameKind::ModuleInit(ModuleId::from_index(1)), 1);
-        assert_ne!(a.fingerprint(), b.fingerprint());
-        a.pop();
-        assert_eq!(a.fingerprint(), b.fingerprint());
-    }
-
-    #[test]
-    fn fingerprint_matches_recomputed_chain() {
-        // Incremental maintenance must agree with building the same stack
-        // from scratch, whatever the push/pop/set_line interleaving.
-        let mut incremental = CallStack::new();
-        incremental.push(FrameKind::Call(FunctionId::from_index(0)), 1);
-        incremental.push(FrameKind::ModuleInit(ModuleId::from_index(2)), 1);
-        incremental.set_line(9);
-        incremental.push(FrameKind::Call(FunctionId::from_index(3)), 4);
-        incremental.pop();
-        incremental.set_line(12);
-
-        let mut fresh = CallStack::new();
-        for f in incremental.frames() {
-            fresh.push(f.kind, f.line);
-        }
-        assert_eq!(incremental.fingerprint(), fresh.fingerprint());
     }
 
     #[test]
