@@ -16,7 +16,9 @@ cargo test -q
 # fault-injection invariants, the anti-pattern lint/auto-fix contract, the
 # fleet scale-out determinism cells, the streaming-vs-retained oracle
 # differential, the snapshot-restore equivalence (restores match the loader
-# walk byte for byte across the chaos grid), the snapshot-pool pressure
+# walk byte for byte across the chaos grid, and forked restores match the
+# forked walk, forked-load counts included, at jittered time scales on the
+# real module graphs of the above-gate catalog apps), the snapshot-pool pressure
 # invariants (lazy-restore oracle, budget bound, redeploy invalidation),
 # the zygote-pool dependency-sharing contract (thread-count byte identity,
 # v3 passthrough when disabled), the eviction-order determinism property,

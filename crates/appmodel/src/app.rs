@@ -7,6 +7,7 @@
 
 use std::collections::HashSet;
 
+use fxhash::FxHashMap;
 use slimstart_simcore::intern::Interner;
 use slimstart_simcore::time::SimDuration;
 
@@ -122,12 +123,24 @@ impl Application {
         &self.handlers[id.index()]
     }
 
-    /// Finds a module by dotted name.
+    /// Finds a module by dotted name with a linear scan over the modules.
+    /// A caller resolving many names should build
+    /// [`Application::module_name_index`] once and probe that instead.
     pub fn module_by_name(&self, name: &str) -> Option<ModuleId> {
         self.modules
             .iter()
             .position(|m| m.name() == name)
             .map(ModuleId::from_index)
+    }
+
+    /// Every module's dotted name mapped to its id, borrowed from this
+    /// application: one O(modules) pass, then O(1) per lookup.
+    pub fn module_name_index(&self) -> FxHashMap<&str, ModuleId> {
+        self.modules
+            .iter()
+            .enumerate()
+            .map(|(i, m)| (m.name(), ModuleId::from_index(i)))
+            .collect()
     }
 
     /// Finds a handler by name.

@@ -105,8 +105,10 @@ impl NodeZygotePool {
     ///
     /// `apps` pairs each population index with its built application
     /// (ascending index order is not required; grouping sorts by node).
-    /// Runs in O(population × modules) with only deterministic ordering
-    /// (BTreeMaps, index order, name-ascending ties).
+    /// Runs in O(population × (modules + zygotes per node × resident
+    /// prefix)), up to the log factors of ranking names and building
+    /// BTreeMaps, with only deterministic ordering (BTreeMaps, index
+    /// order, name-ascending ties).
     pub fn plan(&self, apps: &[(usize, Application)]) -> ZygotePlan {
         let mut by_node: BTreeMap<usize, Vec<&(usize, Application)>> = BTreeMap::new();
         for entry in apps {
@@ -208,14 +210,16 @@ impl NodeZygotePool {
 
     /// The node zygote covering the most of `app`'s closure: highest
     /// summed init cost over resident names the app defines, lowest
-    /// zygote index on ties (including the no-overlap case).
+    /// zygote index on ties (including the no-overlap case). The app's
+    /// name index is built once and probed across all the node's zygotes.
     fn best_match(app: &Application, zygotes: &[PlannedZygote]) -> usize {
+        let names = app.module_name_index();
         let mut best = 0usize;
         let mut best_score = 0u128;
         for (j, zygote) in zygotes.iter().enumerate() {
             let mut score = 0u128;
             for name in &zygote.ranked[..zygote.resident_prefix] {
-                if let Some(module) = app.module_by_name(name) {
+                if let Some(&module) = names.get(name.as_str()) {
                     score += u128::from(app.module(module).init_cost().as_micros());
                 }
             }
@@ -273,6 +277,9 @@ pub struct AppZygoteSpec {
 mod tests {
     use super::*;
     use slimstart_appmodel::app::AppBuilder;
+    use slimstart_appmodel::catalog::catalog;
+    use slimstart_appmodel::ModuleId;
+    use slimstart_pyrt::zygote::{ZygoteCounters, ZygoteImage};
 
     fn ms(n: u64) -> SimDuration {
         SimDuration::from_millis(n)
@@ -436,6 +443,94 @@ mod tests {
             assert_eq!(sa.ranked, sb.ranked);
             assert_eq!(sa.resident_prefix, sb.resident_prefix);
             assert_eq!(sa.node_reserve_bytes, sb.node_reserve_bytes);
+        }
+    }
+
+    /// The resident modules of `ranked[..resident_prefix]` in `app`,
+    /// resolved one name at a time with the linear
+    /// `Application::module_by_name`: the reference the indexed lookups
+    /// of `ZygoteImage::for_app` and `best_match` must agree with.
+    fn reference_resident(app: &Application, ranked: &[String], prefix: usize) -> Vec<ModuleId> {
+        let mut resident: Vec<ModuleId> = ranked[..prefix]
+            .iter()
+            .filter_map(|name| app.module_by_name(name))
+            .collect();
+        resident.sort_by_key(|m| m.index());
+        resident.dedup();
+        resident
+    }
+
+    /// `best_match` with per-name linear lookups.
+    fn reference_best_match(app: &Application, zygotes: &[PlannedZygote]) -> usize {
+        let mut best = (0usize, 0u128);
+        for (j, zygote) in zygotes.iter().enumerate() {
+            let score: u128 = reference_resident(app, &zygote.ranked, zygote.resident_prefix)
+                .iter()
+                .map(|&m| u128::from(app.module(m).init_cost().as_micros()))
+                .sum();
+            if score > best.1 {
+                best = (j, score);
+            }
+        }
+        best.0
+    }
+
+    #[test]
+    fn indexed_name_lookups_match_the_linear_reference_on_the_catalog() {
+        // The node-shared geometry (two zygotes per eight-app node) over
+        // the above-gate catalog apps, and over the whole catalog.
+        let pool = NodeZygotePool::new(2, DEFAULT_NODE_SIZE, DEFAULT_FORK_COST);
+        let entries = catalog();
+        let above_gate: Vec<_> = entries.iter().filter(|e| e.above_gate()).collect();
+        assert_eq!(above_gate.len(), 17);
+        for population in [above_gate, entries.iter().collect()] {
+            let apps: Vec<(usize, Application)> = population
+                .iter()
+                .enumerate()
+                .map(|(i, entry)| (i, entry.build(2025 + i as u64).unwrap().app))
+                .collect();
+            let plan = pool.plan(&apps);
+            let mut forked_apps = 0;
+            for node in apps.chunks(DEFAULT_NODE_SIZE) {
+                let members: Vec<&(usize, Application)> = node.iter().collect();
+                let zygotes = pool.plan_node(&members);
+                let reserve: u64 = zygotes.iter().map(|z| z.resident_bytes).sum();
+                for (index, app) in node {
+                    let spec = plan.spec(*index).unwrap();
+                    let best = &zygotes[reference_best_match(app, &zygotes)];
+                    assert_eq!(spec.ranked, best.ranked, "{}: chosen zygote", app.name());
+                    assert_eq!(spec.resident_prefix, best.resident_prefix);
+                    assert_eq!(spec.node_reserve_bytes, reserve);
+
+                    let image = ZygoteImage::for_app(
+                        app,
+                        &spec.ranked,
+                        spec.resident_prefix,
+                        DEFAULT_FORK_COST,
+                        Arc::new(ZygoteCounters::default()),
+                    );
+                    let expected = reference_resident(app, &spec.ranked, spec.resident_prefix);
+                    let resident: Vec<ModuleId> = (0..app.modules().len())
+                        .map(ModuleId::from_index)
+                        .filter(|&m| image.is_resident(m))
+                        .collect();
+                    assert_eq!(resident, expected, "{}: resident set", app.name());
+                    assert_eq!(image.resident_count(), expected.len());
+                    let bytes: u64 = expected
+                        .iter()
+                        .map(|&m| app.module(m).mem_kb() * 1024)
+                        .sum();
+                    assert_eq!(image.resident_bytes(), bytes);
+                    forked_apps += usize::from(!expected.is_empty());
+                }
+            }
+            // Not vacuous: the catalog apps share libraries, so most fork
+            // resident modules from a node zygote.
+            assert!(
+                forked_apps * 2 > apps.len(),
+                "{forked_apps} of {}",
+                apps.len()
+            );
         }
     }
 }

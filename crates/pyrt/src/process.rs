@@ -81,6 +81,9 @@ pub struct Process {
     /// and every restore replays them whether or not they are in the
     /// working set.
     zygote: Option<Arc<ZygoteImage>>,
+    /// The zygote's fork cost scaled through `time_scale`, which never
+    /// changes: what every resident load charges (zero with no zygote).
+    fork_charge: SimDuration,
 }
 
 impl std::fmt::Debug for Process {
@@ -146,6 +149,7 @@ impl Process {
             observer: None,
             in_cold_start: false,
             zygote: None,
+            fork_charge: SimDuration::ZERO,
         }
     }
 
@@ -159,6 +163,9 @@ impl Process {
     pub fn set_zygote(&mut self, image: Arc<ZygoteImage>) {
         debug_assert!(self.is_fresh(), "zygote fork of a non-fresh process");
         image.note_fork();
+        // `mul_f64` is a pure function of (duration, scale), so scaling
+        // once here rounds exactly as scaling every resident load would.
+        self.fork_charge = image.fork_cost().mul_f64(self.time_scale);
         self.zygote = Some(image);
     }
 
@@ -360,8 +367,8 @@ impl Process {
 
     /// Replays a captured cold start onto this fresh process and returns
     /// the initialization latency, exactly as [`Process::cold_start`]
-    /// would have: each stored raw charge is scaled through this process's
-    /// own `time_scale` with the same per-module rounding the loader uses,
+    /// would have: each stored raw charge goes through the loader's own
+    /// charge rule and per-module rounding at this process's `time_scale`,
     /// so clocks, load events, memory, and the module cache come out
     /// byte-identical to a real replay — in O(modules) straight-line work.
     ///
@@ -394,10 +401,11 @@ impl Process {
 
     /// The one restore kernel. Replays, in capture order, every captured
     /// load that is in `eager` or resident in this process's zygote (a
-    /// fork maps those in regardless), charging each through the same
-    /// zygote substitution and per-load `time_scale` rounding as the
-    /// loader. Every other captured module is marked omitted, so its first
-    /// use counts as a working-set fault.
+    /// fork maps those in regardless), charging each through
+    /// [`Process::load_charge`] like the loader. Every other captured
+    /// module is marked omitted, so its first use counts as a working-set
+    /// fault. The resident captured modules are counted as forked loads
+    /// once per restore: each loads once, and all of them are selected.
     fn replay(&mut self, snapshot: &Snapshot, eager: &[u64]) -> SimDuration {
         debug_assert!(self.is_fresh(), "snapshot restore into a non-fresh process");
         debug_assert!(
@@ -408,53 +416,47 @@ impl Process {
             self.loaded.len() == snapshot.loaded.len() && eager.len() == snapshot.loaded.len(),
             "snapshot from a different application shape"
         );
-        let zygote = self.zygote.as_deref();
         let mut selected_count = 0usize;
+        let mut forked_count = 0u64;
         for (word, (&captured, &eager)) in snapshot.loaded.iter().zip(eager).enumerate() {
-            let resident = zygote.map_or(0, |z| z.resident()[word]);
+            let resident = self.zygote.as_deref().map_or(0, |z| z.resident()[word]);
             let selected = (eager | resident) & captured;
             self.loaded[word] = selected;
             self.lazy_omitted[word] = captured & !selected;
             selected_count += selected.count_ones() as usize;
+            forked_count += u64::from((resident & captured).count_ones());
+        }
+        if let Some(zygote) = self.zygote.as_deref() {
+            zygote.note_forked_loads(forked_count);
         }
         let start = self.clock;
-        let scale = self.time_scale;
-        // `mul_f64(1.0)` is exact identity for any µs count below 2^53
-        // (~285 years), so the unjittered common case can skip the
-        // float round-trip without perturbing a single byte.
-        let unscaled = scale == 1.0;
         let mut clock = self.clock;
         let mut mem_kb = self.mem_kb;
-        let loaded = &self.loaded;
-        self.load_events.reserve(selected_count);
-        self.load_events.extend(
+        // A fresh process has no events yet; moving the buffer out lets
+        // the loop charge through `&self` while it appends.
+        let mut events = std::mem::take(&mut self.load_events);
+        events.reserve(selected_count);
+        events.extend(
             snapshot
                 .loads
                 .iter()
-                .filter(|load| {
-                    let index = load.module.index();
-                    loaded[index / 64] & (1u64 << (index % 64)) != 0
-                })
+                .filter(|load| self.is_loaded(load.module))
                 .map(|load| {
-                    // Snapshots record nominal charges; a restore under a
-                    // zygote substitutes the fork cost for resident
-                    // modules exactly as the real forked cold start did.
-                    let raw = zygote.map_or(load.init_cost, |z| {
-                        z.effective_cost(load.module, load.init_cost)
-                    });
-                    // Per-load scaling, not a scaled sum: mul_f64 rounds
-                    // per call and the replay must round like the loader.
-                    let scaled = if unscaled { raw } else { raw.mul_f64(scale) };
-                    clock += scaled;
+                    // Snapshots record nominal charges; the charge rule
+                    // substitutes the fork charge for resident modules
+                    // exactly as the real forked cold start did.
+                    let charge = self.load_charge(load.module, load.init_cost);
+                    clock += charge;
                     mem_kb += load.mem_kb;
                     LoadEvent {
                         module: load.module,
                         at: clock,
-                        self_cost: scaled,
+                        self_cost: charge,
                         during_init: true,
                     }
                 }),
         );
+        self.load_events = events;
         self.clock = clock;
         self.mem_kb = mem_kb;
         self.bump_peak();
@@ -514,10 +516,26 @@ impl Process {
 
     // ---------------------------------------------------------------- internals
 
-    /// Advances the clock by `d` (scaled), reporting to the observer and
-    /// charging its overhead.
-    fn advance(&mut self, d: SimDuration) {
-        let scaled = d.mul_f64(self.time_scale);
+    /// The charge rule shared by the loader and the restore kernel: the
+    /// scaled cost of one load of `module`, whose nominal cost is
+    /// `nominal`. A module the zygote holds costs the fork charge, scaled
+    /// once per process; any other costs its nominal cost scaled on its
+    /// own (per load, never a scaled sum: `mul_f64` rounds per call).
+    #[inline]
+    fn load_charge(&self, module: ModuleId, nominal: SimDuration) -> SimDuration {
+        match self.zygote.as_deref() {
+            Some(zygote) if zygote.is_resident(module) => self.fork_charge,
+            // `mul_f64(1.0)` is exact identity for any µs count below 2^53
+            // (~285 years), so the unjittered common case can skip the
+            // float round-trip without perturbing a single byte.
+            _ if self.time_scale == 1.0 => nominal,
+            _ => nominal.mul_f64(self.time_scale),
+        }
+    }
+
+    /// Advances the clock by `scaled`, a duration already scaled through
+    /// `time_scale`, reporting to the observer and charging its overhead.
+    fn advance(&mut self, scaled: SimDuration) {
         let from = self.clock;
         let to = from + scaled;
         let overhead = match self.observer.as_mut() {
@@ -575,12 +593,10 @@ impl Process {
         // acquire it at the flat fork cost.
         let before = self.clock;
         self.stack.set_line(1);
-        let nominal = app.module(module).init_cost();
-        let raw = self
-            .zygote
-            .as_deref()
-            .map_or(nominal, |z| z.effective_cost(module, nominal));
-        self.advance(raw);
+        if let Some(zygote) = self.zygote.as_deref().filter(|z| z.is_resident(module)) {
+            zygote.note_forked_loads(1);
+        }
+        self.advance(self.load_charge(module, app.module(module).init_cost()));
         let self_cost = self.clock.since(before);
 
         self.stack.pop();
@@ -624,7 +640,7 @@ impl Process {
         for stmt in stmts {
             self.stack.set_line(stmt.line);
             match &stmt.kind {
-                StmtKind::Work(d) => self.advance(*d),
+                StmtKind::Work(d) => self.advance(d.mul_f64(self.time_scale)),
                 StmtKind::Call(site) => {
                     let callee_module = app.function(site.target).module();
                     if !self.is_loaded(callee_module) {
@@ -1302,36 +1318,56 @@ mod tests {
         // Snapshots record nominal charges (captured without a zygote);
         // restoring under a zygote — fully, or lazily before any working
         // set is recorded — must reproduce a real forked cold start bit for
-        // bit at every time scale. The platform's snapshot cache relies on
-        // this equivalence.
+        // bit at every time scale, fork counters included. The platform's
+        // snapshot cache relies on this equivalence. An odd fork cost puts
+        // scale 0.5 on a .5 product, so the fork charge scaled once per
+        // process must round exactly as a per-load scaling would.
+        let fork_cost = SimDuration::from_micros(101);
         let (app, root, h) = build_app(true);
         let plan = Arc::new(LoaderPlan::build(&app));
         let mut origin = Process::with_plan(Arc::clone(&app), Arc::clone(&plan), 1.0);
         origin.cold_start(root).unwrap();
         let snapshot = origin.capture_snapshot();
-        let image = |app: &Application| {
+        let image = |counters: &Arc<ZygoteCounters>| {
             Arc::new(ZygoteImage::for_app(
-                app,
+                &app,
                 &["lib.hot", "lib"],
                 2,
-                SimDuration::from_micros(100),
-                Arc::new(ZygoteCounters::default()),
+                fork_cost,
+                Arc::clone(counters),
             ))
         };
         let restores: [fn(&mut Process, &Snapshot) -> SimDuration; 2] =
             [Process::restore_snapshot, Process::restore_snapshot_lazy];
         for scale in [1.0, 0.5, 1.37, 2.0] {
             for restore in restores {
+                let (real_counters, restored_counters) = (
+                    Arc::new(ZygoteCounters::default()),
+                    Arc::new(ZygoteCounters::default()),
+                );
                 let mut real = Process::with_plan(Arc::clone(&app), Arc::clone(&plan), scale);
-                real.set_zygote(image(&app));
+                real.set_zygote(image(&real_counters));
                 let real_init = real.cold_start(root).unwrap();
                 let mut restored = Process::with_plan(Arc::clone(&app), Arc::clone(&plan), scale);
-                restored.set_zygote(image(&app));
+                restored.set_zygote(image(&restored_counters));
                 let fast = restore(&mut restored, &snapshot);
                 assert_eq!(fast, real_init, "init latency at scale {scale}");
                 assert_eq!(restored.clock(), real.clock());
                 assert_eq!(restored.load_events(), real.load_events());
                 assert_eq!(restored.mem_kb(), real.mem_kb());
+                let fork_charge = fork_cost.mul_f64(scale);
+                for event in restored.load_events() {
+                    if ["lib.hot", "lib"].contains(&app.module(event.module).name()) {
+                        assert_eq!(event.self_cost, fork_charge, "at scale {scale}");
+                    }
+                }
+                assert_eq!(restored_counters.forks(), 1);
+                assert_eq!(restored_counters.forks(), real_counters.forks());
+                assert_eq!(restored_counters.forked_loads(), 2);
+                assert_eq!(
+                    restored_counters.forked_loads(),
+                    real_counters.forked_loads()
+                );
                 // The deferred first-use load of the cold subtree behaves
                 // the same after either path (lib.cold is not resident:
                 // full cost), and an unrefined lazy restore omits nothing.
@@ -1340,6 +1376,10 @@ mod tests {
                 assert_eq!(a, b);
                 assert_eq!(restored.load_events(), real.load_events());
                 assert_eq!(restored.take_faulted_loads(), 0);
+                assert_eq!(
+                    restored_counters.forked_loads(),
+                    real_counters.forked_loads()
+                );
             }
         }
     }

@@ -14,7 +14,8 @@
 //! bitset over module ids) and the fork acquisition cost. The fleet layer
 //! plans images from node-wide profiles (load cost × member-app hit
 //! frequency) and hands one to every container of an app;
-//! [`crate::process::Process`] applies it at each cost-charging point:
+//! [`crate::process::Process`] applies it through one charge rule, with
+//! the fork cost scaled once per process, at each cost-charging point:
 //!
 //! * the loader ([`crate::process::Process::cold_start`] and deferred
 //!   first-use loads) charges the fork cost instead of `init_cost` for
@@ -66,10 +67,6 @@ impl ZygoteCounters {
     fn note_fork(&self) {
         self.forks.fetch_add(1, Ordering::Relaxed);
     }
-
-    fn note_forked_load(&self) {
-        self.forked_loads.fetch_add(1, Ordering::Relaxed);
-    }
 }
 
 /// One application's view of the zygote it forks from: residency bitset
@@ -114,8 +111,9 @@ impl ZygoteImage {
         let mut resident = vec![0u64; words].into_boxed_slice();
         let mut resident_count = 0usize;
         let mut resident_bytes = 0u64;
+        let index = app.module_name_index();
         for name in ranked.iter().take(resident_prefix) {
-            let Some(module) = app.module_by_name(name.as_ref()) else {
+            let Some(&module) = index.get(name.as_ref()) else {
                 continue;
             };
             let index = module.index();
@@ -172,18 +170,12 @@ impl ZygoteImage {
         self.counters.note_fork();
     }
 
-    /// The effective raw (unscaled) charge for loading `module`: the fork
-    /// cost when the zygote already holds it (counted as a forked load),
-    /// its nominal cost otherwise. Both cost-charging points — the loader
-    /// and the restore kernel — route through this so fork semantics stay
-    /// consistent across paths.
-    #[inline]
-    pub fn effective_cost(&self, module: ModuleId, nominal: SimDuration) -> SimDuration {
-        if self.is_resident(module) {
-            self.counters.note_forked_load();
-            self.fork_cost
-        } else {
-            nominal
+    /// Records `n` module loads acquired at fork cost: the loader counts
+    /// each resident module it loads, the restore kernel all of a
+    /// restore's resident loads at once.
+    pub(crate) fn note_forked_loads(&self, n: u64) {
+        if n != 0 {
+            self.counters.forked_loads.fetch_add(n, Ordering::Relaxed);
         }
     }
 }
@@ -227,27 +219,22 @@ mod tests {
     }
 
     #[test]
-    fn effective_cost_substitutes_and_counts_only_resident_modules() {
+    fn note_forked_loads_adds_n_and_nothing_for_zero() {
         let app = app();
         let counters = Arc::new(ZygoteCounters::default());
         let image = ZygoteImage::for_app(
             &app,
             &["lib.hot"],
             1,
-            SimDuration::from_micros(100),
+            DEFAULT_FORK_COST,
             Arc::clone(&counters),
         );
-        let hot = app.module_by_name("lib.hot").unwrap();
-        let root = app.module_by_name("lib").unwrap();
-        assert_eq!(
-            image.effective_cost(hot, SimDuration::from_millis(10)),
-            SimDuration::from_micros(100)
-        );
-        assert_eq!(
-            image.effective_cost(root, SimDuration::from_millis(2)),
-            SimDuration::from_millis(2)
-        );
-        assert_eq!(counters.forked_loads(), 1);
+        image.note_forked_loads(0);
+        assert_eq!(counters.forked_loads(), 0);
+        image.note_forked_loads(1);
+        image.note_forked_loads(518);
+        assert_eq!(counters.forked_loads(), 519);
+        assert_eq!(counters.forks(), 0, "forked loads are not forks");
         image.note_fork();
         assert_eq!(counters.forks(), 1);
     }

@@ -9,15 +9,24 @@
 //! passing with snapshots on and *without* re-blessing (`SLIMSTART_BLESS=1`)
 //! — is enforced by `tests/golden_reports.rs`, which runs with the default
 //! (snapshot-enabled) platform configuration.
+//!
+//! The last cell goes below the pipeline: on the real module graphs of the
+//! above-gate catalog apps, forked from their planned node zygotes at
+//! jittered time scales, every restore must match a real forked cold start
+//! load event for load event, forked-load counts included.
 
 use std::sync::Arc;
 
-use slimstart::appmodel::catalog::{fleet_population, CatalogApp};
+use slimstart::appmodel::catalog::{catalog, fleet_population, CatalogApp};
+use slimstart::appmodel::{Application, ModuleId};
 use slimstart::core::export::outcome_to_json;
 use slimstart::core::pipeline::{Pipeline, PipelineConfig};
+use slimstart::fleet::NodeZygotePool;
 use slimstart::platform::chaos::ChaosConfig;
 use slimstart::platform::PlatformConfig;
-use slimstart::pyrt::snapshot::SnapshotStore;
+use slimstart::pyrt::snapshot::{Snapshot, SnapshotStore};
+use slimstart::pyrt::{LoaderPlan, Process, ZygoteCounters, ZygoteImage, DEFAULT_FORK_COST};
+use slimstart::simcore::{SimDuration, SimRng};
 
 /// Serialize one pipeline run with the given platform config.
 fn run_json(
@@ -146,4 +155,125 @@ fn chaos_grid_stays_equivalent() {
             name,
         );
     }
+}
+
+/// A restore entry point of [`Process`].
+type Restore = fn(&mut Process, &Snapshot) -> SimDuration;
+
+/// One process of `app` at `scale`, forked from `image`, and the
+/// forked-load count its `start` added to the image's counters.
+fn forked(
+    app: &Arc<Application>,
+    plan: &Arc<LoaderPlan>,
+    scale: f64,
+    image: &Arc<ZygoteImage>,
+    start: impl FnOnce(&mut Process),
+) -> (Process, u64) {
+    let mut p = Process::with_plan(Arc::clone(app), Arc::clone(plan), scale);
+    p.set_zygote(Arc::clone(image));
+    let before = image.counters().forked_loads();
+    start(&mut p);
+    (p, image.counters().forked_loads() - before)
+}
+
+#[test]
+fn jittered_forked_restores_match_the_forked_walk_on_catalog_graphs() {
+    // The node-shared geometry: the 17 above-gate catalog apps on
+    // eight-app nodes with two zygotes each.
+    let entries: Vec<CatalogApp> = catalog().into_iter().filter(|e| e.above_gate()).collect();
+    assert_eq!(entries.len(), 17);
+    let built: Vec<(usize, Application)> = entries
+        .iter()
+        .enumerate()
+        .map(|(i, entry)| (i, entry.build(9_100 + i as u64).unwrap().app))
+        .collect();
+    let zygotes = NodeZygotePool::new(2, 8, DEFAULT_FORK_COST).plan(&built);
+    let mut scales = SimRng::seed_from(0x5CA1E);
+    let (mut forked_apps, mut resident_outside_working) = (0, 0);
+    for ((index, app), entry) in built.into_iter().zip(&entries) {
+        let app = Arc::new(app);
+        let plan = Arc::new(LoaderPlan::build(&app));
+        let handler = app.handler_by_name(&entry.workload_weights()[0].0).unwrap();
+        let root = app.function(app.handler(handler).function()).module();
+        let spec = zygotes.spec(index).unwrap();
+        let image = Arc::new(ZygoteImage::for_app(
+            &app,
+            &spec.ranked,
+            spec.resident_prefix,
+            zygotes.fork_cost(),
+            Arc::new(ZygoteCounters::default()),
+        ));
+
+        // The capture is unforked: snapshots record nominal charges.
+        let mut origin = Process::with_plan(Arc::clone(&app), Arc::clone(&plan), 1.0);
+        origin.cold_start(root).unwrap();
+        let snapshot = origin.capture_snapshot();
+        let captured: Vec<ModuleId> = snapshot.loads.iter().map(|l| l.module).collect();
+        let resident_captured = captured.iter().filter(|&&m| image.is_resident(m)).count();
+        forked_apps += usize::from(resident_captured > 0);
+
+        // A refined working set: what one invocation touched.
+        origin.invoke(handler, &mut SimRng::seed_from(7)).unwrap();
+        let refined = Snapshot {
+            working: Some(origin.working_set_for(&snapshot).into_boxed_slice()),
+            ..snapshot.clone()
+        };
+        resident_outside_working += captured
+            .iter()
+            .filter(|&&m| image.is_resident(m) && !refined.in_working_set(m))
+            .count();
+
+        let restores: [(&str, Restore); 2] = [
+            ("full", Process::restore_snapshot),
+            ("unrefined lazy", Process::restore_snapshot_lazy),
+        ];
+        let jittered = (0..8).map(|_| scales.uniform(0.85, 1.2));
+        for scale in std::iter::once(1.0).chain(jittered) {
+            let label = format!("{} at scale {scale}", entry.code);
+            let (real, real_forked) = forked(&app, &plan, scale, &image, |p| {
+                p.cold_start(root).unwrap();
+            });
+            assert_eq!(real_forked, resident_captured as u64, "{label}: real walk");
+            let fork_charge = zygotes.fork_cost().mul_f64(scale);
+            for event in real.load_events() {
+                if image.is_resident(event.module) {
+                    assert_eq!(event.self_cost, fork_charge, "{label}: fork charge");
+                }
+            }
+            for (kind, restore) in restores {
+                let (restored, restored_forked) = forked(&app, &plan, scale, &image, |p| {
+                    restore(p, &snapshot);
+                });
+                assert_eq!(
+                    restored.load_events(),
+                    real.load_events(),
+                    "{label}: {kind}"
+                );
+                assert_eq!(restored.clock(), real.clock(), "{label}: {kind}");
+                assert_eq!(restored.mem_kb(), real.mem_kb(), "{label}: {kind}");
+                assert_eq!(
+                    restored.peak_mem_kb(),
+                    real.peak_mem_kb(),
+                    "{label}: {kind}"
+                );
+                assert_eq!(restored_forked, real_forked, "{label}: {kind}");
+            }
+            let (lazy, lazy_forked) = forked(&app, &plan, scale, &image, |p| {
+                p.restore_snapshot_lazy(&refined);
+            });
+            assert_eq!(
+                lazy_forked, resident_captured as u64,
+                "{label}: refined lazy"
+            );
+            for &m in &captured {
+                if image.is_resident(m) {
+                    assert!(lazy.is_loaded(m), "{label}: resident module not replayed");
+                }
+            }
+        }
+    }
+    // Not vacuous: every app forks captured modules from a zygote, and
+    // refined restores replay resident modules their working sets omit.
+    assert_eq!(forked_apps, 17, "apps that fork a captured module");
+    assert!(resident_outside_working > 0);
 }
