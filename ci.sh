@@ -24,8 +24,10 @@ cargo test -q
 # v3 passthrough when disabled), the eviction-order determinism property,
 # the indexed deferral verifier's equivalence with the string-scan
 # reference, the run-weighted utilization and init roll-up's
-# equivalence with the per-sample and package-tree references and the
-# sampler's equivalence with the per-boundary reference sampler; run them by
+# equivalence with the per-sample and package-tree references, the
+# sampler's equivalence with the per-boundary reference sampler and the
+# CCT's node-by-node equivalence with the per-sample reference tree, on
+# synthetic streams and on catalog profiles; run them by
 # name so a test-harness filter or workspace reshuffle can never silently
 # drop them from the gate. snapshot_pressure and
 # dependency_sharing also carry the former bench gates: the budget sweep's
@@ -38,13 +40,13 @@ echo "==> cargo test -q --test chaos_sweep --test golden_reports --test antipatt
      "--test snapshot_equivalence --test snapshot_pressure" \
      "--test dependency_sharing --test snapshot_eviction_order" \
      "--test analyzer_index_equivalence --test utilization_equivalence" \
-     "--test sampler_equivalence"
+     "--test sampler_equivalence --test cct_equivalence"
 cargo test -q --test chaos_sweep --test golden_reports --test antipattern_lints \
     --test fleet_determinism --test fleet_streaming_equivalence \
     --test snapshot_equivalence --test snapshot_pressure \
     --test dependency_sharing --test snapshot_eviction_order \
     --test analyzer_index_equivalence --test utilization_equivalence \
-    --test sampler_equivalence
+    --test sampler_equivalence --test cct_equivalence
 
 # The catalog's five below-gate fixture apps must stay lint-clean at the
 # warning level: `--deny warnings` exits 1 on any warning-or-worse

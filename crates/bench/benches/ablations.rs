@@ -21,7 +21,7 @@ use slimstart_core::config::{DetectorConfig, SamplerConfig};
 use slimstart_core::detect::detect;
 use slimstart_core::initprof::InitBreakdown;
 use slimstart_core::pipeline::{Pipeline, PipelineConfig};
-use slimstart_core::profile::{ProfileStore, SampleRecord};
+use slimstart_core::profile::{PathTable, ProfileStore, SampleRecord};
 use slimstart_core::sampler::SamplerAttachment;
 use slimstart_core::utilization::Utilization;
 use slimstart_platform::platform::{Platform, PlatformConfig};
@@ -64,6 +64,7 @@ fn profile(
 
 /// Leaf-only utilization: the conventional flat profile (no escalation).
 fn leaf_only_package_utilization(
+    paths: &PathTable,
     samples: &[SampleRecord],
     app: &Application,
 ) -> BTreeMap<String, f64> {
@@ -74,7 +75,8 @@ fn leaf_only_package_utilization(
             continue;
         }
         total += 1;
-        for prefix in app.module(s.leaf().module(app)).package_prefixes() {
+        let leaf = paths.leaf(s.path).expect("sample path is never empty");
+        for prefix in app.module(leaf.module(app)).package_prefixes() {
             *counts.entry(prefix.to_string()).or_insert(0) += 1;
         }
     }
@@ -168,8 +170,8 @@ fn ablation_escalation(colds: usize, seed: u64) {
     println!("-- Ablation 1: CCT escalation (path-inclusive) vs flat (leaf-only) attribution --\n");
     let (app, mix) = orchestrator_app();
     let (store, _, _) = profile(&app, &mix, colds, SamplerConfig::default(), seed);
-    let inclusive = Utilization::from_samples(store.samples.iter(), &app);
-    let flat = leaf_only_package_utilization(&store.samples, &app);
+    let inclusive = Utilization::from_samples(&store.paths, &store.samples, &app);
+    let flat = leaf_only_package_utilization(&store.paths, &store.samples, &app);
 
     let mut t = TextTable::new(vec!["Package", "U (escalated)", "U (flat)", "flat verdict"]);
     for pkg in ["orch", "worker"] {
@@ -197,17 +199,17 @@ fn ablation_init_filter(colds: usize, seed: u64) {
     let (store, e2e, cold_count) = profile(&app, &mix, colds, SamplerConfig::default(), seed);
 
     // With filtering (SlimStart): init samples excluded from utilization.
-    let filtered = Utilization::from_samples(store.samples.iter(), &app);
+    let filtered = Utilization::from_samples(&store.paths, &store.samples, &app);
     // Without filtering: treat every sample as runtime.
     let unfiltered_samples: Vec<SampleRecord> = store
         .samples
         .iter()
         .map(|s| SampleRecord {
-            path: s.path.clone(),
             is_init: false,
+            ..*s
         })
         .collect();
-    let unfiltered = Utilization::from_samples(unfiltered_samples.iter(), &app);
+    let unfiltered = Utilization::from_samples(&store.paths, &unfiltered_samples, &app);
 
     let breakdown =
         InitBreakdown::from_store(&store, &app, cold_count, SimDuration::from_millis_f64(e2e));

@@ -23,7 +23,7 @@ use fxhash::FxHashMap;
 use slimstart_appmodel::Application;
 use slimstart_pyrt::stack::{Frame, FrameKind};
 
-use crate::profile::{path_runs, SampleRecord};
+use crate::profile::{path_runs, NodeMap, PathId, PathTable, SampleRecord};
 
 /// Intrusive-link sentinel: "no node".
 const NONE: u32 = u32::MAX;
@@ -74,6 +74,14 @@ impl CctNode {
     }
 }
 
+/// The identity of the node a frame occupies.
+fn key(frame: Frame) -> CctKey {
+    CctKey {
+        kind: frame.kind,
+        line: frame.line,
+    }
+}
+
 fn root_key() -> CctKey {
     CctKey {
         kind: FrameKind::ModuleInit(slimstart_appmodel::ModuleId::from_index(u32::MAX as usize)),
@@ -118,19 +126,39 @@ impl Cct {
         }
     }
 
-    /// Builds a tree from a batch of samples, with one
-    /// [`Cct::insert_weighted`] per run of consecutive samples that share
-    /// one path allocation. The tree equals one [`Cct::insert`] per sample,
-    /// node order included.
-    pub fn from_samples<'a, I>(samples: I) -> Cct
+    /// Builds a tree from samples whose ids refer to `paths`. The tree
+    /// equals one [`Cct::insert`] per sample, node order included.
+    pub fn from_samples<'a, I>(paths: &PathTable, samples: I) -> Cct
     where
         I: IntoIterator<Item = &'a SampleRecord>,
     {
         let mut cct = Cct::new();
-        for run in path_runs(samples) {
-            cct.insert_weighted(run.path, run.samples, run.init_samples);
-        }
+        cct.add_samples(paths, samples);
         cct
+    }
+
+    /// Adds samples whose ids refer to `paths`, as one [`Cct::insert`] per
+    /// sample would. Each table node a run reaches is mapped to a tree node
+    /// once, parents first, so nodes are created in the order the per-sample
+    /// inserts would create them; each run then adds its counts to its
+    /// leaf.
+    pub(crate) fn add_samples<'a, I>(&mut self, paths: &PathTable, samples: I)
+    where
+        I: IntoIterator<Item = &'a SampleRecord>,
+    {
+        let mut map = NodeMap::new(paths);
+        for run in path_runs(samples) {
+            // An empty path records nothing, as in `insert`.
+            if run.path == PathId::ROOT {
+                continue;
+            }
+            let leaf = map.map(paths, run.path, |parent, frame| {
+                self.child(parent, key(frame))
+            });
+            let leaf = &mut self.nodes[leaf as usize];
+            leaf.self_samples += run.samples;
+            leaf.self_init_samples += run.init_samples;
+        }
     }
 
     /// Inserts one sampled call path, bumping the leaf's self count.
@@ -147,20 +175,21 @@ impl Cct {
         if path.is_empty() {
             return;
         }
-        let mut node = 0u32;
-        for frame in path {
-            let key = CctKey {
-                kind: frame.kind,
-                line: frame.line,
-            };
-            node = match self.index.get(&(node, key)) {
-                Some(&child) => child,
-                None => self.add_child(node, key),
-            };
-        }
+        let node = path
+            .iter()
+            .fold(0u32, |node, &frame| self.child(node, key(frame)));
         let leaf = &mut self.nodes[node as usize];
         leaf.self_samples += samples;
         leaf.self_init_samples += init_samples;
+    }
+
+    /// The child of `parent` with identity `key`, created if missing.
+    #[inline]
+    fn child(&mut self, parent: u32, key: CctKey) -> u32 {
+        match self.index.get(&(parent, key)) {
+            Some(&child) => child,
+            None => self.add_child(parent, key),
+        }
     }
 
     /// Appends a fresh child of `parent` with identity `key`, maintaining
@@ -415,18 +444,48 @@ mod tests {
 
     #[test]
     fn from_samples_builds_tree() {
+        let mut paths = PathTable::new();
         let samples = vec![
             SampleRecord {
-                path: vec![call(0, 5), call(1, 6)].into(),
+                path: paths.intern(&[call(0, 5), call(1, 6)]),
                 is_init: false,
             },
             SampleRecord {
-                path: vec![init(0, 1)].into(),
+                path: paths.intern(&[init(0, 1)]),
                 is_init: true,
             },
+            SampleRecord {
+                path: PathId::ROOT,
+                is_init: false,
+            },
         ];
-        let cct = Cct::from_samples(&samples);
+        let cct = Cct::from_samples(&paths, &samples);
         assert_eq!(cct.total_samples(), 2);
+        assert_eq!(cct.len(), 4);
+    }
+
+    #[test]
+    fn from_samples_creates_nodes_in_sample_order() {
+        // The table interns `b` before `a`, but `a` is sampled first, so
+        // the tree creates `a`'s nodes first, as per-sample inserts do.
+        let mut paths = PathTable::new();
+        let b = paths.intern(&[call(0, 1), call(2, 3)]);
+        let a = paths.intern(&[call(0, 1), call(1, 2)]);
+        let samples: Vec<SampleRecord> = [a, a, b, a]
+            .into_iter()
+            .map(|path| SampleRecord {
+                path,
+                is_init: false,
+            })
+            .collect();
+        let cct = Cct::from_samples(&paths, &samples);
+        let mut expected = Cct::new();
+        for s in &samples {
+            expected.insert(&paths.frames(s.path), s.is_init);
+        }
+        assert_eq!(cct.nodes(), expected.nodes());
+        assert_eq!(cct.node(2).key.kind, call(1, 2).kind);
+        assert_eq!(cct.node(2).self_samples, 3);
     }
 
     #[test]

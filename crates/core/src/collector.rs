@@ -104,7 +104,7 @@ impl AsyncCollector {
                     match ProfileBatch::decode(payload) {
                         Ok(batch) => {
                             let mut store = store_for_worker.lock();
-                            store.absorb(batch.samples, batch.init_micros, 1);
+                            store.absorb(&batch.paths, &batch.samples, batch.init_micros, 1);
                             let mut stats = stats_for_worker.lock();
                             stats.batches += 1;
                             stats.bytes += len;
@@ -180,17 +180,26 @@ mod tests {
     use slimstart_appmodel::{FunctionId, ModuleId};
     use slimstart_pyrt::stack::{Frame, FrameKind};
 
-    use crate::profile::SampleRecord;
-    use std::collections::HashMap;
+    use crate::profile::{PathTable, SampleRecord};
+    use fxhash::FxHashMap;
 
-    fn sample(i: usize) -> SampleRecord {
-        SampleRecord {
-            path: vec![Frame {
-                kind: FrameKind::Call(FunctionId::from_index(i)),
-                line: 7,
-            }]
-            .into(),
-            is_init: false,
+    fn frame(i: usize) -> Frame {
+        Frame {
+            kind: FrameKind::Call(FunctionId::from_index(i)),
+            line: 7,
+        }
+    }
+
+    /// A batch of one sample in function `i`.
+    fn batch(i: usize, init_micros: FxHashMap<ModuleId, u64>) -> ProfileBatch {
+        let mut paths = PathTable::new();
+        ProfileBatch {
+            samples: vec![SampleRecord {
+                path: paths.intern(&[frame(i)]),
+                is_init: false,
+            }],
+            paths,
+            init_micros,
         }
     }
 
@@ -198,14 +207,10 @@ mod tests {
     fn batches_arrive_in_the_store() {
         let mut collector = AsyncCollector::start();
         let sender = collector.sender();
-        let mut init = HashMap::new();
+        let mut init = FxHashMap::default();
         init.insert(ModuleId::from_index(4), 2_000u64);
         for i in 0..5 {
-            let batch = ProfileBatch {
-                samples: vec![sample(i)],
-                init_micros: init.clone(),
-            };
-            let n = sender.send_batch(&batch);
+            let n = sender.send_batch(&batch(i % 3, init.clone()));
             assert!(n > 0);
         }
         let stats = collector.finish();
@@ -215,6 +220,15 @@ mod tests {
         let store = collector.store();
         let store = store.lock();
         assert_eq!(store.samples.len(), 5);
+        // Each batch's table is absorbed into the store's: three paths.
+        assert_eq!(store.paths.len(), 4);
+        let leaves: Vec<_> = store
+            .samples
+            .iter()
+            .map(|s| store.paths.frames(s.path))
+            .collect();
+        let expected: Vec<_> = (0..5).map(|i| vec![frame(i % 3)]).collect();
+        assert_eq!(leaves, expected);
         assert_eq!(
             store.init_time(ModuleId::from_index(4)),
             slimstart_simcore::time::SimDuration::from_micros(10_000)
@@ -226,10 +240,7 @@ mod tests {
         let mut collector = AsyncCollector::start();
         let sender = collector.sender();
         sender.send(Bytes::from_static(b"garbage"));
-        sender.send_batch(&ProfileBatch {
-            samples: vec![sample(0)],
-            init_micros: HashMap::new(),
-        });
+        sender.send_batch(&batch(0, FxHashMap::default()));
         let stats = collector.finish();
         assert_eq!(stats.decode_errors, 1);
         assert_eq!(stats.batches, 1);
@@ -258,10 +269,9 @@ mod tests {
         let store = ProfileStore::shared();
         store.lock().invocations = 7;
         let mut collector = AsyncCollector::start_with_store(Arc::clone(&store));
-        collector.sender().send_batch(&ProfileBatch {
-            samples: vec![sample(1)],
-            init_micros: HashMap::new(),
-        });
+        collector
+            .sender()
+            .send_batch(&batch(1, FxHashMap::default()));
         collector.finish();
         let store = store.lock();
         assert_eq!(store.invocations, 7);

@@ -72,7 +72,8 @@ impl ProfileHistory {
         let mut merged = ProfileStore::default();
         for w in &self.windows {
             merged.absorb(
-                w.store.samples.clone(),
+                &w.store.paths,
+                &w.store.samples,
                 w.store
                     .init_micros_by_module
                     .iter()
@@ -84,9 +85,14 @@ impl ProfileHistory {
         merged
     }
 
-    /// A CCT over every retained sample.
+    /// A CCT over every retained sample: each window's store folded into
+    /// one tree in turn.
     pub fn merged_cct(&self) -> Cct {
-        Cct::from_samples(self.windows.iter().flat_map(|w| &w.store.samples))
+        let mut cct = Cct::new();
+        for w in &self.windows {
+            cct.add_samples(&w.store.paths, &w.store.samples);
+        }
+        cct
     }
 
     /// Per-window utilization of one package — the trend the adaptive
@@ -94,7 +100,9 @@ impl ProfileHistory {
     pub fn utilization_trend(&self, app: &Application, package: &str) -> Vec<f64> {
         self.windows
             .iter()
-            .map(|w| Utilization::from_samples(w.store.samples.iter(), app).package(package))
+            .map(|w| {
+                Utilization::from_samples(&w.store.paths, &w.store.samples, app).package(package)
+            })
             .collect()
     }
 
@@ -151,15 +159,17 @@ mod tests {
             kind: FrameKind::Call(f),
             line: 1,
         };
+        let in_lib = store.paths.intern(&[frame(f_main), frame(f_lib)]);
+        let in_app = store.paths.intern(&[frame(f_main)]);
         for _ in 0..lib_samples {
             store.samples.push(SampleRecord {
-                path: vec![frame(f_main), frame(f_lib)].into(),
+                path: in_lib,
                 is_init: false,
             });
         }
         for _ in 0..app_samples {
             store.samples.push(SampleRecord {
-                path: vec![frame(f_main)].into(),
+                path: in_app,
                 is_init: false,
             });
         }

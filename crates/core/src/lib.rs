@@ -70,9 +70,9 @@ pub use history::ProfileHistory;
 pub use initprof::InitBreakdown;
 pub use optimizer::{optimize, optimize_conservative, OptimizationOutcome};
 pub use pipeline::{Pipeline, PipelineConfig, PipelineError, PipelineOutcome};
-pub use profile::{ProfileStore, SampleRecord};
+pub use profile::{PathId, PathTable, ProfileStore, SampleRecord};
 pub use resilience::{DegradationLevel, ResilienceLog, ResilienceOutcome, RetryPolicy};
-pub use sampler::SamplerAttachment;
+pub use sampler::{PathCursor, SamplerAttachment};
 pub use stage::{
     AnalyzeStage, BaselineStage, GateDecision, GateStage, MeasureStage, OptimizeStage, PipelineCtx,
     PreDeployStage, ProfileStage, Stage, StageEngine, StageRecord, StageStatus,

@@ -353,7 +353,7 @@ impl Pipeline {
             .as_ref()
             .expect("ProfileStage fills the store")
             .lock();
-        Ok(Utilization::from_samples(store.samples.iter(), app))
+        Ok(Utilization::from_samples(&store.paths, &store.samples, app))
     }
 
     /// Runs the CI/CD loop iteratively: each round profiles the previous

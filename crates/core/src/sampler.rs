@@ -6,8 +6,9 @@
 //!
 //! 1. counts the sampling-period boundaries the interval crosses (the
 //!    timer-signal model) and records that many samples of the stack,
-//!    captured once for the advance, charging the per-sample capture cost
-//!    back to the application — the overhead Fig. 9 measures;
+//!    captured once for the advance as an interned path id, charging the
+//!    per-sample capture cost back to the application — the overhead
+//!    Fig. 9 measures;
 //! 2. measures *exact* per-module initialization time by attributing the
 //!    interval to the innermost module-init frame, which yields the
 //!    hierarchical breakdown of Eqs. 1–3;
@@ -26,37 +27,123 @@ use slimstart_simcore::time::{SimDuration, SimTime};
 
 use crate::collector::BatchSender;
 use crate::config::SamplerConfig;
-use crate::profile::{ProfileStore, SampleRecord};
+use crate::profile::{PathId, PathTable, ProfileStore, SampleRecord};
 use crate::wire::ProfileBatch;
 
 /// Where a sampler attachment delivers its data.
 enum SampleSink {
     /// Synchronous in-process store (the default test/analysis path).
-    Direct(Arc<Mutex<ProfileStore>>),
+    /// Captures intern straight into the store's table, which every
+    /// container of the deployment shares.
+    Direct {
+        store: Arc<Mutex<ProfileStore>>,
+        cursor: PathCursor,
+    },
     /// Encoded batches over a channel to the asynchronous collector
-    /// (the paper's production path, §IV-D).
-    Channel(BatchSender),
+    /// (the paper's production path, §IV-D). Captures intern into the
+    /// attachment's own table, which each batch carries.
+    Channel {
+        sender: BatchSender,
+        capture: CaptureCache,
+    },
+}
+
+impl SampleSink {
+    /// The id of the stack's current path.
+    #[inline]
+    fn capture(&mut self, stack: &CallStack) -> PathId {
+        match self {
+            SampleSink::Direct { store, cursor } => {
+                // Only new frames need the table: an unchanged or popped
+                // stack is already in the cursor.
+                let new = cursor.rewind(stack.frames());
+                if new.is_empty() {
+                    cursor.leaf()
+                } else {
+                    cursor.extend(new, &mut store.lock().paths)
+                }
+            }
+            SampleSink::Channel { capture, .. } => capture.capture(stack),
+        }
+    }
 }
 
 impl std::fmt::Debug for SampleSink {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            SampleSink::Direct(_) => write!(f, "Direct"),
-            SampleSink::Channel(_) => write!(f, "Channel"),
+            SampleSink::Direct { .. } => write!(f, "Direct"),
+            SampleSink::Channel { .. } => write!(f, "Channel"),
         }
     }
 }
 
-/// Zero-clone stack capture: a one-entry cache of the last captured path.
+/// Incremental interning: the frames and ids of the last captured path.
 ///
-/// Consecutive captures of an unchanged stack return `Arc` clones of one
-/// shared path allocation. A capture reuses the cached path exactly when
-/// its frames equal the stack's. The comparison runs from the innermost
-/// frame outward, where consecutive stacks usually differ, so a miss is
-/// cheap.
+/// A capture keeps the prefix it shares with the last one and looks up
+/// one child per new frame. In a loader walk consecutive stacks differ in
+/// one or two innermost frames, so most captures cost a prefix comparison
+/// and at most a couple of lookups. The ids are only valid with the table
+/// they came from: capture into one table, which only grows.
+#[derive(Debug, Default)]
+pub struct PathCursor {
+    frames: Vec<Frame>,
+    /// `ids[i]` is the id of `frames[..=i]`.
+    ids: Vec<PathId>,
+}
+
+impl PathCursor {
+    /// Creates a cursor at the empty path.
+    pub fn new() -> Self {
+        PathCursor::default()
+    }
+
+    /// Interns `frames` (outermost first) into `paths` and returns its id.
+    #[inline]
+    pub fn capture(&mut self, frames: &[Frame], paths: &mut PathTable) -> PathId {
+        let new = self.rewind(frames);
+        self.extend(new, paths)
+    }
+
+    /// Drops the cursor back to the longest prefix it shares with `frames`
+    /// and returns the frames past it.
+    #[inline]
+    pub(crate) fn rewind<'f>(&mut self, frames: &'f [Frame]) -> &'f [Frame] {
+        let shared = self
+            .frames
+            .iter()
+            .zip(frames)
+            .take_while(|(a, b)| a == b)
+            .count();
+        self.frames.truncate(shared);
+        self.ids.truncate(shared);
+        &frames[shared..]
+    }
+
+    /// Interns `new` below the cursor's path and returns the extended
+    /// path's id.
+    #[inline]
+    pub(crate) fn extend(&mut self, new: &[Frame], paths: &mut PathTable) -> PathId {
+        let mut id = self.leaf();
+        for &frame in new {
+            id = paths.child(id, frame);
+            self.frames.push(frame);
+            self.ids.push(id);
+        }
+        id
+    }
+
+    /// The id of the last captured path.
+    #[inline]
+    pub(crate) fn leaf(&self) -> PathId {
+        self.ids.last().copied().unwrap_or(PathId::ROOT)
+    }
+}
+
+/// Stack capture into a private [`PathTable`], through a [`PathCursor`].
 #[derive(Debug, Default)]
 pub struct CaptureCache {
-    path: Option<Arc<[Frame]>>,
+    paths: PathTable,
+    cursor: PathCursor,
 }
 
 impl CaptureCache {
@@ -65,19 +152,11 @@ impl CaptureCache {
         CaptureCache::default()
     }
 
-    /// Captures the stack's current path, reusing the previous allocation
-    /// when the stack is unchanged.
+    /// Captures the stack's current path and returns its id in the
+    /// cache's own table.
     #[inline]
-    pub fn capture(&mut self, stack: &CallStack) -> Arc<[Frame]> {
-        let frames = stack.frames();
-        if let Some(cached) = &self.path {
-            if cached.len() == frames.len() && cached.iter().rev().eq(frames.iter().rev()) {
-                return Arc::clone(cached);
-            }
-        }
-        let path: Arc<[Frame]> = frames.into();
-        self.path = Some(Arc::clone(&path));
-        path
+    pub fn capture(&mut self, stack: &CallStack) -> PathId {
+        self.cursor.capture(stack.frames(), &mut self.paths)
     }
 }
 
@@ -126,7 +205,6 @@ pub struct SamplerAttachment {
     sink: SampleSink,
     next_sample_at: SimTime,
     buffer: Vec<SampleRecord>,
-    capture: CaptureCache,
     init: InitTimes,
     pending_batches: u64,
     samples_taken: u64,
@@ -149,7 +227,13 @@ impl SamplerAttachment {
     ///
     /// Panics if the configured period is zero.
     pub fn new(config: SamplerConfig, store: Arc<Mutex<ProfileStore>>) -> Self {
-        Self::with_sink(config, SampleSink::Direct(store))
+        Self::with_sink(
+            config,
+            SampleSink::Direct {
+                store,
+                cursor: PathCursor::new(),
+            },
+        )
     }
 
     /// Creates an attachment that ships encoded batches to an
@@ -159,7 +243,13 @@ impl SamplerAttachment {
     ///
     /// Panics if the configured period is zero.
     pub fn with_transport(config: SamplerConfig, sender: BatchSender) -> Self {
-        Self::with_sink(config, SampleSink::Channel(sender))
+        Self::with_sink(
+            config,
+            SampleSink::Channel {
+                sender,
+                capture: CaptureCache::new(),
+            },
+        )
     }
 
     fn with_sink(config: SamplerConfig, sink: SampleSink) -> Self {
@@ -169,7 +259,6 @@ impl SamplerAttachment {
             config,
             sink,
             buffer: Vec::new(),
-            capture: CaptureCache::new(),
             init: InitTimes::default(),
             pending_batches: 0,
             samples_taken: 0,
@@ -221,7 +310,7 @@ impl ExecutionObserver for SamplerAttachment {
             return SimDuration::ZERO;
         }
         let record = SampleRecord {
-            path: self.capture.capture(ctx.stack),
+            path: self.sink.capture(ctx.stack),
             is_init: ctx.stack.in_init(),
         };
         let buffered = self.buffer.len();
@@ -240,21 +329,24 @@ impl ExecutionObserver for SamplerAttachment {
         // Local spool hands everything to the collector; the synchronous
         // cost charged to the invocation is only the batch hand-off.
         let flushes = std::mem::take(&mut self.pending_batches);
-        let samples = std::mem::take(&mut self.buffer);
-        match &self.sink {
-            SampleSink::Direct(store) => {
+        match &mut self.sink {
+            SampleSink::Direct { store, .. } => {
                 let mut store = store.lock();
-                store.absorb(samples, self.init.drain(), flushes);
+                store.append(&mut self.buffer, self.init.drain(), flushes);
                 store.invocations += 1;
             }
-            SampleSink::Channel(sender) => {
+            SampleSink::Channel { sender, capture } => {
+                // The batch borrows the attachment's table for the send;
+                // the cursor's ids stay valid because it comes back.
                 let batch = ProfileBatch {
-                    samples,
+                    samples: std::mem::take(&mut self.buffer),
+                    paths: std::mem::take(&mut capture.paths),
                     init_micros: self.init.drain().collect(),
                 };
                 if !batch.samples.is_empty() || !batch.init_micros.is_empty() {
                     sender.send_batch(&batch);
                 }
+                capture.paths = batch.paths;
             }
         }
         self.config.flush_cost.mul_f64(flushes as f64)
@@ -359,7 +451,7 @@ mod tests {
         );
         // Runtime samples never contain init frames.
         for s in store.samples.iter().filter(|s| !s.is_init) {
-            assert!(s.path.iter().all(|f| !f.is_init()));
+            assert!(store.paths.frames(s.path).iter().all(|f| !f.is_init()));
         }
         let _ = app;
     }
@@ -470,35 +562,158 @@ mod tests {
         assert_eq!(store.lock().batches_transferred, 2);
     }
 
+    fn call(i: usize) -> slimstart_pyrt::stack::FrameKind {
+        slimstart_pyrt::stack::FrameKind::Call(slimstart_appmodel::FunctionId::from_index(i))
+    }
+
     #[test]
-    fn capture_cache_reuses_allocation_for_identical_stacks() {
-        use slimstart_appmodel::FunctionId;
-        use slimstart_pyrt::stack::FrameKind;
+    fn unchanged_stack_returns_the_same_id() {
         let mut stack = CallStack::new();
-        stack.push(FrameKind::Call(FunctionId::from_index(0)), 1);
+        stack.push(call(0), 1);
+        stack.push(call(1), 2);
         let mut cache = CaptureCache::new();
         let a = cache.capture(&stack);
-        let b = cache.capture(&stack);
-        assert!(Arc::ptr_eq(&a, &b), "unchanged stack must share the path");
+        let nodes = cache.paths.len();
+        assert_eq!(cache.capture(&stack), a);
         // Setting the line the frame already has leaves the stack unchanged.
-        stack.set_line(1);
-        assert!(Arc::ptr_eq(&a, &cache.capture(&stack)));
         stack.set_line(2);
-        let c = cache.capture(&stack);
-        assert!(!Arc::ptr_eq(&b, &c));
-        assert_eq!(c.as_ref(), stack.frames());
-        stack.push(FrameKind::Call(FunctionId::from_index(1)), 3);
+        assert_eq!(cache.capture(&stack), a);
+        assert_eq!(cache.paths.len(), nodes);
+        assert_eq!(cache.paths.frames(a), stack.frames());
+    }
+
+    #[test]
+    fn popping_to_a_prefix_returns_the_prefix_id() {
+        let mut stack = CallStack::new();
+        stack.push(call(0), 1);
+        let mut cache = CaptureCache::new();
+        let outer = cache.capture(&stack);
+        stack.push(call(1), 2);
+        stack.push(call(2), 3);
+        let inner = cache.capture(&stack);
+        assert_eq!(
+            cache.paths.parent(cache.paths.parent(inner).unwrap()),
+            Some(outer)
+        );
+        stack.pop();
+        stack.pop();
+        assert_eq!(cache.capture(&stack), outer);
+        assert_eq!(cache.paths.len(), 4);
+        stack.pop();
+        assert_eq!(cache.capture(&stack), PathId::ROOT);
+    }
+
+    #[test]
+    fn popping_and_pushing_a_frame_back_returns_the_old_id() {
+        let mut stack = CallStack::new();
+        stack.push(call(0), 1);
+        stack.push(call(1), 3);
+        let mut cache = CaptureCache::new();
         let d = cache.capture(&stack);
-        assert_eq!(d.len(), 2);
-        // Popping the frame and pushing one of the same kind and line back
-        // restores the cached stack, so the capture shares its path.
         stack.pop();
-        stack.push(FrameKind::Call(FunctionId::from_index(1)), 3);
-        assert!(Arc::ptr_eq(&d, &cache.capture(&stack)));
+        stack.push(call(1), 3);
+        assert_eq!(cache.capture(&stack), d);
+        // Also after the cursor moved to the shorter stack in between.
         stack.pop();
-        // Back to the previous shape: contents equal even though the cache
-        // was overwritten in between.
-        assert_eq!(cache.capture(&stack).as_ref(), c.as_ref());
+        cache.capture(&stack);
+        stack.push(call(1), 3);
+        assert_eq!(cache.capture(&stack), d);
+        assert_eq!(cache.paths.len(), 3);
+    }
+
+    #[test]
+    fn a_sibling_frame_creates_exactly_one_node() {
+        let mut stack = CallStack::new();
+        stack.push(call(0), 1);
+        stack.push(call(1), 2);
+        let mut cache = CaptureCache::new();
+        let first = cache.capture(&stack);
+        let nodes = cache.paths.len();
+        // A new line in the innermost frame is a sibling call site.
+        stack.set_line(5);
+        let line = cache.capture(&stack);
+        assert_eq!(cache.paths.len(), nodes + 1);
+        stack.pop();
+        stack.push(call(2), 2);
+        let sibling = cache.capture(&stack);
+        assert_eq!(cache.paths.len(), nodes + 2);
+        let paths = cache.paths;
+        assert_eq!(paths.parent(first), paths.parent(line));
+        assert_eq!(paths.parent(first), paths.parent(sibling));
+        assert_ne!(first, sibling);
+    }
+
+    #[test]
+    fn cursor_matches_interning_from_the_root() {
+        // Captures through the cursor give the ids a fresh walk from the
+        // root gives, whatever the previous capture was.
+        let mut rng = SimRng::seed_from(21);
+        let mut stack = CallStack::new();
+        let mut paths = PathTable::new();
+        let mut cursor = PathCursor::new();
+        for _ in 0..2_000 {
+            match rng.next_below(4) {
+                0 if stack.depth() < 10 => stack.push(call(rng.next_below(4)), 1),
+                1 if stack.depth() > 0 => {
+                    stack.pop();
+                }
+                2 if stack.depth() > 0 => stack.set_line(1 + rng.next_below(3) as u32),
+                _ => {}
+            }
+            let id = cursor.capture(stack.frames(), &mut paths);
+            assert_eq!(paths.frames(id), stack.frames());
+            let nodes = paths.len();
+            assert_eq!(paths.intern(stack.frames()), id);
+            assert_eq!(paths.len(), nodes);
+        }
+    }
+
+    #[test]
+    fn direct_and_channel_sinks_store_the_same_samples() {
+        let cfg = SamplerConfig {
+            period: SimDuration::from_millis(1),
+            per_sample_cost: SimDuration::from_micros(20),
+            flush_cost: SimDuration::from_micros(50),
+            batch_size: 16,
+            ..SamplerConfig::default()
+        };
+        let app = app();
+        let mut collector = crate::collector::AsyncCollector::start();
+        let direct = ProfileStore::shared();
+        let mut clocks = Vec::new();
+        for observer in [
+            SamplerAttachment::new(cfg, Arc::clone(&direct)),
+            SamplerAttachment::with_transport(cfg, collector.sender()),
+        ] {
+            let mut p = Process::new(Arc::clone(&app), 1.0);
+            p.attach_observer(Box::new(observer));
+            p.cold_start(app.module_by_name("handler").unwrap())
+                .unwrap();
+            let h = app.handler_by_name("main").unwrap();
+            for seed in 0..3 {
+                p.invoke(h, &mut SimRng::seed_from(seed)).unwrap();
+            }
+            clocks.push(p.clock());
+        }
+        collector.finish();
+        let channelled = collector.store();
+        let (direct, channelled) = (direct.lock(), channelled.lock());
+        let resolved = |store: &ProfileStore| -> Vec<(Vec<Frame>, bool)> {
+            store
+                .samples
+                .iter()
+                .map(|s| (store.paths.frames(s.path), s.is_init))
+                .collect()
+        };
+        assert!(direct.samples.len() > 300);
+        assert_eq!(resolved(&direct), resolved(&channelled));
+        assert_eq!(
+            direct.init_micros_by_module,
+            channelled.init_micros_by_module
+        );
+        assert_eq!(clocks[0], clocks[1], "same overhead charged");
+        // The collector counts one batch per invocation.
+        assert_eq!(channelled.batches_transferred, 3);
     }
 
     #[test]

@@ -423,14 +423,14 @@ impl Stage for AnalyzeStage {
             ctx.profiled_cold_starts.max(1),
             SimDuration::from_millis_f64(baseline.mean_e2e_ms),
         );
-        let utilization = Utilization::from_samples(store.samples.iter(), &ctx.app);
+        let utilization = Utilization::from_samples(&store.paths, &store.samples, &ctx.app);
         ctx.report = Some(detect(
             &ctx.app,
             &breakdown,
             &utilization,
             &ctx.config.detector,
         ));
-        ctx.cct = Some(Cct::from_samples(store.samples.iter()));
+        ctx.cct = Some(Cct::from_samples(&store.paths, &store.samples));
         drop(store);
         ctx.utilization = Some(utilization);
         Ok(StageStatus::Continue)

@@ -16,7 +16,7 @@ use std::collections::{BTreeMap, HashMap};
 use slimstart_appmodel::{Application, LibraryId, ModuleId};
 use slimstart_simcore::intern::{Interner, Symbol};
 
-use crate::profile::{path_runs, SampleRecord};
+use crate::profile::{PathId, PathTable, SampleRecord};
 
 /// Utilization of every library, package and module.
 #[derive(Debug, Clone, PartialEq)]
@@ -66,18 +66,22 @@ impl OncePerPath {
 }
 
 impl Utilization {
-    /// Computes utilization from raw samples.
+    /// Computes utilization from samples whose ids refer to `paths`.
     ///
-    /// Each run of consecutive samples that share one path allocation is
-    /// walked once and weighted by its runtime samples. Within a path,
-    /// modules, libraries and packages are each credited once, through
-    /// per-id stamps. A sampled module's dotted prefixes are interned the
-    /// first time it is credited, and the package names are allocated once,
-    /// for the result.
-    pub fn from_samples<'a, I>(samples: I, app: &Application) -> Utilization
+    /// Runtime samples are counted per distinct path, and each path with
+    /// any is walked once, weighted by its count. Within a path, modules,
+    /// libraries and packages are each credited once, through per-id
+    /// stamps. A sampled module's dotted prefixes are interned the first
+    /// time it is credited, and the package names are allocated once, for
+    /// the result.
+    pub fn from_samples<'a, I>(paths: &PathTable, samples: I, app: &Application) -> Utilization
     where
         I: IntoIterator<Item = &'a SampleRecord>,
     {
+        let mut weights = vec![0u64; paths.len()];
+        for sample in samples {
+            weights[sample.path.index()] += u64::from(!sample.is_init);
+        }
         let mut total = 0u64;
         let mut libs = OncePerPath::new(app.libraries().len());
         let mut modules = OncePerPath::new(app.modules().len());
@@ -88,13 +92,11 @@ impl Utilization {
         let mut chains = vec![0..0; app.modules().len()];
         let mut prefixes: Vec<Symbol> = Vec::new();
 
-        for (number, run) in (1u64..).zip(path_runs(samples)) {
-            let weight = run.samples - run.init_samples;
-            if weight == 0 {
-                continue;
-            }
+        let mut frames = Vec::new();
+        let weighted = (0u32..).zip(weights).filter(|&(_, weight)| weight > 0);
+        for (number, (id, weight)) in (1u64..).zip(weighted) {
             total += weight;
-            for frame in run.path {
+            for frame in paths.resolve(PathId(id), &mut frames) {
                 let id = frame.module(app);
                 if !modules.credit(id.index(), number, weight) {
                     continue;
@@ -196,19 +198,29 @@ mod tests {
         (b.finish().unwrap(), path)
     }
 
-    fn sample(path: Vec<Frame>, is_init: bool) -> SampleRecord {
-        SampleRecord {
-            path: path.into(),
-            is_init,
-        }
+    fn sample(path: Vec<Frame>, is_init: bool) -> (Vec<Frame>, bool) {
+        (path, is_init)
+    }
+
+    /// Utilization of `samples`, interned into one table.
+    fn utilization(samples: &[(Vec<Frame>, bool)], app: &Application) -> Utilization {
+        let mut paths = PathTable::new();
+        let records: Vec<SampleRecord> = samples
+            .iter()
+            .map(|(path, is_init)| SampleRecord {
+                path: paths.intern(path),
+                is_init: *is_init,
+            })
+            .collect();
+        Utilization::from_samples(&paths, &records, app)
     }
 
     #[test]
     fn orchestrator_gets_path_inclusive_credit() {
         let (app, path) = app();
         // 10 samples all landing in worker.sub, via orch.
-        let samples: Vec<SampleRecord> = (0..10).map(|_| sample(path.clone(), false)).collect();
-        let u = Utilization::from_samples(&samples, &app);
+        let samples: Vec<_> = (0..10).map(|_| sample(path.clone(), false)).collect();
+        let u = utilization(&samples, &app);
         assert_eq!(u.total_runtime_samples, 10);
         // Both libraries fully utilized thanks to escalation.
         assert!((u.library(LibraryId::from_index(0)) - 1.0).abs() < 1e-12);
@@ -224,7 +236,7 @@ mod tests {
             sample(path.clone(), true),
             sample(path, false),
         ];
-        let u = Utilization::from_samples(&samples, &app);
+        let u = utilization(&samples, &app);
         assert_eq!(u.total_runtime_samples, 1);
         assert!((u.library(LibraryId::from_index(1)) - 1.0).abs() < 1e-12);
     }
@@ -232,7 +244,7 @@ mod tests {
     #[test]
     fn unsampled_library_has_zero_utilization() {
         let (app, _) = app();
-        let u = Utilization::from_samples(&[], &app);
+        let u = utilization(&[], &app);
         assert_eq!(u.total_runtime_samples, 0);
         assert_eq!(u.library(LibraryId::from_index(0)), 0.0);
         assert_eq!(u.package("worker"), 0.0);
@@ -250,7 +262,7 @@ mod tests {
             sample(handler_only.clone(), false),
             sample(handler_only, false),
         ];
-        let u = Utilization::from_samples(&samples, &app);
+        let u = utilization(&samples, &app);
         assert!((u.library(LibraryId::from_index(1)) - 0.25).abs() < 1e-12);
         assert!((u.package("worker") - 0.25).abs() < 1e-12);
     }
@@ -259,7 +271,7 @@ mod tests {
     fn package_prefixes_all_credited() {
         let (app, path) = app();
         let samples = vec![sample(path, false)];
-        let u = Utilization::from_samples(&samples, &app);
+        let u = utilization(&samples, &app);
         // Leaf frame in worker.sub credits both `worker` and `worker.sub`.
         assert_eq!(u.package("worker"), 1.0);
         assert_eq!(u.package("worker.sub"), 1.0);

@@ -2,15 +2,22 @@
 //! retained pre-arena [`ReferenceCct`] on every seeded sample stream —
 //! same shape, same per-context attribution, same escalation totals, same
 //! merge results. The arena changes the data layout and the merge
-//! algorithm (O(paths) `insert_weighted` vs one re-insert per sample), so
-//! this is the oracle that says "faster, not different".
+//! algorithm (O(paths) `insert_weighted` vs one re-insert per sample), and
+//! [`Cct::from_samples`] builds the tree once per distinct interned path
+//! instead of once per sample, so this is the oracle that says "faster,
+//! not different": on synthetic streams, on the profiles the pipeline
+//! builds for the catalog apps, and across profiling windows.
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
+use slimstart::appmodel::catalog::catalog;
 use slimstart::appmodel::{FunctionId, ModuleId};
 use slimstart::core::cct::{Cct, CctKey};
-use slimstart::core::profile::SampleRecord;
+use slimstart::core::history::ProfileHistory;
+use slimstart::core::pipeline::PipelineConfig;
+use slimstart::core::profile::{PathTable, ProfileStore, SampleRecord};
+use slimstart::core::stage::{AnalyzeStage, BaselineStage, PipelineCtx, ProfileStage, StageEngine};
+use slimstart::platform::chaos::ChaosConfig;
 use slimstart::pyrt::stack::{Frame, FrameKind};
 use slimstart::simcore::SimRng;
 
@@ -397,69 +404,223 @@ fn merge_matches_reference_merge() {
     assert_eq!(arena_a.inclusive(), ref_a.inclusive());
 }
 
-/// Sample records in runs that share one `Arc` path, as the sampler's
-/// capture cache emits them: each of `synth_paths`' paths becomes a run of
-/// 1–5 samples, and some runs instead resume the path of two runs back
-/// (an `Arc` reused after a different path). A quarter of the runs mix
-/// init and runtime flags.
-fn synth_runs(n: usize, seed: u64) -> Vec<SampleRecord> {
+/// A sample stream as the sampler stores it: runs of interned ids, each
+/// of `synth_paths`' paths a run of 1–5 samples, some runs instead
+/// resuming the path of two runs back. A quarter of the runs mix init and
+/// runtime flags. Some paths are interned before the stream starts, in
+/// reverse, so the table's node order differs from the order the samples
+/// first reach them.
+fn synth_runs(n: usize, seed: u64) -> Stream {
     let mut rng = SimRng::seed_from(seed ^ 0x5eed);
-    let mut runs: Vec<Arc<[Frame]>> = Vec::new();
+    let paths_in_order = synth_paths(n, seed);
+    let mut paths = PathTable::new();
+    for (path, _) in paths_in_order.iter().rev().step_by(7) {
+        paths.intern(path);
+    }
+    let mut runs: Vec<Vec<Frame>> = Vec::new();
     let mut samples = Vec::new();
-    for (path, is_init) in synth_paths(n, seed) {
-        let path: Arc<[Frame]> = if runs.len() >= 2 && rng.chance(0.2) {
-            Arc::clone(&runs[runs.len() - 2])
+    let mut frames = Vec::new();
+    for (path, is_init) in paths_in_order {
+        let path = if runs.len() >= 2 && rng.chance(0.2) {
+            runs[runs.len() - 2].clone()
         } else {
-            path.into()
+            path
         };
-        runs.push(Arc::clone(&path));
+        let id = paths.intern(&path);
         let mixed = rng.chance(0.25);
         for _ in 0..1 + rng.next_below(5) {
-            samples.push(SampleRecord {
-                path: Arc::clone(&path),
-                is_init: if mixed { rng.chance(0.5) } else { is_init },
-            });
+            let is_init = if mixed { rng.chance(0.5) } else { is_init };
+            samples.push(SampleRecord { path: id, is_init });
+            frames.push((path.clone(), is_init));
         }
+        runs.push(path);
     }
-    samples
+    Stream {
+        paths,
+        samples,
+        frames,
+    }
+}
+
+/// A sample stream: the interned samples, and each sample's frames and
+/// init flag for the reference.
+struct Stream {
+    paths: PathTable,
+    samples: Vec<SampleRecord>,
+    frames: Vec<(Vec<Frame>, bool)>,
+}
+
+/// Checks `arena` against `reference` index by index: key, parent, self
+/// and init counts, and child order.
+fn assert_same_nodes(arena: &Cct, reference: &ReferenceCct, what: &str) {
+    let arena_nodes: Vec<_> = arena
+        .nodes()
+        .iter()
+        .enumerate()
+        .map(|(i, n)| {
+            let children: Vec<usize> = arena.children(i).collect();
+            (
+                n.key,
+                n.parent,
+                n.self_samples,
+                n.self_init_samples,
+                children,
+            )
+        })
+        .collect();
+    let ref_nodes: Vec<_> = reference
+        .nodes()
+        .iter()
+        .map(|n| {
+            (
+                n.key,
+                n.parent,
+                n.self_samples,
+                n.self_init_samples,
+                n.children.clone(),
+            )
+        })
+        .collect();
+    assert_eq!(arena_nodes.len(), ref_nodes.len(), "{what}: node count");
+    for (i, (a, r)) in arena_nodes.iter().zip(&ref_nodes).enumerate() {
+        assert_eq!(a, r, "{what}: node {i}");
+    }
 }
 
 #[test]
 fn sample_runs_build_the_per_sample_tree() {
     for seed in [3u64, 42, 2025] {
-        let samples = synth_runs(1_500, seed);
+        let Stream {
+            paths,
+            samples,
+            frames,
+        } = synth_runs(1_500, seed);
         let mixed_run = samples
             .windows(2)
-            .any(|w| Arc::ptr_eq(&w[0].path, &w[1].path) && w[0].is_init != w[1].is_init);
+            .any(|w| w[0].path == w[1].path && w[0].is_init != w[1].is_init);
         let resumed = samples
             .windows(3)
-            .any(|w| Arc::ptr_eq(&w[0].path, &w[2].path) && !Arc::ptr_eq(&w[0].path, &w[1].path));
+            .any(|w| w[0].path == w[2].path && w[0].path != w[1].path);
         assert!(
             mixed_run && resumed,
             "seed {seed}: stream lacks a run shape"
         );
 
-        let arena = Cct::from_samples(&samples);
+        let arena = Cct::from_samples(&paths, &samples);
         let mut reference = ReferenceCct::new();
-        for s in &samples {
-            reference.insert(&s.path, s.is_init);
+        for (path, is_init) in &frames {
+            reference.insert(path, *is_init);
         }
         assert_eq!(
             arena_attribution(&arena),
             reference_attribution(&reference),
             "seed {seed}: per-context attribution"
         );
-        // Node order: the same key, parent and counts at every index.
-        let arena_nodes: Vec<_> = arena
-            .nodes()
-            .iter()
-            .map(|n| (n.key, n.parent, n.self_samples, n.self_init_samples))
-            .collect();
-        let ref_nodes: Vec<_> = reference
-            .nodes()
-            .iter()
-            .map(|n| (n.key, n.parent, n.self_samples, n.self_init_samples))
-            .collect();
-        assert_eq!(arena_nodes, ref_nodes, "seed {seed}: node order");
+        assert_same_nodes(&arena, &reference, &format!("seed {seed}"));
     }
+}
+
+/// The reference tree for a store: one insert per sample, each sample's
+/// frames resolved by walking the store's table.
+fn reference_for(store: &ProfileStore) -> ReferenceCct {
+    let mut reference = ReferenceCct::new();
+    let mut frames = Vec::new();
+    for s in &store.samples {
+        reference.insert(store.paths.resolve(s.path, &mut frames), s.is_init);
+    }
+    reference
+}
+
+/// The CCT the pipeline builds for each of the catalog apps the
+/// benchmark's pipeline workload runs (at most 800 modules), at seed 2025
+/// with 60 cold starts under `config`, against the per-sample reference.
+fn assert_catalog_ccts_match(what: &str, config: impl Fn(PipelineConfig) -> PipelineConfig) {
+    let mut apps = 0;
+    for entry in catalog().into_iter().filter(|e| e.n_modules <= 800) {
+        apps += 1;
+        let app = entry.build(2025).expect("catalog app builds").app;
+        let config = config(
+            PipelineConfig::default()
+                .with_seed(2025)
+                .with_cold_starts(60),
+        );
+        let mut ctx =
+            PipelineCtx::new(config, &app, &entry.workload_weights()).expect("workload resolves");
+        StageEngine::new()
+            .then(BaselineStage)
+            .then(ProfileStage)
+            .then(AnalyzeStage)
+            .run(&mut ctx)
+            .expect("stages run");
+        let store = ctx
+            .profile_store
+            .as_ref()
+            .expect("the profile stage fills the store")
+            .lock();
+        let cct = ctx.cct.as_ref().expect("the analyze stage builds the CCT");
+        let what = format!("{what}, {}", entry.code);
+        assert_same_nodes(cct, &reference_for(&store), &what);
+    }
+    assert_eq!(apps, 15, "{what}: catalog apps with at most 800 modules");
+}
+
+#[test]
+fn catalog_profiles_build_the_per_sample_tree() {
+    assert_catalog_ccts_match("default", |c| c);
+}
+
+#[test]
+fn catalog_profiles_build_the_per_sample_tree_through_the_collector() {
+    assert_catalog_ccts_match("async collector", |c| c.with_async_collector(true));
+}
+
+#[test]
+fn truncated_catalog_profiles_build_the_per_sample_tree() {
+    assert_catalog_ccts_match("truncated uploads", |c| {
+        c.with_chaos(ChaosConfig {
+            upload_truncation: 1.0,
+            ..ChaosConfig::DISABLED
+        })
+    });
+}
+
+#[test]
+fn chaotic_catalog_profiles_build_the_per_sample_tree() {
+    assert_catalog_ccts_match("uniform chaos 0.3", |c| {
+        c.with_chaos(ChaosConfig::uniform(0.3))
+    });
+}
+
+#[test]
+fn merged_cct_across_windows_builds_the_per_sample_tree() {
+    // Three windows, each with its own table numbering the shared paths
+    // differently.
+    let mut history = ProfileHistory::new();
+    let mut reference = ReferenceCct::new();
+    for seed in [5u64, 6, 7] {
+        let Stream {
+            paths,
+            samples,
+            frames,
+        } = synth_runs(600, seed % 2 + 1);
+        for (path, is_init) in &frames {
+            reference.insert(path, *is_init);
+        }
+        let store = ProfileStore {
+            samples,
+            paths,
+            ..ProfileStore::default()
+        };
+        history.push(format!("w{seed}"), store);
+    }
+    let merged_cct = history.merged_cct();
+    assert_same_nodes(&merged_cct, &reference, "merged_cct");
+    // The merged store's table differs from every window's, and builds the
+    // same tree.
+    let merged = history.merged();
+    assert_same_nodes(
+        &Cct::from_samples(&merged.paths, &merged.samples),
+        &reference,
+        "merged store",
+    );
 }

@@ -132,17 +132,19 @@ fn iterative_pipeline_on_gated_app_stops_immediately() {
 #[test]
 fn batch_encoding_scales_with_content() {
     let empty = ProfileBatch::default();
+    let mut paths = slimstart::core::profile::PathTable::new();
+    let path = paths.intern(&[slimstart::pyrt::stack::Frame {
+        kind: slimstart::pyrt::stack::FrameKind::Call(slimstart::appmodel::FunctionId::from_index(
+            1,
+        )),
+        line: 3,
+    }]);
     let small = ProfileBatch {
         samples: vec![slimstart::core::profile::SampleRecord {
-            path: vec![slimstart::pyrt::stack::Frame {
-                kind: slimstart::pyrt::stack::FrameKind::Call(
-                    slimstart::appmodel::FunctionId::from_index(1),
-                ),
-                line: 3,
-            }]
-            .into(),
+            path,
             is_init: false,
         }],
+        paths,
         init_micros: Default::default(),
     };
     assert!(small.encoded_len() > empty.encoded_len());

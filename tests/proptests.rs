@@ -13,7 +13,7 @@ use slimstart::appmodel::synth::{
 };
 use slimstart::appmodel::{FunctionId, ImportMode, ModuleId};
 use slimstart::core::cct::Cct;
-use slimstart::core::profile::SampleRecord;
+use slimstart::core::profile::{PathTable, SampleRecord};
 use slimstart::core::utilization::Utilization;
 use slimstart::pyrt::process::Process;
 use slimstart::pyrt::stack::{Frame, FrameKind};
@@ -166,20 +166,20 @@ fn utilization_is_bounded() {
         let app = b.finish().unwrap();
 
         let mut rng = SimRng::seed_from(seed);
+        let mut paths = PathTable::new();
         let samples: Vec<SampleRecord> = (0..n)
             .map(|_| {
                 let in_lib = rng.chance(0.5);
                 SampleRecord {
-                    path: vec![Frame {
+                    path: paths.intern(&[Frame {
                         kind: FrameKind::Call(if in_lib { f_lib } else { f_main }),
                         line: 1,
-                    }]
-                    .into(),
+                    }]),
                     is_init: rng.chance(0.3),
                 }
             })
             .collect();
-        let u = Utilization::from_samples(samples.iter(), &app);
+        let u = Utilization::from_samples(&paths, &samples, &app);
         for v in u.by_package.values() {
             assert!((0.0..=1.0).contains(v), "case {case}: package util {v}");
         }

@@ -6,8 +6,9 @@
 //! capture per sample, one `HashMap` entry per attribution). Both are
 //! driven with seeded advance sequences fed to `on_advance` directly, and
 //! end to end through the pipeline's profile stage with the in-process
-//! store and with the asynchronous collector. This is the oracle that
-//! says "faster, not different".
+//! store and with the asynchronous collector. Samples are compared by
+//! their frames: the reference keeps each path's frames, the sampler an
+//! interned id. This is the oracle that says "faster, not different".
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -17,7 +18,7 @@ use slimstart::appmodel::catalog::{catalog, light_population};
 use slimstart::appmodel::{Application, FunctionId, ModuleId};
 use slimstart::core::collector::AsyncCollector;
 use slimstart::core::pipeline::PipelineConfig;
-use slimstart::core::profile::{ProfileStore, SampleRecord};
+use slimstart::core::profile::{PathId, ProfileStore};
 use slimstart::core::sampler::SamplerAttachment;
 use slimstart::core::stage::{PipelineCtx, ProfileStage, Stage};
 use slimstart::core::SamplerConfig;
@@ -35,17 +36,29 @@ mod reference {
 
     use slimstart::appmodel::{Application, ModuleId};
     use slimstart::core::collector::BatchSender;
-    use slimstart::core::profile::{ProfileStore, SampleRecord};
+    use slimstart::core::profile::{PathTable, SampleRecord};
     use slimstart::core::wire::ProfileBatch;
     use slimstart::core::SamplerConfig;
     use slimstart::pyrt::observer::{AdvanceContext, ExecutionObserver};
     use slimstart::pyrt::stack::{CallStack, Frame};
     use slimstart::simcore::time::{SimDuration, SimTime};
 
+    /// A captured sample: its path and whether it was taken during init.
+    pub type Sample = (Arc<[Frame]>, bool);
+
+    /// What the reference collects in process.
+    #[derive(Debug, Clone, Default)]
+    pub struct Store {
+        pub samples: Vec<Sample>,
+        pub init_micros_by_module: HashMap<ModuleId, u64>,
+        pub invocations: u64,
+        pub batches_transferred: u64,
+    }
+
     /// Where the reference delivers its data at invocation end.
     pub enum Sink {
         /// Merge into an in-process store and count the invocation.
-        Direct(Arc<Mutex<ProfileStore>>),
+        Direct(Arc<Mutex<Store>>),
         /// Encode a batch for the asynchronous collector.
         Channel(BatchSender),
     }
@@ -54,7 +67,7 @@ mod reference {
         config: SamplerConfig,
         sink: Sink,
         next_sample_at: SimTime,
-        buffer: Vec<SampleRecord>,
+        buffer: Vec<Sample>,
         last_path: Option<Arc<[Frame]>>,
         init_micros: HashMap<ModuleId, u64>,
         pending_batches: u64,
@@ -103,10 +116,7 @@ mod reference {
             while self.next_sample_at <= ctx.to {
                 if self.next_sample_at > ctx.from && ctx.stack.depth() > 0 {
                     let path = self.capture(ctx.stack);
-                    self.buffer.push(SampleRecord {
-                        path,
-                        is_init: ctx.stack.in_init(),
-                    });
+                    self.buffer.push((path, ctx.stack.in_init()));
                     self.samples_taken += 1;
                     overhead += self.config.per_sample_cost;
                     if self.buffer.len().is_multiple_of(self.config.batch_size) {
@@ -135,9 +145,20 @@ mod reference {
                     store.invocations += 1;
                 }
                 Sink::Channel(sender) => {
+                    // Each sample's frames interned from the root.
+                    let mut paths = PathTable::new();
+                    let samples = self
+                        .buffer
+                        .drain(..)
+                        .map(|(path, is_init)| SampleRecord {
+                            path: paths.intern(&path),
+                            is_init,
+                        })
+                        .collect();
                     let batch = ProfileBatch {
-                        samples: std::mem::take(&mut self.buffer),
-                        init_micros: std::mem::take(&mut self.init_micros),
+                        samples,
+                        paths,
+                        init_micros: self.init_micros.drain().collect(),
                     };
                     if !batch.samples.is_empty() || !batch.init_micros.is_empty() {
                         sender.send_batch(&batch);
@@ -153,30 +174,37 @@ mod reference {
     }
 }
 
-/// Labels each sample with the index of the first sample sharing its path
-/// allocation, so two streams with equal labels have the same `Arc` runs
-/// and the same reuse of earlier paths. Every sample is alive in the
-/// slice, so equal addresses mean one allocation.
-fn sharing(samples: &[SampleRecord]) -> Vec<usize> {
-    let mut first: HashMap<*const Frame, usize> = HashMap::new();
-    samples
-        .iter()
-        .enumerate()
-        .map(|(i, s)| {
-            *first
-                .entry(Arc::as_ptr(&s.path).cast::<Frame>())
-                .or_insert(i)
-        })
-        .collect()
+/// A store as the reference keeps it: each sample's frames resolved from
+/// the store's table.
+fn resolved(store: &ProfileStore) -> reference::Store {
+    reference::Store {
+        samples: store
+            .samples
+            .iter()
+            .map(|s| (store.paths.frames(s.path).into(), s.is_init))
+            .collect(),
+        init_micros_by_module: store
+            .init_micros_by_module
+            .iter()
+            .map(|(&m, &us)| (m, us))
+            .collect(),
+        invocations: store.invocations,
+        batches_transferred: store.batches_transferred,
+    }
 }
 
-fn assert_stores_equal(ours: &ProfileStore, reference: &ProfileStore, what: &str) {
+fn assert_stores_equal(ours: &ProfileStore, reference: &reference::Store, what: &str) {
+    // One id per distinct path: equal ids exactly when the frames are
+    // equal.
+    let mut ids: HashMap<Vec<Frame>, PathId> = HashMap::new();
+    for s in &ours.samples {
+        let frames = ours.paths.frames(s.path);
+        assert_eq!(*ids.entry(frames).or_insert(s.path), s.path, "{what}: ids");
+    }
+    let distinct: std::collections::HashSet<PathId> = ids.values().copied().collect();
+    assert_eq!(distinct.len(), ids.len(), "{what}: one path per id");
+    let ours = resolved(ours);
     assert_eq!(ours.samples, reference.samples, "{what}: samples");
-    assert_eq!(
-        sharing(&ours.samples),
-        sharing(&reference.samples),
-        "{what}: path sharing"
-    );
     assert_eq!(
         ours.init_micros_by_module, reference.init_micros_by_module,
         "{what}: init micros"
@@ -229,7 +257,7 @@ fn run_sequence(app: &Application, config: SamplerConfig, seed: u64, coverage: &
     let what = format!("seed {seed}, {config:?}");
     let store = ProfileStore::shared();
     let mut ours = SamplerAttachment::new(config, Arc::clone(&store));
-    let reference_store = Arc::new(std::sync::Mutex::new(ProfileStore::default()));
+    let reference_store = Arc::new(std::sync::Mutex::new(reference::Store::default()));
     let mut reference = reference::Sampler::new(
         config,
         reference::Sink::Direct(Arc::clone(&reference_store)),
@@ -374,7 +402,7 @@ fn hand_written_edges_match_the_reference() {
     };
     let store = ProfileStore::shared();
     let mut ours = SamplerAttachment::new(config, Arc::clone(&store));
-    let reference_store = Arc::new(std::sync::Mutex::new(ProfileStore::default()));
+    let reference_store = Arc::new(std::sync::Mutex::new(reference::Store::default()));
     let mut reference = reference::Sampler::new(
         config,
         reference::Sink::Direct(Arc::clone(&reference_store)),
@@ -437,7 +465,7 @@ fn profile_both(
     config: &PipelineConfig,
     app: &Application,
     mix: &[(String, f64)],
-) -> ((ProfileStore, AppMetrics), (ProfileStore, AppMetrics)) {
+) -> ((ProfileStore, AppMetrics), (reference::Store, AppMetrics)) {
     let mut ctx = PipelineCtx::new(config.clone(), app, mix).expect("workload resolves");
     ProfileStage.run(&mut ctx).expect("profiling runs");
     let ours = (
@@ -451,7 +479,7 @@ fn profile_both(
 
     let sampler = config.sampler;
     let mut collector = config.async_collector.then(AsyncCollector::start);
-    let direct = Arc::new(std::sync::Mutex::new(ProfileStore::default()));
+    let direct = Arc::new(std::sync::Mutex::new(reference::Store::default()));
     let platform_config = match &collector {
         Some(c) => {
             let sender = c.sender();
@@ -484,7 +512,7 @@ fn profile_both(
     let store = match collector.as_mut() {
         Some(c) => {
             c.finish();
-            c.store().lock().clone()
+            resolved(&c.store().lock())
         }
         None => direct.lock().expect("reference store lock").clone(),
     };

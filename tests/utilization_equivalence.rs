@@ -9,7 +9,6 @@
 //! different".
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 use slimstart::appmodel::app::AppBuilder;
 use slimstart::appmodel::catalog::{catalog, light_population};
@@ -17,7 +16,7 @@ use slimstart::appmodel::{Application, FunctionId, ModuleId};
 use slimstart::core::initprof::InitBreakdown;
 use slimstart::core::optimizer::optimize_conservative;
 use slimstart::core::pipeline::PipelineConfig;
-use slimstart::core::profile::{ProfileStore, SampleRecord};
+use slimstart::core::profile::{PathTable, ProfileStore, SampleRecord};
 use slimstart::core::stage::{PipelineCtx, ProfileStage, Stage};
 use slimstart::core::utilization::Utilization;
 use slimstart::platform::PlatformConfig;
@@ -31,28 +30,29 @@ mod reference {
     use std::collections::{BTreeMap, HashMap, HashSet};
 
     use slimstart::appmodel::{Application, LibraryId, ModuleId};
-    use slimstart::core::profile::SampleRecord;
     use slimstart::core::utilization::Utilization;
+    use slimstart::pyrt::stack::Frame;
 
-    /// Computes utilization one sample at a time.
+    /// Computes utilization one sample at a time, from each sample's
+    /// frames and init flag.
     pub fn utilization<'a, I>(samples: I, app: &Application) -> Utilization
     where
-        I: IntoIterator<Item = &'a SampleRecord>,
+        I: IntoIterator<Item = (&'a [Frame], bool)>,
     {
         let mut total = 0u64;
         let mut lib_counts = vec![0u64; app.libraries().len()];
         let mut package_counts: BTreeMap<String, u64> = BTreeMap::new();
         let mut module_counts: HashMap<ModuleId, u64> = HashMap::new();
 
-        for sample in samples {
-            if sample.is_init {
+        for (path, is_init) in samples {
+            if is_init {
                 continue;
             }
             total += 1;
             let mut libs: HashSet<LibraryId> = HashSet::new();
             let mut modules: HashSet<ModuleId> = HashSet::new();
             let mut packages: HashSet<String> = HashSet::new();
-            for frame in sample.path.iter() {
+            for frame in path {
                 let module = frame.module(app);
                 modules.insert(module);
                 if let Some(lib) = app.module(module).library() {
@@ -90,19 +90,49 @@ mod reference {
     }
 }
 
-/// Number of runs of consecutive samples sharing one path allocation.
-fn shared_runs(samples: &[SampleRecord]) -> usize {
-    samples
-        .windows(2)
-        .filter(|w| !Arc::ptr_eq(&w[0].path, &w[1].path))
-        .count()
-        + usize::from(!samples.is_empty())
+/// A sample as the reference sees it: its frames and init flag.
+type Sample = (Vec<Frame>, bool);
+
+/// Number of runs of consecutive samples of one path.
+fn runs<T: PartialEq>(paths: impl IntoIterator<Item = T>) -> usize {
+    let mut paths = paths.into_iter().peekable();
+    let mut runs = 0;
+    while let Some(path) = paths.next() {
+        runs += 1;
+        while paths.next_if(|next| *next == path).is_some() {}
+    }
+    runs
 }
 
-fn assert_utilization_matches(samples: &[SampleRecord], app: &Application, what: &str) {
+/// Checks a store's utilization against the reference fed each sample's
+/// frames.
+fn assert_store_utilization_matches(store: &ProfileStore, app: &Application, what: &str) {
+    let samples: Vec<Sample> = store
+        .samples
+        .iter()
+        .map(|s| (store.paths.frames(s.path), s.is_init))
+        .collect();
     assert_eq!(
-        Utilization::from_samples(samples, app),
-        reference::utilization(samples, app),
+        Utilization::from_samples(&store.paths, &store.samples, app),
+        reference::utilization(samples.iter().map(|(f, i)| (f.as_slice(), *i)), app),
+        "{what}: utilization"
+    );
+}
+
+/// Interns `samples` into one table and checks their utilization against
+/// the reference fed the frames directly.
+fn assert_utilization_matches(samples: &[Sample], app: &Application, what: &str) {
+    let mut paths = PathTable::new();
+    let records: Vec<SampleRecord> = samples
+        .iter()
+        .map(|(frames, is_init)| SampleRecord {
+            path: paths.intern(frames),
+            is_init: *is_init,
+        })
+        .collect();
+    assert_eq!(
+        Utilization::from_samples(&paths, &records, app),
+        reference::utilization(samples.iter().map(|(f, i)| (f.as_slice(), *i)), app),
         "{what}: utilization"
     );
 }
@@ -177,10 +207,10 @@ fn small_catalog_profiles_match_the_reference() {
                     "{what}: no runtime samples"
                 );
                 assert!(
-                    shared_runs(&store.samples) < store.samples.len(),
+                    runs(store.samples.iter().map(|s| s.path)) < store.samples.len(),
                     "{what}: no sample shares its predecessor's path"
                 );
-                assert_utilization_matches(&store.samples, app, &what);
+                assert_store_utilization_matches(&store, app, &what);
                 zero_packages += assert_rollup_matches(&store, app, &what);
             }
         }
@@ -207,7 +237,7 @@ fn light_population_profiles_match_the_reference() {
             store.runtime_sample_count() > 0,
             "{what}: no runtime samples"
         );
-        assert_utilization_matches(&store.samples, &app, &what);
+        assert_store_utilization_matches(&store, &app, &what);
         assert_rollup_matches(&store, &app, &what);
     }
 }
@@ -247,24 +277,24 @@ fn prefix_app() -> (Application, Vec<FunctionId>, Vec<ModuleId>) {
     (b.finish().expect("app validates"), functions, modules)
 }
 
-/// A seeded stream of runs: each run repeats one `Arc` path 1–6 times.
-/// Most runs use a fresh path; some resume the path of two runs back (a
-/// run split by another path) or reuse any earlier `Arc`. A third of the
-/// runs mix init and runtime flags.
+/// A seeded stream of runs: each run repeats one path 1–6 times. Most
+/// runs use a fresh path; some resume the path of two runs back (a run
+/// split by another path) or reuse any earlier path. A third of the runs
+/// mix init and runtime flags.
 fn synth_stream(
     functions: &[FunctionId],
     modules: &[ModuleId],
     n: usize,
     seed: u64,
-) -> Vec<SampleRecord> {
+) -> Vec<Sample> {
     let mut rng = SimRng::seed_from(seed);
-    let mut paths: Vec<Arc<[Frame]>> = Vec::new();
+    let mut paths: Vec<Vec<Frame>> = Vec::new();
     let mut samples = Vec::new();
     while samples.len() < n {
         let path = if paths.len() >= 2 && rng.chance(0.2) {
-            Arc::clone(&paths[paths.len() - 2])
+            paths[paths.len() - 2].clone()
         } else if !paths.is_empty() && rng.chance(0.15) {
-            Arc::clone(&paths[rng.next_below(paths.len())])
+            paths[rng.next_below(paths.len())].clone()
         } else {
             let depth = 1 + rng.next_below(7);
             let frames: Vec<Frame> = (0..depth)
@@ -280,16 +310,13 @@ fn synth_stream(
                     }
                 })
                 .collect();
-            frames.into()
+            frames
         };
-        paths.push(Arc::clone(&path));
+        paths.push(path.clone());
         let mixed = rng.chance(0.33);
         let is_init = rng.chance(0.3);
         for _ in 0..1 + rng.next_below(6) {
-            samples.push(SampleRecord {
-                path: Arc::clone(&path),
-                is_init: if mixed { rng.chance(0.5) } else { is_init },
-            });
+            samples.push((path.clone(), if mixed { rng.chance(0.5) } else { is_init }));
         }
     }
     samples
@@ -304,17 +331,20 @@ fn seeded_synthetic_streams_match_the_reference() {
         // The stream must hold the shapes the run pass could get wrong.
         let split_and_resumed = samples
             .windows(3)
-            .any(|w| Arc::ptr_eq(&w[0].path, &w[2].path) && !Arc::ptr_eq(&w[0].path, &w[1].path));
+            .any(|w| w[0].0 == w[2].0 && w[0].0 != w[1].0);
         let mixed_run = samples
             .windows(2)
-            .any(|w| Arc::ptr_eq(&w[0].path, &w[1].path) && w[0].is_init != w[1].is_init);
-        let repeated_module = samples.iter().any(|s| {
-            let mut seen: Vec<ModuleId> = s.path.iter().map(|f| f.module(&app)).collect();
+            .any(|w| w[0].0 == w[1].0 && w[0].1 != w[1].1);
+        let repeated_module = samples.iter().any(|(path, _)| {
+            let mut seen: Vec<ModuleId> = path.iter().map(|f| f.module(&app)).collect();
             seen.sort();
             seen.windows(2).any(|w| w[0] == w[1])
         });
         assert!(split_and_resumed && mixed_run && repeated_module, "{what}");
-        assert!(shared_runs(&samples) < samples.len() / 2, "{what}: runs");
+        assert!(
+            runs(samples.iter().map(|(path, _)| path)) < samples.len() / 2,
+            "{what}: runs"
+        );
         assert_utilization_matches(&samples, &app, &what);
     }
 }
@@ -330,20 +360,19 @@ fn hand_written_streams_match_the_reference() {
         kind: FrameKind::ModuleInit(m[i]),
         line: 1,
     };
-    let record = |path: &Arc<[Frame]>, is_init: bool| SampleRecord {
-        path: Arc::clone(path),
-        is_init,
-    };
+    let record = |path: &Vec<Frame>, is_init: bool| (path.clone(), is_init);
     // handler → app.util → ext.io, and handler → lib..odd → lib.core.fast.
-    let a: Arc<[Frame]> = vec![call(0), call(2), call(16)].into();
-    let b: Arc<[Frame]> = vec![call(0), call(14), call(12)].into();
+    let a = vec![call(0), call(2), call(16)];
+    let b = vec![call(0), call(14), call(12)];
     // lib.gap.deep twice, through two functions and by recursion.
-    let twice: Arc<[Frame]> = vec![call(1), call(10), call(11), call(10)].into();
+    let twice = vec![call(1), call(10), call(11), call(10)];
     // Module init: the handler's top level importing lib.corex.
-    let loading: Arc<[Frame]> = vec![init(0), init(4)].into();
+    let loading = vec![init(0), init(4)];
+    // A prefix of `a`: its path ends at an interior node of `a`'s.
+    let a_prefix = a[..2].to_vec();
 
     assert_utilization_matches(&[], &app, "empty input");
-    let streams: Vec<(&str, Vec<SampleRecord>)> = vec![
+    let streams: Vec<(&str, Vec<Sample>)> = vec![
         (
             "run split by another path, then resumed",
             vec![
@@ -372,18 +401,19 @@ fn hand_written_streams_match_the_reference() {
             vec![record(&loading, true), record(&a, true), record(&a, true)],
         ),
         (
-            "equal frames in separate allocations",
+            "a path and its prefix",
             vec![
                 record(&a, false),
-                record(&Arc::from(a.to_vec()), false),
-                record(&a, false),
+                record(&a_prefix, false),
+                record(&a, true),
+                record(&a_prefix, false),
             ],
         ),
     ];
     for (what, samples) in &streams {
         assert_utilization_matches(samples, &app, what);
     }
-    let all: Vec<SampleRecord> = streams.into_iter().flat_map(|(_, s)| s).collect();
+    let all: Vec<Sample> = streams.into_iter().flat_map(|(_, s)| s).collect();
     assert_utilization_matches(&all, &app, "all streams in sequence");
 }
 
