@@ -3,8 +3,10 @@
 //! With chaos disabled, nothing in this PR-stream may perturb a single
 //! byte of the paper-facing artifacts: the fleet text table (Table 2
 //! style), the FaaSLight comparison outcome (Table 3 style), the fleet
-//! JSON (plain, and under each node-pool snapshot restore shape), and the
-//! per-app pipeline JSON. Each test renders the artifact at a pinned
+//! JSON (plain, and under each node-pool snapshot restore shape), the
+//! per-app pipeline JSON (R-GB, and FWB-CML, whose detector findings tie
+//! on init time) and the `slimstart lint --json` report of R-GB. Each test
+//! renders the artifact at a pinned
 //! (seed, cold-starts) configuration and diffs it against a committed
 //! golden under `tests/golden/`.
 //!
@@ -19,6 +21,7 @@
 use std::fs;
 use std::path::PathBuf;
 
+use slimstart::analyzer::{Analyzer, AntipatternConfig, RuntimeProfile};
 use slimstart::appmodel::catalog::by_code;
 use slimstart::core::export::outcome_to_json;
 use slimstart::core::pipeline::{Pipeline, PipelineConfig, PipelineOutcome};
@@ -171,6 +174,39 @@ fn forked_lazy_restore_fleet_json_matches_golden() {
 fn pipeline_outcome_json_matches_golden() {
     let outcome = run_rgb(pinned_pipeline_config(2025));
     check_golden("pipeline_rgb.json", &outcome_to_json(&outcome));
+}
+
+#[test]
+fn tied_findings_pipeline_json_matches_golden() {
+    // FWB-CML's detector findings `pkg_resources.xmlio` and
+    // `pkg_resources.plugins` tie on init time, so the order the detector
+    // visits sibling packages decides their order in the report.
+    let entry = by_code("FWB-CML").expect("catalog entry");
+    let built = entry.build(2025).expect("builds");
+    let outcome = Pipeline::new(pinned_pipeline_config(2025))
+        .run(&built.app, &entry.workload_weights())
+        .expect("pipeline runs");
+    check_golden("pipeline_fwb_cml.json", &outcome_to_json(&outcome));
+}
+
+#[test]
+fn lint_json_matches_golden() {
+    // What `slimstart lint R-GB --json --cold-starts 60` prints: one
+    // profiling deployment, then all eleven passes under the python
+    // runtime. The anti-pattern lints print package costs summed in f64,
+    // so the order they add a package's members in is pinned here too.
+    let entry = by_code("R-GB").expect("catalog entry");
+    let built = entry.build(2025).expect("builds");
+    let config = PipelineConfig::default()
+        .with_cold_starts(60)
+        .with_seed(2025);
+    let observed = Pipeline::new(config)
+        .profile_usage(&built.app, &entry.workload_weights())
+        .expect("profiling runs")
+        .to_observed();
+    let lints = AntipatternConfig::default().with_runtime(RuntimeProfile::python());
+    let report = Analyzer::with_antipattern_passes(lints).analyze(&built.app, Some(&observed));
+    check_golden("lint_rgb.json", &format!("{}\n", report.render_json()));
 }
 
 #[test]
