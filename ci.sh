@@ -23,8 +23,13 @@ cargo test -q
 # the zygote-pool dependency-sharing contract (thread-count byte identity,
 # v3 passthrough when disabled), the eviction-order determinism property,
 # the indexed deferral verifier's equivalence with the string-scan
-# reference, the run-weighted utilization and init roll-up's
-# equivalence with the per-sample and package-tree references, the
+# reference, the package tree's equivalence with the string-keyed
+# reference tree (package set and order, children's order, the
+# package-cost lints' member walk, loader ancestor chains), the two
+# goldens pinning the detector's tie order (FWB-CML pipeline JSON) and
+# the lints' f64 package-cost sums (R-GB lint JSON), the run-weighted
+# utilization and init roll-up's equivalence with the per-sample and
+# reference package-tree roll-ups, the
 # sampler's equivalence with the per-boundary reference sampler and the
 # CCT's node-by-node equivalence with the per-sample reference tree, on
 # synthetic streams and on catalog profiles; run them by

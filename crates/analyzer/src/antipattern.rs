@@ -26,6 +26,7 @@
 use std::collections::BTreeSet;
 
 use slimstart_appmodel::function::{Stmt, StmtKind};
+use slimstart_appmodel::library::Package;
 use slimstart_appmodel::source::{function_uses_package, CodeEdit};
 use slimstart_appmodel::{Application, FunctionId, ImportMode, ModuleId};
 use slimstart_faaslight::reachability::handlers_reaching_package;
@@ -250,6 +251,26 @@ fn member_cost(app: &Application, members: &[ModuleId], rt: &RuntimeProfile) -> 
         .sum()
 }
 
+/// The members of `package` in the order the package-cost lints add them
+/// up: depth first from the package, each package's own module before its
+/// children's subtrees, and the children taken off a stack that received
+/// them in [`children`](slimstart_appmodel::library::PackageTree::children)
+/// order, so the child whose first member was added last comes first.
+/// [`member_cost`] sums in f64, so another order (package-tree order, say)
+/// changes the last bits of some sums, and with them the milliseconds the
+/// lints print.
+fn walk_members(ctx: &AnalysisContext<'_>, package: Package<'_>) -> Vec<ModuleId> {
+    let (app, tree) = (ctx.app, ctx.index.tree());
+    let mut out = Vec::new();
+    let mut stack = vec![package];
+    while let Some(package) = stack.pop() {
+        let own = tree.members(&package).first();
+        out.extend(own.filter(|m| app.module(**m).name() == package.path()));
+        stack.extend(tree.children(app, &package));
+    }
+    out
+}
+
 // ------------------------------------------------------------------ fixes
 
 /// The mechanical action a [`SuggestedFix`] performs on the model.
@@ -445,35 +466,37 @@ fn detect_eager_monolithic(
     }
     let handler_fns: Vec<FunctionId> = app.handlers().iter().map(|h| h.function()).collect();
     let mut out = Vec::new();
-    let mut claimed: Vec<String> = Vec::new();
-    for node in ctx.tree.iter() {
-        if claimed.iter().any(|c| covers(c, &node.path)) {
+    let tree = ctx.index.tree();
+    let mut claimed: Vec<&str> = Vec::new();
+    for package in tree.packages(app) {
+        let path = package.path();
+        if claimed.iter().any(|c| covers(c, path)) {
             continue;
         }
-        let modules = ctx.tree.modules_under(&node.path);
+        let modules = tree.members(&package);
         if modules.is_empty()
             || !modules.iter().all(|m| eager[m.index()])
             || !modules.iter().all(|m| app.module(*m).library().is_some())
         {
             continue;
         }
-        let pkg_cost = member_cost(app, &modules, rt);
+        let pkg_cost = member_cost(app, &walk_members(ctx, package), rt);
         if pkg_cost < cfg.monolithic_share * total {
             continue;
         }
         let unused = handler_fns
             .iter()
-            .filter(|f| !function_uses_package(app, **f, &node.path))
+            .filter(|f| !function_uses_package(app, **f, path))
             .count();
         if unused == 0 {
             continue;
         }
-        let Some((span, edit)) = defer_edit(ctx, &node.path) else {
+        let Some((span, edit)) = defer_edit(ctx, path) else {
             continue;
         };
-        claimed.push(node.path.clone());
+        claimed.push(path);
         let action = FixAction::DeferPackage {
-            package: node.path.clone(),
+            package: path.to_string(),
         };
         let saving = saving_of(ctx, &action, rt);
         out.push(finding(
@@ -481,9 +504,8 @@ fn detect_eager_monolithic(
             rt.severity_for(pkg_cost),
             span,
             format!(
-                "monolithic init: `{}` contributes {:.1} ms of {:.1} ms modeled cold-start \
+                "monolithic init: `{path}` contributes {:.1} ms of {:.1} ms modeled cold-start \
                  init ({}), but {unused} of {} handler(s) never use it",
-                node.path,
                 pkg_cost,
                 total,
                 rt.name,
@@ -509,12 +531,14 @@ fn detect_oversized_tree(
     let eager = ctx.eager_closure_all_handlers();
     let handler_fns: Vec<FunctionId> = app.handlers().iter().map(|h| h.function()).collect();
     let mut out = Vec::new();
-    let mut claimed: Vec<String> = Vec::new();
-    for node in ctx.tree.iter() {
-        if claimed.iter().any(|c| covers(c, &node.path)) {
+    let tree = ctx.index.tree();
+    let mut claimed: Vec<&str> = Vec::new();
+    for package in tree.packages(app) {
+        let path = package.path();
+        if claimed.iter().any(|c| covers(c, path)) {
             continue;
         }
-        let modules = ctx.tree.modules_under(&node.path);
+        let modules = tree.members(&package);
         if modules.len() < cfg.oversized_modules
             || !modules.iter().all(|m| eager[m.index()])
             || !modules.iter().all(|m| app.module(*m).library().is_some())
@@ -523,17 +547,17 @@ fn detect_oversized_tree(
         }
         if handler_fns
             .iter()
-            .any(|f| function_uses_package(app, *f, &node.path))
+            .any(|f| function_uses_package(app, *f, path))
         {
             continue;
         }
-        let Some((span, edit)) = defer_edit(ctx, &node.path) else {
+        let Some((span, edit)) = defer_edit(ctx, path) else {
             continue;
         };
-        claimed.push(node.path.clone());
-        let cost = member_cost(app, &modules, rt);
+        claimed.push(path);
+        let cost = member_cost(app, &walk_members(ctx, package), rt);
         let action = FixAction::DeferPackage {
-            package: node.path.clone(),
+            package: path.to_string(),
         };
         let saving = saving_of(ctx, &action, rt);
         out.push(finding(
@@ -541,9 +565,8 @@ fn detect_oversized_tree(
             rt.severity_for(cost),
             span,
             format!(
-                "oversized dependency tree: `{}` pulls {} modules ({:.1} ms, {}) into every \
+                "oversized dependency tree: `{path}` pulls {} modules ({:.1} ms, {}) into every \
                  cold start, yet no handler statically reaches it",
-                node.path,
                 modules.len(),
                 cost,
                 rt.name
@@ -1328,6 +1351,29 @@ mod tests {
 
     fn ms(n: u64) -> SimDuration {
         SimDuration::from_millis(n)
+    }
+
+    #[test]
+    fn package_cost_walk_takes_children_off_a_stack() {
+        // `lib.a` was added before `lib.b`, so `lib.b`'s subtree comes off
+        // the stack first: the walk is not package-tree order.
+        let mut b = AppBuilder::new("walk");
+        let lib = b.add_library("lib");
+        let h = b.add_app_module("handler", ms(1), 0);
+        for (line, name) in (1..).zip(["lib.a", "lib.a.x", "lib", "lib.b"]) {
+            let m = b.add_library_module(name, ms(1), 0, false, lib);
+            b.add_import(h, m, line, ImportMode::Global).unwrap();
+        }
+        let f = b.add_function("main", h, 9, vec![]);
+        b.add_handler("main", f);
+        let app = b.finish().unwrap();
+        let ctx = AnalysisContext::new(&app, None);
+        let lib = ctx.index.tree().package(&app, "lib");
+        let walk: Vec<&str> = walk_members(&ctx, lib)
+            .iter()
+            .map(|m| app.module(*m).name())
+            .collect();
+        assert_eq!(walk, ["lib", "lib.b", "lib.a", "lib.a.x"]);
     }
 
     /// handler + lib{root, hot, heavy×2}: the handler uses only lib.hot;

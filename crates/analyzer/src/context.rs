@@ -1,17 +1,18 @@
 //! Shared analysis context: precomputed views over the application model.
 //!
-//! The context carries the package tree and a [`ModuleIndex`], the
-//! module-graph index every pass and the deferral-safety verifier share.
-//! Its eager-load closure mirrors the runtime (`pyrt`) exactly: loading a
-//! module first loads every *existing* dotted-prefix ancestor — whether or
-//! not an import declaration names them, and skipping prefixes no module
-//! carries — and then executes its global imports transitively.
-//! `Application::eager_load_set` follows import edges only, so it misses
-//! implicitly-loaded parents; safety verification must not.
+//! The context carries a [`ModuleIndex`], the module-graph index every
+//! pass and the deferral-safety verifier share, built around the
+//! application's [`PackageTree`]. Its eager-load closure mirrors the
+//! runtime (`pyrt`) exactly: loading a module first loads every *existing*
+//! dotted-prefix ancestor — whether or not an import declaration names
+//! them, and skipping prefixes no module carries — and then executes its
+//! global imports transitively. `Application::eager_load_set` follows
+//! import edges only, so it misses implicitly-loaded parents; safety
+//! verification must not.
 
-use std::cmp::Ordering;
+use std::ops::Range;
 
-use slimstart_appmodel::library::PackageTree;
+use slimstart_appmodel::library::{Package, PackageTree};
 use slimstart_appmodel::{Application, FunctionId, ImportDecl, ModuleId};
 
 use crate::usage::ObservedUsage;
@@ -20,9 +21,7 @@ use crate::usage::ObservedUsage;
 pub struct AnalysisContext<'a> {
     /// The application under analysis.
     pub app: &'a Application,
-    /// Its package tree.
-    pub tree: PackageTree,
-    /// Its module-graph index.
+    /// Its module-graph index, which holds its package tree.
     pub index: ModuleIndex,
     /// Profile-observed usage, when a profile is available (required by the
     /// over-approximation auditor; ignored by the structural passes).
@@ -41,12 +40,7 @@ impl<'a> AnalysisContext<'a> {
         usage: Option<&'a ObservedUsage>,
         index: ModuleIndex,
     ) -> AnalysisContext<'a> {
-        AnalysisContext {
-            app,
-            tree: app.package_tree(),
-            index,
-            usage,
-        }
+        AnalysisContext { app, index, usage }
     }
 
     /// The union of the eager closures of every handler's module — the set
@@ -55,18 +49,6 @@ impl<'a> AnalysisContext<'a> {
     pub fn eager_closure_all_handlers(&self) -> &[bool] {
         self.index.eager()
     }
-}
-
-/// A dotted package resolved against a [`ModuleIndex`]. Its member modules
-/// (the module named by the path and everything below it) occupy one
-/// contiguous run of the index's package-tree order, so membership is an
-/// integer range test.
-#[derive(Debug, Clone, Copy)]
-pub struct Package<'p> {
-    /// The dotted path.
-    pub(crate) path: &'p str,
-    lo: u32,
-    hi: u32,
 }
 
 /// Items grouped into rows, stored flat: the rows `lo..hi` are one slice.
@@ -94,36 +76,34 @@ impl<T: Copy> Grouped<T> {
         }
     }
 
-    /// The items of rows `lo..hi`.
-    fn rows(&self, lo: u32, hi: u32) -> &[T] {
-        &self.items[self.start[lo as usize] as usize..self.start[hi as usize] as usize]
+    /// The items of `rows`.
+    fn rows(&self, rows: Range<u32>) -> &[T] {
+        &self.items
+            [self.start[rows.start as usize] as usize..self.start[rows.end as usize] as usize]
     }
 }
 
 /// The module-graph index of one application version: built once, then
 /// shared by every pass and verifier call over that version.
 ///
-/// It holds each module's nearest existing dotted-prefix ancestor, the
-/// handler root modules, the modules in package-tree order (so "module
-/// `m` lies in package `P`" is a range test, see [`Package`]), the
-/// as-written all-handlers eager closure, and per-package groupings of the
-/// incoming import edges, touching functions and defining functions that
-/// the verifier reads instead of scanning the whole application.
+/// It holds the application's [`PackageTree`] (each module's nearest
+/// existing dotted-prefix ancestor, and the modules in package-tree order,
+/// so "module `m` lies in package `P`" is a range test, see [`Package`]),
+/// the handler root modules, the as-written all-handlers eager closure,
+/// and per-package groupings of the incoming import edges, touching
+/// functions and defining functions that the verifier reads instead of
+/// scanning the whole application. The groupings' rows are package-tree
+/// positions.
 ///
 /// Import modes are part of what it indexes, so an index describes exactly
 /// the application it was built from: pass that same application to every
 /// method, and rebuild the index after flipping an import.
 #[derive(Debug, Clone)]
 pub struct ModuleIndex {
-    /// Nearest existing strict dotted-prefix ancestor, per module index.
-    parent: Vec<Option<ModuleId>>,
+    /// The application's package tree.
+    tree: PackageTree,
     /// The module of each handler's function, in handler order.
     roots: Vec<ModuleId>,
-    /// Modules in package-tree order: names compared component-wise, so
-    /// every package's members are contiguous.
-    order: Vec<ModuleId>,
-    /// Position of each module (by index) in `order`.
-    pos: Vec<u32>,
     /// The as-written all-handlers eager closure, per module index.
     eager: Vec<bool>,
     /// Side-effectful modules, in module-index order.
@@ -142,43 +122,12 @@ pub struct ModuleIndex {
     defined: Grouped<FunctionId>,
 }
 
-/// Dotted names in package-tree order: component by component, so a
-/// package sorts directly before its descendants and `lib.sem.x` before
-/// `lib.semantics`.
-fn tree_order(a: &str, b: &str) -> Ordering {
-    a.split('.').cmp(b.split('.'))
-}
-
 impl ModuleIndex {
     /// Indexes `app`.
     pub fn build(app: &Application) -> ModuleIndex {
         let modules = app.modules();
         let n = modules.len();
-
-        let mut order: Vec<ModuleId> = (0..n).map(ModuleId::from_index).collect();
-        order.sort_by(|a, b| tree_order(app.module(*a).name(), app.module(*b).name()));
-        let mut pos = vec![0u32; n];
-        for (p, m) in order.iter().enumerate() {
-            pos[m.index()] = p as u32;
-        }
-
-        // In package-tree order every existing ancestor of a module comes
-        // before it, so a stack of the open packages yields each module's
-        // nearest existing ancestor in one sweep.
-        let mut parent = vec![None; n];
-        let mut open: Vec<ModuleId> = Vec::new();
-        for &m in &order {
-            let name = modules[m.index()].name();
-            while let Some(&top) = open.last() {
-                let outer = modules[top.index()].name();
-                if outer != name && modules[m.index()].in_package(outer) {
-                    break;
-                }
-                open.pop();
-            }
-            parent[m.index()] = open.last().copied();
-            open.push(m);
-        }
+        let tree = app.package_tree();
 
         let mut incoming = Vec::new();
         let mut defers = vec![false; n];
@@ -186,7 +135,7 @@ impl ModuleIndex {
             let importer = ModuleId::from_index(i);
             for (slot, decl) in app.imports_of(importer).iter().enumerate() {
                 if decl.mode.is_global() {
-                    incoming.push((pos[decl.target.index()], (importer, slot as u32)));
+                    incoming.push((tree.position(decl.target), (importer, slot as u32)));
                 } else {
                     *deferring = true;
                 }
@@ -197,21 +146,19 @@ impl ModuleIndex {
         let mut defined = Vec::with_capacity(app.functions().len());
         for (i, function) in app.functions().iter().enumerate() {
             let f = FunctionId::from_index(i);
-            defined.push((pos[function.module().index()], f));
+            defined.push((tree.position(function.module()), f));
             for m in function.touched_modules() {
-                touchers.push((pos[m.index()], f));
+                touchers.push((tree.position(m), f));
             }
         }
 
         let mut index = ModuleIndex {
-            parent,
+            tree,
             roots: app
                 .handlers()
                 .iter()
                 .map(|h| app.function(h.function()).module())
                 .collect(),
-            order,
-            pos,
             eager: Vec::new(),
             side_effects: (0..n)
                 .filter(|i| modules[*i].side_effectful())
@@ -231,6 +178,11 @@ impl ModuleIndex {
             .filter(|m| index.eager[m.index()])
             .collect();
         index
+    }
+
+    /// The application's package tree.
+    pub fn tree(&self) -> &PackageTree {
+        &self.tree
     }
 
     /// The module of each handler's function, in handler order.
@@ -254,7 +206,7 @@ impl ModuleIndex {
     where
         F: Fn(ModuleId, &ImportDecl) -> bool,
     {
-        let mut loaded = vec![false; self.pos.len()];
+        let mut loaded = vec![false; app.modules().len()];
         let mut stack = roots.to_vec();
         while let Some(m) = stack.pop() {
             if loaded[m.index()] {
@@ -263,7 +215,7 @@ impl ModuleIndex {
             loaded[m.index()] = true;
             // Ancestor packages load first, exactly as the runtime's
             // load-with-parents does — even without an import edge to them.
-            if let Some(p) = self.parent[m.index()] {
+            if let Some(p) = self.tree.parent(m) {
                 if !loaded[p.index()] {
                     stack.push(p);
                 }
@@ -275,31 +227,6 @@ impl ModuleIndex {
             }
         }
         loaded
-    }
-
-    /// Resolves the dotted package `path` (which need not name a module).
-    pub fn package<'p>(&self, app: &Application, path: &'p str) -> Package<'p> {
-        let lo = self
-            .order
-            .partition_point(|m| tree_order(app.module(*m).name(), path).is_lt());
-        let len = self.order[lo..].partition_point(|m| app.module(*m).in_package(path));
-        Package {
-            path,
-            lo: lo as u32,
-            hi: (lo + len) as u32,
-        }
-    }
-
-    /// Whether `module` lies in `package` (inclusive).
-    #[inline]
-    pub(crate) fn contains(&self, package: &Package<'_>, module: ModuleId) -> bool {
-        let p = self.pos[module.index()];
-        package.lo <= p && p < package.hi
-    }
-
-    /// The member modules of `package`, in package-tree order.
-    pub(crate) fn members(&self, package: &Package<'_>) -> &[ModuleId] {
-        &self.order[package.lo as usize..package.hi as usize]
     }
 
     /// Whether `module` has at least one deferred import.
@@ -321,19 +248,19 @@ impl ModuleIndex {
     /// Global imports into `package`'s members as `(importer, declaration
     /// slot)`, grouped by target, importers inside the package included.
     pub(crate) fn imports_into(&self, package: &Package<'_>) -> &[(ModuleId, u32)] {
-        self.incoming.rows(package.lo, package.hi)
+        self.incoming.rows(package.positions())
     }
 
     /// Functions touching a member of `package`, grouped by the touched
     /// module, with repeats.
     pub(crate) fn touching(&self, package: &Package<'_>) -> &[FunctionId] {
-        self.touchers.rows(package.lo, package.hi)
+        self.touchers.rows(package.positions())
     }
 
     /// Functions defined in `module`, in function-index order.
     pub(crate) fn defined_in(&self, module: ModuleId) -> &[FunctionId] {
-        let p = self.pos[module.index()];
-        self.defined.rows(p, p + 1)
+        let p = self.tree.position(module);
+        self.defined.rows(p..p + 1)
     }
 }
 
@@ -407,84 +334,6 @@ mod tests {
         let ctx = AnalysisContext::new(&app, None);
         let loaded = ctx.eager_closure_all_handlers();
         assert_eq!(loaded.iter().filter(|x| **x).count(), 4);
-    }
-
-    #[test]
-    fn parent_skips_missing_intermediate_packages() {
-        let mut b = AppBuilder::new("gap");
-        let lib = b.add_library("lib");
-        let h = b.add_app_module("handler", ms(1), 0);
-        let root = b.add_library_module("lib", ms(1), 0, false, lib);
-        let deep = b.add_library_module("lib.sub.deep", ms(1), 0, false, lib);
-        let sem = b.add_library_module("lib.semantics", ms(1), 0, false, lib);
-        b.add_import(h, deep, 2, ImportMode::Global).unwrap();
-        let f = b.add_function("main", h, 4, vec![]);
-        b.add_handler("main", f);
-        let app = b.finish().unwrap();
-        let index = ModuleIndex::build(&app);
-        let loads = |m: ModuleId| -> Vec<&str> {
-            let closure = index.closure(&app, &[m], global);
-            (0..app.modules().len())
-                .filter(|i| closure[*i])
-                .map(|i| app.modules()[i].name())
-                .collect()
-        };
-        // `lib.sub.deep` climbs over the missing `lib.sub` to `lib`, and
-        // `lib.semantics` is no child of a `lib.sem` prefix.
-        assert_eq!(loads(deep), vec!["lib", "lib.sub.deep"]);
-        assert_eq!(loads(sem), vec!["lib", "lib.semantics"]);
-        assert_eq!(loads(root), vec!["lib"]);
-        assert_eq!(loads(h), vec!["handler", "lib", "lib.sub.deep"]);
-    }
-
-    #[test]
-    fn package_ranges_respect_dotted_boundaries() {
-        let mut b = AppBuilder::new("sib");
-        let lib = b.add_library("lib");
-        let h = b.add_app_module("handler", ms(1), 0);
-        for name in [
-            "lib",
-            "lib.semantics",
-            "lib.sem.x",
-            "lib.sem-x",
-            "lib.sem",
-            "lib.sem.x.y",
-            "libx",
-        ] {
-            let m = b.add_library_module(name, ms(1), 0, false, lib);
-            b.add_import(h, m, 2, ImportMode::Global).unwrap();
-        }
-        let f = b.add_function("main", h, 4, vec![]);
-        b.add_handler("main", f);
-        let app = b.finish().unwrap();
-        let index = ModuleIndex::build(&app);
-        for path in [
-            "lib",
-            "lib.sem",
-            "lib.sem.x",
-            "lib.semantics",
-            "lib.s",
-            "lib.gap",
-            "x",
-        ] {
-            let package = index.package(&app, path);
-            let mut via_range: Vec<ModuleId> = index.members(&package).to_vec();
-            via_range.sort();
-            let via_names: Vec<ModuleId> = (0..app.modules().len())
-                .map(ModuleId::from_index)
-                .filter(|m| app.module(*m).in_package(path))
-                .collect();
-            assert_eq!(via_range, via_names, "package `{path}`");
-            for m in 0..app.modules().len() {
-                let m = ModuleId::from_index(m);
-                assert_eq!(
-                    index.contains(&package, m),
-                    app.module(m).in_package(path),
-                    "`{}` in `{path}`",
-                    app.module(m).name()
-                );
-            }
-        }
     }
 
     /// A random app over dotted names drawn from a small alphabet, so

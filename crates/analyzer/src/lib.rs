@@ -63,7 +63,7 @@ pub use antipattern::{
     AntipatternConfig, AntipatternFinding, AppliedFix, AutoFixReport, AutoFixResult, FixAction,
     LintInfo, RejectedFix, RuntimeProfile, SuggestedFix,
 };
-pub use context::{AnalysisContext, ModuleIndex, Package};
+pub use context::{AnalysisContext, ModuleIndex};
 pub use diagnostic::{AnalysisReport, Diagnostic, Severity, Span};
 pub use passes::{
     AnalysisPass, Analyzer, DeadImportPass, DeferralSafetyPass, DuplicateImportPass,

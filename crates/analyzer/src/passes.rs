@@ -147,8 +147,9 @@ impl AnalysisPass for DeferralSafetyPass {
                 });
             }
         }
-        for node in ctx.tree.iter() {
-            if let Err(v) = ctx.index.verify_deferral(app, &node.path) {
+        for package in ctx.index.tree().packages(app) {
+            let path = package.path();
+            if let Err(v) = ctx.index.verify_deferral(app, path) {
                 let (file, line) = {
                     let (f, l) = v.span();
                     (f.to_string(), l)
@@ -157,7 +158,7 @@ impl AnalysisPass for DeferralSafetyPass {
                     lint_id: v.lint_id(),
                     severity: Severity::Warning,
                     span: Span { file, line },
-                    message: format!("candidate deferral of `{}` is unsafe: {v}", node.path),
+                    message: format!("candidate deferral of `{path}` is unsafe: {v}"),
                     suggestion: None,
                 });
             }
@@ -432,20 +433,20 @@ impl AnalysisPass for OverApproximationPass {
             return;
         };
         let app = ctx.app;
+        let tree = ctx.index.tree();
         let stripped = strip_unreachable(app);
         let analysis = StaticAnalysis::analyze(app);
         for (li, lib) in app.libraries().iter().enumerate() {
             let pinned = analysis.is_pinned(LibraryId::from_index(li));
-            let mut stack = vec![lib.name()];
-            while let Some(p) = stack.pop() {
-                let Some(node) = ctx.tree.node(p) else {
+            let mut stack = vec![tree.package(app, lib.name())];
+            while let Some(package) = stack.pop() {
+                let modules = tree.members(&package);
+                if modules.is_empty() {
                     continue;
-                };
-                let modules = ctx.tree.modules_under(p);
+                }
+                let p = package.path();
                 // Subtrees FaaSLight already strips are not kept at all.
-                let fully_stripped = !modules.is_empty()
-                    && modules.iter().all(|m| stripped.app.module(*m).stripped());
-                if fully_stripped {
+                if modules.iter().all(|m| stripped.app.module(*m).stripped()) {
                     continue;
                 }
                 if observed_fraction(usage, p) == 0.0 {
@@ -454,7 +455,10 @@ impl AnalysisPass for OverApproximationPass {
                         .map(|m| app.module(*m).init_cost())
                         .fold(SimDuration::ZERO, |a, b| a + b);
                     if init > SimDuration::ZERO {
-                        let span = package_span(app, ctx, p);
+                        // The package's own module sorts first among its
+                        // members; without one, the span cites the first
+                        // member in package-tree order.
+                        let span = Span::new(app.module(modules[0]).file(), 1);
                         let pin_note = if pinned {
                             " (library pinned wholesale by an indirect call)"
                         } else {
@@ -476,7 +480,7 @@ impl AnalysisPass for OverApproximationPass {
                     // Report at the highest unused level only.
                     continue;
                 }
-                stack.extend(node.children.iter().map(String::as_str));
+                stack.extend(tree.children(app, &package));
             }
         }
     }
@@ -499,18 +503,6 @@ pub(crate) fn covers(outer: &str, inner: &str) -> bool {
         || (inner.len() > outer.len()
             && inner.starts_with(outer)
             && inner.as_bytes()[outer.len()] == b'.')
-}
-
-/// Best source span for a package path: its own module, else its first
-/// member module, else a synthesized `__init__.py` path.
-fn package_span(app: &Application, ctx: &AnalysisContext<'_>, path: &str) -> Span {
-    if let Some(m) = app.module_by_name(path) {
-        return Span::new(app.module(m).file(), 1);
-    }
-    if let Some(m) = ctx.tree.modules_under(path).first() {
-        return Span::new(app.module(*m).file(), 1);
-    }
-    Span::new(format!("{}/__init__.py", path.replace('.', "/")), 1)
 }
 
 #[cfg(test)]
@@ -757,6 +749,43 @@ mod tests {
         assert!(out[0].message.contains("lib.wdead"));
         assert!(out[0].message.contains("500 invocations"));
         assert_eq!(out[0].severity, Severity::Info);
+    }
+
+    #[test]
+    fn over_approximation_span_cites_the_first_member_in_tree_order() {
+        // `lib` has no module of its own, so its span cites a member: the
+        // first in package-tree order, `lib.a`, whichever child was added
+        // first.
+        for names in [["lib.b", "lib.a"], ["lib.a", "lib.b"]] {
+            let mut b = AppBuilder::new("t");
+            let lib = b.add_library("lib");
+            let h = b.add_app_module("handler", ms(1), 0);
+            let mut calls = Vec::new();
+            for (i, name) in names.into_iter().enumerate() {
+                let m = b.add_library_module(name, ms(5), 0, false, lib);
+                b.add_import(h, m, 1 + i as u32, ImportMode::Global)
+                    .unwrap();
+                let api = b.add_function(format!("{name}.api"), m, 1, vec![]);
+                calls.push(Stmt {
+                    line: 5 + i as u32,
+                    kind: StmtKind::call(api),
+                });
+            }
+            let f = b.add_function("main", h, 4, calls);
+            b.add_handler("main", f);
+            let app = b.finish().unwrap();
+
+            let usage = ObservedUsage {
+                total_runtime_samples: 10,
+                by_package: Default::default(),
+            };
+            let ctx = AnalysisContext::new(&app, Some(&usage));
+            let mut out = Vec::new();
+            OverApproximationPass.run(&ctx, &mut out);
+            assert_eq!(out.len(), 1, "{out:?}");
+            assert!(out[0].message.contains("`lib`"), "{out:?}");
+            assert_eq!(out[0].span.file, "lib/a.py", "children added as {names:?}");
+        }
     }
 
     #[test]

@@ -26,9 +26,10 @@
 use std::fmt;
 
 use slimstart_appmodel::function::{Stmt, StmtKind};
+use slimstart_appmodel::library::{Package, PackageTree};
 use slimstart_appmodel::{Application, ImportMode, ModuleId};
 
-use crate::context::{ModuleIndex, Package};
+use crate::context::ModuleIndex;
 
 /// Why a deferral is (or would be) unsafe.
 #[derive(Debug, Clone, PartialEq)]
@@ -149,7 +150,7 @@ pub type BoundaryImport = (ModuleId, ModuleId, u32);
 /// optimizer would flip to [`ImportMode::Deferred`].
 pub fn boundary_imports(app: &Application, package: &str) -> Vec<BoundaryImport> {
     let index = ModuleIndex::build(app);
-    index.boundary_imports(app, &index.package(app, package))
+    index.boundary_imports(app, &index.tree().package(app, package))
 }
 
 /// Proves the deferral of every global boundary import into `package` safe,
@@ -197,7 +198,7 @@ impl ModuleIndex {
             .imports_into(package)
             .iter()
             .copied()
-            .filter(|(importer, _)| !self.contains(package, *importer))
+            .filter(|(importer, _)| !self.tree().contains(package, *importer))
             .collect();
         crossing.sort_unstable();
         crossing
@@ -230,7 +231,7 @@ impl ModuleIndex {
         app: &Application,
         package: &str,
     ) -> Result<Vec<BoundaryImport>, SafetyViolation> {
-        let package = self.package(app, package);
+        let package = self.tree().package(app, package);
         let boundary = self.boundary_imports(app, &package);
         if !boundary.is_empty() {
             self.verify_boundary(app, &package, &boundary)?;
@@ -246,6 +247,7 @@ impl ModuleIndex {
     ) -> Result<(), SafetyViolation> {
         // 1. Side-effectful module anywhere in the deferred subtree.
         let first_noisy = self
+            .tree()
             .members(package)
             .iter()
             .copied()
@@ -254,7 +256,7 @@ impl ModuleIndex {
         if let Some(m) = first_noisy {
             let module = app.module(m);
             return Err(SafetyViolation::SideEffectfulModule {
-                package: package.path.to_string(),
+                package: package.path().to_string(),
                 module: module.name().to_string(),
                 file: module.file().to_string(),
             });
@@ -272,7 +274,7 @@ impl ModuleIndex {
             if let Some(&m) = self.eager_side_effects().iter().find(|m| !after[m.index()]) {
                 let module = app.module(m);
                 return Err(SafetyViolation::ParentSideEffects {
-                    package: package.path.to_string(),
+                    package: package.path().to_string(),
                     parent: module.name().to_string(),
                     file: module.file().to_string(),
                 });
@@ -288,12 +290,12 @@ impl ModuleIndex {
         touching.dedup();
         for f in touching {
             let function = app.function(f);
-            if self.contains(package, function.module()) {
+            if self.tree().contains(package, function.module()) {
                 continue;
             }
             if let Some((touched, line)) = self.touch_before_call(app, function.body(), package) {
                 return Err(SafetyViolation::ImportTimeTouch {
-                    package: package.path.to_string(),
+                    package: package.path().to_string(),
                     function: function.name().to_string(),
                     module: app.module(touched).name().to_string(),
                     file: app.module(function.module()).file().to_string(),
@@ -306,13 +308,13 @@ impl ModuleIndex {
         //    path from any boundary target back to its importer over
         //    deferred edges? Boundary edges all point into the package, so
         //    such a path has to leave it over an already-deferred import.
-        if self.members(package).iter().any(|m| self.defers(*m)) {
+        if self.tree().members(package).iter().any(|m| self.defers(*m)) {
             for &(importer, target, line) in boundary {
                 if let Some(path) = self.deferred_path(app, package, target, importer) {
                     let mut cycle = vec![app.module(importer).name().to_string()];
                     cycle.extend(path.iter().map(|m| app.module(*m).name().to_string()));
                     return Err(SafetyViolation::DeferredCycle {
-                        package: package.path.to_string(),
+                        package: package.path().to_string(),
                         cycle,
                         file: app.module(importer).file().to_string(),
                         line,
@@ -335,7 +337,7 @@ impl ModuleIndex {
         importer: ModuleId,
         target: ModuleId,
     ) -> Result<(), SafetyViolation> {
-        let package = self.package(app, app.module(target).name());
+        let package = self.tree().package(app, app.module(target).name());
 
         // What the deferred import would load when it fires (parents
         // included), minus what every handler already loads at cold start.
@@ -348,8 +350,8 @@ impl ModuleIndex {
         if let Some(&m) = hidden {
             let module = app.module(m);
             let (name, file) = (module.name().to_string(), module.file().to_string());
-            let package_path = package.path.to_string();
-            return Err(if self.contains(&package, m) {
+            let package_path = package.path().to_string();
+            return Err(if self.tree().contains(&package, m) {
                 SafetyViolation::SideEffectfulModule {
                     package: package_path,
                     module: name,
@@ -369,7 +371,7 @@ impl ModuleIndex {
             let function = app.function(f);
             if let Some((touched, line)) = self.touch_before_call(app, function.body(), &package) {
                 return Err(SafetyViolation::ImportTimeTouch {
-                    package: package.path.to_string(),
+                    package: package.path().to_string(),
                     function: function.name().to_string(),
                     module: app.module(touched).name().to_string(),
                     file: app.module(importer).file().to_string(),
@@ -391,7 +393,7 @@ impl ModuleIndex {
         package: &Package<'_>,
     ) -> Option<(ModuleId, u32)> {
         fn walk(
-            index: &ModuleIndex,
+            tree: &PackageTree,
             app: &Application,
             stmts: &[Stmt],
             package: &Package<'_>,
@@ -399,11 +401,11 @@ impl ModuleIndex {
         ) -> Option<(ModuleId, u32)> {
             for stmt in stmts {
                 match &stmt.kind {
-                    StmtKind::Touch(m) if index.contains(package, *m) && !*called => {
+                    StmtKind::Touch(m) if tree.contains(package, *m) && !*called => {
                         return Some((*m, stmt.line));
                     }
                     StmtKind::Call(site) => {
-                        if index.contains(package, app.function(site.target).module()) {
+                        if tree.contains(package, app.function(site.target).module()) {
                             *called = true;
                         }
                     }
@@ -413,7 +415,7 @@ impl ModuleIndex {
                         // satisfying only statements after them inside
                         // that branch.
                         let mut inner = *called;
-                        if let Some(hit) = walk(index, app, body, package, &mut inner) {
+                        if let Some(hit) = walk(tree, app, body, package, &mut inner) {
                             return Some(hit);
                         }
                     }
@@ -423,13 +425,13 @@ impl ModuleIndex {
             None
         }
         let mut called = false;
-        walk(self, app, body, package, &mut called)
+        walk(self.tree(), app, body, package, &mut called)
     }
 
     /// Whether the edge `importer -> target` crosses from outside `package`
     /// into it.
     fn crosses_into(&self, package: &Package<'_>, importer: ModuleId, target: ModuleId) -> bool {
-        !self.contains(package, importer) && self.contains(package, target)
+        !self.tree().contains(package, importer) && self.tree().contains(package, target)
     }
 
     /// DFS for a path `from -> ... -> to` over deferred edges, counting the

@@ -243,12 +243,7 @@ impl Application {
 
     /// Builds the package tree over all modules (Fig. 6 hierarchy).
     pub fn package_tree(&self) -> PackageTree {
-        PackageTree::build(
-            self.modules
-                .iter()
-                .enumerate()
-                .map(|(i, m)| (ModuleId::from_index(i), m)),
-        )
+        PackageTree::build(&self.modules)
     }
 
     /// Module ids belonging to `library`.

@@ -63,7 +63,6 @@ pub mod ids;
 pub mod imports;
 pub mod library;
 pub mod module;
-pub mod names;
 pub mod source;
 pub mod synth;
 
@@ -74,6 +73,5 @@ pub use error::AppModelError;
 pub use function::{CallKind, CallSite, Function, Stmt, StmtKind};
 pub use ids::{FunctionId, HandlerId, LibraryId, ModuleId};
 pub use imports::{ImportDecl, ImportMode};
-pub use library::Library;
+pub use library::{Library, Package, PackageTree};
 pub use module::Module;
-pub use names::NameTable;

@@ -107,12 +107,6 @@ impl Module {
         self.file.ends_with("/__init__.py")
     }
 
-    /// The dotted path of the parent package, if any
-    /// (`nltk.sem.logic` → `nltk.sem`).
-    pub fn parent_package(&self) -> Option<&str> {
-        self.name.rsplit_once('.').map(|(parent, _)| parent)
-    }
-
     /// Every dotted prefix of the name, outermost first, ending with the
     /// name itself (`nltk.sem.logic` → `nltk`, `nltk.sem`,
     /// `nltk.sem.logic`). The name is split at every `.` byte, so an empty
@@ -171,9 +165,7 @@ mod tests {
     }
 
     #[test]
-    fn parent_package_and_depth() {
-        assert_eq!(module("nltk").parent_package(), None);
-        assert_eq!(module("nltk.sem.logic").parent_package(), Some("nltk.sem"));
+    fn depth_counts_components() {
         assert_eq!(module("nltk").depth(), 1);
         assert_eq!(module("nltk.sem.logic").depth(), 3);
     }

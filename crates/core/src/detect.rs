@@ -9,7 +9,7 @@
 //! Table I).
 
 use slimstart_analyzer::{ModuleIndex, SafetyViolation};
-use slimstart_appmodel::{Application, LibraryId};
+use slimstart_appmodel::{Application, LibraryId, Package};
 use slimstart_simcore::time::SimDuration;
 
 use crate::config::DetectorConfig;
@@ -167,15 +167,13 @@ pub fn detect(
 
     let mut findings = Vec::new();
     if gate_passed {
-        let tree = app.package_tree();
         let index = ModuleIndex::build(app);
         for (i, lib) in app.libraries().iter().enumerate() {
             let id = LibraryId::from_index(i);
             descend(
                 app,
-                &tree,
                 &index,
-                lib.name(),
+                index.tree().package(app, lib.name()),
                 1,
                 id,
                 breakdown,
@@ -211,9 +209,8 @@ fn qualifies(util: f64, init_fraction: f64, config: &DetectorConfig) -> bool {
 #[allow(clippy::too_many_arguments)]
 fn descend(
     app: &Application,
-    tree: &slimstart_appmodel::library::PackageTree,
     index: &ModuleIndex,
-    package: &str,
+    package: Package<'_>,
     depth: usize,
     library: LibraryId,
     breakdown: &InitBreakdown,
@@ -221,29 +218,29 @@ fn descend(
     config: &DetectorConfig,
     findings: &mut Vec<Finding>,
 ) {
-    let util = utilization.package(package);
-    if qualifies(util, breakdown.package_init_fraction(package), config) {
-        findings.push(make_finding(app, index, package, library, util, breakdown));
+    let path = package.path();
+    let util = utilization.package(path);
+    if qualifies(util, breakdown.package_init_fraction(path), config) {
+        findings.push(make_finding(app, index, path, library, util, breakdown));
         return; // whole subtree flagged; no need to descend further
     }
     if depth >= config.max_depth {
         return;
     }
-    if let Some(node) = tree.node(package) {
-        for child in &node.children {
-            descend(
-                app,
-                tree,
-                index,
-                child,
-                depth + 1,
-                library,
-                breakdown,
-                utilization,
-                config,
-                findings,
-            );
-        }
+    // Children in the order they were added: `detect` stable-sorts the
+    // findings by init time, so this order breaks its ties.
+    for child in index.tree().children(app, &package) {
+        descend(
+            app,
+            index,
+            child,
+            depth + 1,
+            library,
+            breakdown,
+            utilization,
+            config,
+            findings,
+        );
     }
 }
 
@@ -330,10 +327,10 @@ mod tests {
         }
         let tree = app.package_tree();
         let mut by_package = BTreeMap::new();
-        for node in tree.iter() {
+        for package in tree.packages(app) {
             by_package.insert(
-                node.path.clone(),
-                tree.modules_under(&node.path)
+                package.path().to_string(),
+                tree.members(&package)
                     .iter()
                     .map(|m| app.module(*m).init_cost())
                     .sum(),

@@ -7,6 +7,7 @@
 //! skips them entirely (no init cost, no memory), and any runtime call into
 //! them faults — which is why the analysis must stay conservative.
 
+use slimstart_appmodel::library::Package;
 use slimstart_appmodel::{Application, FunctionId, LibraryId};
 use slimstart_simcore::time::SimDuration;
 
@@ -71,15 +72,15 @@ pub fn strip_unreachable(app: &Application) -> StrippedApp {
     let mut removed_init = SimDuration::ZERO;
     let mut removed_mem_kb = 0u64;
 
-    let subtree_strippable = |package: &str, library: LibraryId| -> bool {
+    let subtree_strippable = |package: &Package<'_>, library: LibraryId| -> bool {
         if analysis.is_pinned(library) {
             return false;
         }
-        let modules = tree.modules_under(package);
+        let modules = tree.members(package);
         if modules.is_empty() {
             return false;
         }
-        for m in &modules {
+        for m in modules {
             if app.module(*m).side_effectful() || touched[m.index()] {
                 return false;
             }
@@ -94,21 +95,16 @@ pub fn strip_unreachable(app: &Application) -> StrippedApp {
 
     for (i, lib) in app.libraries().iter().enumerate() {
         let id = LibraryId::from_index(i);
-        let candidates: Vec<String> = if subtree_strippable(lib.name(), id) {
-            vec![lib.name().to_string()]
+        let library = tree.package(app, lib.name());
+        let candidates = if subtree_strippable(&library, id) {
+            vec![library]
         } else {
-            tree.node(lib.name())
-                .map(|node| {
-                    node.children
-                        .iter()
-                        .filter(|child| subtree_strippable(child, id))
-                        .cloned()
-                        .collect()
-                })
-                .unwrap_or_default()
+            let mut children = tree.children(app, &library);
+            children.retain(|child| subtree_strippable(child, id));
+            children
         };
         for package in candidates {
-            for m in tree.modules_under(&package) {
+            for &m in tree.members(&package) {
                 let module = slimmed.module_mut(m);
                 if !module.stripped() {
                     removed_init += module.init_cost();
@@ -116,7 +112,7 @@ pub fn strip_unreachable(app: &Application) -> StrippedApp {
                     module.set_stripped(true);
                 }
             }
-            stripped_packages.push(package);
+            stripped_packages.push(package.path().to_string());
         }
     }
 

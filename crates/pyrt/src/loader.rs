@@ -11,9 +11,10 @@
 //! imports itself, in declaration order, because load order is observable
 //! (load events, stack shapes under the sampler); a walk therefore costs
 //! O(the modules it loads and the imports they declare), and building a
-//! plan costs one chain per module.
+//! plan costs one lookup in the application's name index
+//! ([`Application::module_name_index`]) per dotted prefix of each module.
 
-use slimstart_appmodel::{Application, ModuleId, NameTable};
+use slimstart_appmodel::{Application, ModuleId};
 
 /// Shared per-application loader metadata. Build once (it is deterministic
 /// in the application, including its `stripped` flags) and share across all
@@ -29,14 +30,14 @@ pub struct LoaderPlan {
 impl LoaderPlan {
     /// Computes ancestor chains for every module of `app`.
     pub fn build(app: &Application) -> LoaderPlan {
-        let table = NameTable::build(app);
+        let by_name = app.module_name_index();
         let modules = app.modules();
         let mut ancestors = Vec::with_capacity(modules.len());
         for module in modules {
             ancestors.push(
                 module
                     .package_prefixes()
-                    .filter_map(|prefix| table.module_by_name(prefix))
+                    .filter_map(|prefix| by_name.get(prefix).copied())
                     .collect(),
             );
         }

@@ -1,5 +1,6 @@
 //! Differential equivalence: the indexed deferral verifier against the
-//! string-scan verifier it replaced.
+//! string-scan verifier it replaced, and the application's package tree
+//! against the string-keyed reference tree ([`common::ReferencePackageTree`]).
 //!
 //! The `reference` module below is the pre-index analyzer, kept verbatim
 //! except for one rule: its parent climb now skips dotted prefixes that no
@@ -10,6 +11,12 @@
 //! the small catalog apps (as written and conservatively optimized, which
 //! adds deployed deferrals), the anti-pattern fixtures and seeded random
 //! apps built to hit the verifier's corner cases.
+//!
+//! The package tree must list the reference's packages (in the same order
+//! wherever no name has a byte below `.`), each package's children in the
+//! reference's order, and each package's members in `modules_under` order
+//! when walked the way the package-cost lints walk them; its parent links
+//! must give the loader's ancestor chains.
 
 mod common;
 
@@ -20,8 +27,11 @@ use slimstart::analyzer::{
 };
 use slimstart::appmodel::catalog::{antipattern_apps, catalog};
 use slimstart::appmodel::function::StmtKind;
-use slimstart::appmodel::{Application, ModuleId};
+use slimstart::appmodel::{Application, ModuleId, Package, PackageTree};
 use slimstart::core::optimizer::optimize_conservative;
+use slimstart::pyrt::LoaderPlan;
+
+use common::ReferencePackageTree;
 
 /// The pre-index analyzer: module-by-name parent climbs, per-package
 /// closures and whole-application scans.
@@ -34,6 +44,8 @@ mod reference {
     use slimstart::appmodel::source::{function_uses_package, CodeEdit};
     use slimstart::appmodel::{Application, FunctionId, ImportDecl, ImportMode, ModuleId};
     use slimstart::faaslight::reachability::handlers_reaching_package;
+
+    use crate::common::ReferencePackageTree;
 
     /// The nearest existing dotted-prefix ancestor, found by name.
     fn parent(app: &Application, m: ModuleId) -> Option<ModuleId> {
@@ -394,7 +406,7 @@ mod reference {
                 });
             }
         }
-        for node in ctx.tree.iter() {
+        for node in ReferencePackageTree::of(app).iter() {
             if boundary_imports(app, &node.path).is_empty() {
                 continue;
             }
@@ -572,12 +584,13 @@ mod reference {
             return;
         }
         let handler_fns: Vec<FunctionId> = app.handlers().iter().map(|h| h.function()).collect();
+        let tree = ReferencePackageTree::of(app);
         let mut claimed: Vec<String> = Vec::new();
-        for node in ctx.tree.iter() {
+        for node in tree.iter() {
             if claimed.iter().any(|c| covers(c, &node.path)) {
                 continue;
             }
-            let modules = ctx.tree.modules_under(&node.path);
+            let modules = tree.modules_under(&node.path);
             if modules.is_empty()
                 || !modules.iter().all(|m| eager[m.index()])
                 || !modules.iter().all(|m| app.module(*m).library().is_some())
@@ -626,12 +639,13 @@ mod reference {
         let rt = &cfg.runtime;
         let eager = eager_now(app);
         let handler_fns: Vec<FunctionId> = app.handlers().iter().map(|h| h.function()).collect();
+        let tree = ReferencePackageTree::of(app);
         let mut claimed: Vec<String> = Vec::new();
-        for node in ctx.tree.iter() {
+        for node in tree.iter() {
             if claimed.iter().any(|c| covers(c, &node.path)) {
                 continue;
             }
-            let modules = ctx.tree.modules_under(&node.path);
+            let modules = tree.modules_under(&node.path);
             if modules.len() < cfg.oversized_modules
                 || !modules.iter().all(|m| eager[m.index()])
                 || !modules.iter().all(|m| app.module(*m).library().is_some())
@@ -852,7 +866,7 @@ fn usage_for(app: &Application) -> ObservedUsage {
         total_runtime_samples: 400,
         by_package: Default::default(),
     };
-    for (i, node) in app.package_tree().iter().enumerate() {
+    for (i, node) in ReferencePackageTree::of(app).iter().enumerate() {
         if i % 2 == 0 {
             usage
                 .by_package
@@ -870,7 +884,10 @@ fn assert_equivalent(app: &Application) -> usize {
     let index = ModuleIndex::build(app);
     let mut verdicts = 0;
 
-    let mut packages: Vec<String> = app.package_tree().iter().map(|n| n.path.clone()).collect();
+    let mut packages: Vec<String> = ReferencePackageTree::of(app)
+        .iter()
+        .map(|n| n.path.clone())
+        .collect();
     packages.push("absent".to_string());
     for package in &packages {
         assert_eq!(
@@ -879,7 +896,7 @@ fn assert_equivalent(app: &Application) -> usize {
             "{name}: verify_deferral(`{package}`)"
         );
         assert_eq!(
-            index.boundary_imports(app, &index.package(app, package)),
+            index.boundary_imports(app, &index.tree().package(app, package)),
             reference::boundary_imports(app, package),
             "{name}: boundary of `{package}`"
         );
@@ -1038,7 +1055,7 @@ fn random_apps_match_the_reference() {
             *count += usize::from(present);
         }
         let index = ModuleIndex::build(&app);
-        for node in app.package_tree().iter() {
+        for node in ReferencePackageTree::of(&app).iter() {
             if let Err(v) = index.verify_deferral(&app, &node.path) {
                 let kind = match v.lint_id() {
                     "deferral-side-effects" => 0,
@@ -1062,4 +1079,116 @@ fn random_apps_match_the_reference() {
     for (shape, count) in shape_counts.iter().enumerate() {
         assert!(*count >= 20, "shape {shape} in only {count} apps");
     }
+}
+
+/// The members of `package` in the order the package-cost lints of
+/// `antipattern.rs` sum their f64 costs: depth first, each package's own
+/// module before its children, the children taken off a stack.
+fn lint_member_walk(app: &Application, tree: &PackageTree, package: Package<'_>) -> Vec<ModuleId> {
+    let mut out = Vec::new();
+    let mut stack = vec![package];
+    while let Some(package) = stack.pop() {
+        let own = tree.members(&package).first();
+        out.extend(own.filter(|m| app.module(**m).name() == package.path()));
+        stack.extend(tree.children(app, &package));
+    }
+    out
+}
+
+/// What a package-tree comparison of one app covered.
+#[derive(Default)]
+struct TreeCoverage {
+    apps: usize,
+    /// Apps whose package enumeration was compared in order.
+    ordered: usize,
+    /// Packages whose children's reference order is not package-tree order.
+    children_out_of_order: usize,
+    /// Packages whose `modules_under` order is not package-tree order.
+    walks_out_of_order: usize,
+    /// Modules below a dotted prefix no module carries.
+    gaps: usize,
+}
+
+/// Asserts `app`'s package tree answers as the reference tree does.
+fn assert_tree_matches_reference(app: &Application, coverage: &mut TreeCoverage) {
+    let name = app.name();
+    let reference = ReferencePackageTree::of(app);
+    let tree = app.package_tree();
+    let packages: Vec<Package<'_>> = tree.packages(app).collect();
+
+    let mut paths: Vec<&str> = packages.iter().map(|p| p.path()).collect();
+    let expected: Vec<&str> = reference.iter().map(|n| n.path.as_str()).collect();
+    coverage.apps += 1;
+    if app
+        .modules()
+        .iter()
+        .all(|m| m.name().bytes().all(|b| b >= b'.'))
+    {
+        assert_eq!(paths, expected, "{name}: package enumeration order");
+        coverage.ordered += 1;
+    }
+    paths.sort_unstable();
+    assert_eq!(paths, expected, "{name}: package set");
+
+    for package in &packages {
+        let path = package.path();
+        let node = reference.node(path).expect("the same package set");
+        let children: Vec<&str> = tree
+            .children(app, package)
+            .iter()
+            .map(|c| c.path())
+            .collect();
+        assert_eq!(children, node.children, "{name}: children of `{path}`");
+        let mut sorted = children.clone();
+        sorted.sort_by(|a, b| a.split('.').cmp(b.split('.')));
+        coverage.children_out_of_order += usize::from(sorted != children);
+
+        let walk = lint_member_walk(app, &tree, *package);
+        assert_eq!(
+            walk,
+            reference.modules_under(path),
+            "{name}: member walk of `{path}`"
+        );
+        coverage.walks_out_of_order += usize::from(walk != tree.members(package));
+    }
+
+    let plan = LoaderPlan::build(app);
+    for m in (0..app.modules().len()).map(ModuleId::from_index) {
+        let mut chain = vec![m];
+        while let Some(parent) = tree.parent(*chain.last().expect("starts with m")) {
+            chain.push(parent);
+        }
+        chain.reverse();
+        assert_eq!(
+            chain,
+            plan.ancestors(m),
+            "{name}: ancestors of `{}`",
+            app.module(m).name()
+        );
+        let depth = app.module(m).package_prefixes().count();
+        coverage.gaps += usize::from(chain.len() < depth);
+    }
+}
+
+#[test]
+fn package_tree_matches_the_reference() {
+    let mut coverage = TreeCoverage::default();
+    for seed in [2025, 7] {
+        for entry in catalog() {
+            let app = entry.build(seed).expect("catalog app builds").app;
+            assert_tree_matches_reference(&app, &mut coverage);
+        }
+    }
+    assert_eq!(coverage.apps, 44);
+    for seed in 0..240u64 {
+        assert_tree_matches_reference(&common::random_app(seed), &mut coverage);
+    }
+    // No name in these apps has a byte below `.`, so every enumeration was
+    // compared in order; and the orders that differ from package-tree order
+    // (children, the lints' walk) and modules below missing packages all
+    // turn up, or their comparison would be vacuous.
+    assert_eq!(coverage.ordered, coverage.apps);
+    assert!(coverage.children_out_of_order >= 1_000);
+    assert!(coverage.walks_out_of_order >= 1_000);
+    assert!(coverage.gaps >= 1_000);
 }

@@ -28,6 +28,8 @@ use slimstart::pyrt::process::Process;
 use slimstart::simcore::rng::SimRng;
 use slimstart::simcore::time::SimDuration;
 
+use common::ReferencePackageTree;
+
 fn ms(n: u64) -> SimDuration {
     SimDuration::from_millis(n)
 }
@@ -169,7 +171,7 @@ fn accepted_deferrals_never_fault_on_random_apps() {
         let built = build_app(&random_blueprint(seed), seed).expect("blueprint builds");
         let app = built.app;
         // Candidate packages: every library package node in the tree.
-        let tree = app.package_tree();
+        let tree = ReferencePackageTree::of(&app);
         let candidates: Vec<String> = tree
             .iter()
             .map(|n| n.path.clone())
@@ -228,7 +230,7 @@ fn accepted_deferrals_keep_cold_start_side_effects_on_apps_with_gaps() {
     for seed in 0..200u64 {
         let app = Arc::new(common::random_app(seed));
         let before = side_effects_at_cold_start(&app);
-        for node in app.package_tree().iter() {
+        for node in ReferencePackageTree::of(&app).iter() {
             let package = &node.path;
             if verify_deferral(&app, package).is_err() || boundary_imports(&app, package).is_empty()
             {
@@ -260,7 +262,7 @@ fn stacking_all_accepted_deferrals_is_still_safe() {
     for seed in 0..20u64 {
         let built = build_app(&random_blueprint(seed), seed).expect("blueprint builds");
         let mut app = built.app;
-        let tree = app.package_tree();
+        let tree = ReferencePackageTree::of(&app);
         let candidates: Vec<String> = tree.iter().map(|n| n.path.clone()).collect();
         for package in candidates {
             // Re-verify against the partially rewritten app each time.
@@ -293,7 +295,7 @@ fn parent_side_effects_rejected_by_verifier_not_legacy_flag() {
 
     // The legacy check — "any side-effectful module under the package?" —
     // accepts lib.sub, since its subtree is clean.
-    let tree = app.package_tree();
+    let tree = ReferencePackageTree::of(&app);
     assert!(
         tree.modules_under("lib.sub")
             .into_iter()
@@ -459,7 +461,7 @@ fn analyzer_is_clean_on_verifier_approved_rewrites() {
     for seed in [3u64, 11, 29] {
         let built = build_app(&random_blueprint(seed), seed).expect("blueprint builds");
         let mut app = built.app;
-        let tree = app.package_tree();
+        let tree = ReferencePackageTree::of(&app);
         let candidates: Vec<String> = tree.iter().map(|n| n.path.clone()).collect();
         for package in candidates {
             if verify_deferral(&app, &package).is_ok() {

@@ -1,17 +1,136 @@
-//! Seeded random applications for the analyzer's differential tests.
+//! Shared fixtures of the differential tests: seeded random applications
+//! and the string-keyed reference package tree.
 //!
-//! Module names are drawn from a small alphabet, so the shapes the
-//! deferral-safety verifier has to get right turn up often: dotted names
-//! whose intermediate packages have no module (`lib.sem.io` without
-//! `lib.sem`), sibling prefixes (`lib.sem` next to `lib.semantics`),
-//! handlers sharing a module, side-effectful ancestors, deferred edges that
-//! close cycles, and touches inside branches.
+//! Module names of [`random_app`] are drawn from a small alphabet, so the
+//! shapes the deferral-safety verifier has to get right turn up often:
+//! dotted names whose intermediate packages have no module (`lib.sem.io`
+//! without `lib.sem`), sibling prefixes (`lib.sem` next to
+//! `lib.semantics`), handlers sharing a module, side-effectful ancestors,
+//! deferred edges that close cycles, and touches inside branches.
+//!
+//! Each test binary uses only part of this module.
+#![allow(dead_code)]
+
+use std::collections::BTreeMap;
 
 use slimstart::appmodel::app::AppBuilder;
 use slimstart::appmodel::function::{Stmt, StmtKind};
-use slimstart::appmodel::{Application, FunctionId, ImportMode, ModuleId};
+use slimstart::appmodel::{Application, FunctionId, ImportMode, Module, ModuleId};
 use slimstart::simcore::rng::SimRng;
 use slimstart::simcore::time::SimDuration;
+
+/// A node of a library's package tree: a dotted path with aggregated
+/// direct-member and descendant modules.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PackageNode {
+    /// Dotted path of this package (e.g. `nltk.sem`).
+    pub path: String,
+    /// Modules whose name equals this path or whose parent is this path.
+    pub direct_modules: Vec<ModuleId>,
+    /// Child package paths.
+    pub children: Vec<String>,
+}
+
+/// The string-keyed package tree the application model used before its
+/// package-tree-order ranges, kept verbatim as the reference: nodes keyed
+/// by dotted path in a `BTreeMap`, children in first-appearance order, and
+/// `modules_under` walking them off a stack.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ReferencePackageTree {
+    nodes: BTreeMap<String, PackageNode>,
+    roots: Vec<String>,
+}
+
+impl ReferencePackageTree {
+    /// The tree over all modules of `app`.
+    pub fn of(app: &Application) -> Self {
+        ReferencePackageTree::build(
+            app.modules()
+                .iter()
+                .enumerate()
+                .map(|(i, m)| (ModuleId::from_index(i), m)),
+        )
+    }
+
+    /// Builds the tree for the given `(id, module)` pairs.
+    ///
+    /// Every dotted prefix of every module name becomes a package node; the
+    /// module itself is attached as a direct member of its own path's node.
+    pub fn build<'a, I>(modules: I) -> Self
+    where
+        I: IntoIterator<Item = (ModuleId, &'a Module)>,
+    {
+        let mut tree = ReferencePackageTree::default();
+        for (id, module) in modules {
+            let mut parent: Option<&str> = None;
+            for path in module.package_prefixes() {
+                if !tree.nodes.contains_key(path) {
+                    tree.nodes.insert(
+                        path.to_owned(),
+                        PackageNode {
+                            path: path.to_owned(),
+                            direct_modules: Vec::new(),
+                            children: Vec::new(),
+                        },
+                    );
+                    match parent {
+                        Some(p) => {
+                            let parent_node =
+                                tree.nodes.get_mut(p).expect("parent inserted before child");
+                            parent_node.children.push(path.to_owned());
+                        }
+                        None => tree.roots.push(path.to_owned()),
+                    }
+                }
+                parent = Some(path);
+            }
+            tree.nodes
+                .get_mut(module.name())
+                .expect("leaf node just ensured")
+                .direct_modules
+                .push(id);
+        }
+        tree
+    }
+
+    /// The top-level package paths.
+    pub fn roots(&self) -> &[String] {
+        &self.roots
+    }
+
+    /// Looks up a node by dotted path.
+    pub fn node(&self, path: &str) -> Option<&PackageNode> {
+        self.nodes.get(path)
+    }
+
+    /// All nodes, ordered by dotted path.
+    pub fn iter(&self) -> impl Iterator<Item = &PackageNode> {
+        self.nodes.values()
+    }
+
+    /// All module ids at or beneath `path` (depth-first).
+    pub fn modules_under(&self, path: &str) -> Vec<ModuleId> {
+        let mut out = Vec::new();
+        let mut stack = vec![path];
+        while let Some(p) = stack.pop() {
+            if let Some(node) = self.nodes.get(p) {
+                out.extend(node.direct_modules.iter().copied());
+                stack.extend(node.children.iter().map(String::as_str));
+            }
+        }
+        out
+    }
+
+    /// Number of package nodes.
+    pub fn len(&self) -> usize {
+        self.nodes.len()
+    }
+
+    /// Whether the tree is empty.
+    pub fn is_empty(&self) -> bool {
+        self.nodes.is_empty()
+    }
+}
 
 /// One random application; the same seed always builds the same app.
 pub fn random_app(seed: u64) -> Application {

@@ -120,44 +120,6 @@ fn different_seeds_change_per_app_streams() {
 }
 
 #[test]
-fn interned_symbol_ids_are_deterministic_across_runs_and_threads() {
-    // The name interner assigns ids in insertion order, never by hash
-    // iteration, so for the same seed the (name, id) assignment must be
-    // identical run to run and on every worker thread — otherwise any
-    // downstream use of symbol ids would silently depend on scheduling.
-    use slimstart::appmodel::NameTable;
-
-    fn table_for(seed: u64) -> Vec<(String, u32)> {
-        let entry = slimstart::appmodel::catalog::by_code("R-GB").expect("catalog entry");
-        let built = entry.build(seed).expect("app builds");
-        let table = NameTable::build(&built.app);
-        let ids: Vec<(String, u32)> = table
-            .interner()
-            .iter()
-            .map(|(sym, name)| (name.to_string(), sym.index() as u32))
-            .collect();
-        ids
-    }
-
-    let sequential = table_for(2025);
-    assert!(!sequential.is_empty());
-    // Same seed, fresh run: identical assignment.
-    assert_eq!(sequential, table_for(2025));
-
-    // Eight threads racing the same build must all agree with it.
-    let handles: Vec<_> = (0..8)
-        .map(|_| std::thread::spawn(|| table_for(2025)))
-        .collect();
-    for handle in handles {
-        assert_eq!(sequential, handle.join().expect("thread completes"));
-    }
-
-    // A different seed may legitimately produce a different app; the ids
-    // must still be a pure function of the build, not of prior activity.
-    assert_eq!(table_for(31), table_for(31));
-}
-
-#[test]
 fn honors_runs_averaging_in_the_fleet_path() {
     // SLIMSTART_RUNS semantics: `runs` in the config is what the bench
     // runner wires the env var to; the report must carry it and the

@@ -5,6 +5,8 @@
 //! fault — only *when* modules load may change. These tests drive baseline
 //! and optimized deployments with identical invocation streams and compare.
 
+mod common;
+
 use std::sync::Arc;
 
 use slimstart::appmodel::catalog::{by_code, catalog};
@@ -14,6 +16,8 @@ use slimstart::pyrt::RuntimeFault;
 use slimstart::simcore::time::SimDuration;
 use slimstart::workload::generator::generate;
 use slimstart::workload::spec::WorkloadSpec;
+
+use common::ReferencePackageTree;
 
 fn jitterless(cold_starts: usize) -> PipelineConfig {
     PipelineConfig::default()
@@ -130,7 +134,7 @@ fn over_aggressive_stripping_faults_loudly() {
     let entry = by_code("R-GB").expect("exists");
     let built = entry.build(5).expect("builds");
     let mut broken = built.app.clone();
-    let tree = broken.package_tree();
+    let tree = ReferencePackageTree::of(&broken);
     for m in tree.modules_under("igraph.drawing") {
         broken.module_mut(m).set_stripped(true);
     }

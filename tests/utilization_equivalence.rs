@@ -3,10 +3,13 @@
 //! per-sample reference (one `HashSet` per sample for libraries, modules
 //! and package names, one `String` per dotted prefix per frame), and
 //! [`InitBreakdown::from_store`]'s package roll-up must equal the
-//! `PackageTree::modules_under` roll-up, on real profiles of the small
+//! roll-up through the string-keyed reference package tree
+//! ([`common::ReferencePackageTree`]), on real profiles of the small
 //! catalog apps, on a slice of the light fleet population and on seeded
 //! synthetic sample streams. This is the oracle that says "faster, not
 //! different".
+
+mod common;
 
 use std::collections::BTreeMap;
 
@@ -23,6 +26,8 @@ use slimstart::platform::PlatformConfig;
 use slimstart::pyrt::stack::{Frame, FrameKind};
 use slimstart::simcore::time::SimDuration;
 use slimstart::simcore::SimRng;
+
+use common::ReferencePackageTree;
 
 /// The per-sample utilization, retained verbatim as the differential
 /// oracle. Not used on any production path.
@@ -140,7 +145,7 @@ fn assert_utilization_matches(samples: &[Sample], app: &Application, what: &str)
 /// The Eq. 3 roll-up through the package tree: each node sums the mean
 /// init times of every module at or beneath it.
 fn tree_rollup(app: &Application, bd: &InitBreakdown) -> BTreeMap<String, SimDuration> {
-    let tree = app.package_tree();
+    let tree = ReferencePackageTree::of(app);
     tree.iter()
         .map(|node| {
             let total: SimDuration = tree
@@ -434,6 +439,6 @@ fn init_rollup_covers_unmeasured_and_prefix_only_packages() {
     let empty = ProfileStore::default();
     assert_eq!(
         assert_rollup_matches(&empty, &app, "empty store"),
-        app.package_tree().len()
+        ReferencePackageTree::of(&app).len()
     );
 }
