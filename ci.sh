@@ -12,6 +12,12 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
+# The root `cargo test -q` runs only the `slimstart` package's targets.
+# The member crates' unit and doc tests (the fleet report and
+# orchestrator, pyrt's restores, the vendored stubs, ...) run here.
+echo "==> cargo test -q --workspace --exclude slimstart"
+cargo test -q --workspace --exclude slimstart
+
 # The conformance suites guard the chaos-off byte-identity contract, the
 # fault-injection invariants, the anti-pattern lint/auto-fix contract, the
 # fleet scale-out determinism cells, the streaming-vs-retained oracle

@@ -2,6 +2,7 @@
 
 use slimstart_appmodel::catalog::CatalogApp;
 use slimstart_core::pipeline::{Pipeline, PipelineConfig, PipelineOutcome};
+use slimstart_fleet::orchestrator::mean_speedup;
 use slimstart_fleet::{FleetConfig, FleetOrchestrator, FleetReport, FleetRunStats};
 use slimstart_platform::metrics::Speedup;
 
@@ -121,17 +122,7 @@ pub fn run_catalog_app_averaged(
         speedups.push(run.outcome.speedup);
         last = Some(run);
     }
-    let n = runs as f64;
-    let mean = Speedup {
-        init: speedups.iter().map(|s| s.init).sum::<f64>() / n,
-        load: speedups.iter().map(|s| s.load).sum::<f64>() / n,
-        e2e: speedups.iter().map(|s| s.e2e).sum::<f64>() / n,
-        p99_init: speedups.iter().map(|s| s.p99_init).sum::<f64>() / n,
-        p99_load: speedups.iter().map(|s| s.p99_load).sum::<f64>() / n,
-        p99_e2e: speedups.iter().map(|s| s.p99_e2e).sum::<f64>() / n,
-        mem: speedups.iter().map(|s| s.mem).sum::<f64>() / n,
-    };
-    (last.expect("runs > 0"), mean)
+    (last.expect("runs > 0"), mean_speedup(&speedups))
 }
 
 #[cfg(test)]

@@ -6,18 +6,18 @@
 //! analysis."
 //!
 //! [`AsyncCollector`] is that background service: a real OS thread draining
-//! a crossbeam channel of [`ProfileBatch`] wire
+//! a standard-library channel of [`ProfileBatch`] wire
 //! payloads, decoding them, and folding them into a [`ProfileStore`]. The
 //! function side only pays the (simulated) hand-off cost; decoding happens
 //! off the critical path, exactly like the paper's design. The collector
 //! also tracks total bytes transferred, which the experiment harness can
 //! report.
 
+use std::sync::mpsc::{channel, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Sender};
 use parking_lot::Mutex;
 
 use crate::profile::ProfileStore;
@@ -86,7 +86,7 @@ impl AsyncCollector {
 
     /// Spawns the collector thread writing into an existing store.
     pub fn start_with_store(store: Arc<Mutex<ProfileStore>>) -> AsyncCollector {
-        let (tx, rx) = unbounded::<Bytes>();
+        let (tx, rx) = channel::<Bytes>();
         let stats = Arc::new(Mutex::new(CollectorStats::default()));
         let store_for_worker = Arc::clone(&store);
         let stats_for_worker = Arc::clone(&stats);

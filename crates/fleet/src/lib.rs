@@ -12,17 +12,18 @@
 //!
 //! * **Deterministic fan-out.** Every per-app seed is split from the one
 //!   experiment seed *sequentially, up front* (see
-//!   [`orchestrator::FleetOrchestrator`]), before any worker starts. The
-//!   work-stealing pool (chunked queue over the vendored crossbeam
-//!   deques) only decides *when* an app runs, never *with which
-//!   randomness* — so the serialized [`FleetReport`] is byte-identical
-//!   for `--threads 1` and `--threads 8`.
-//! * **Streaming aggregation.** Each finished app folds into a
-//!   constant-memory [`report::FleetAggregator`] (fixed-bin histograms,
-//!   fixed-point sums, a capped detail window); chunk partials merge in
-//!   index order, so 10k-app fleets never retain a per-app record
-//!   vector. Wall-clock throughput is reported separately from the
-//!   deterministic JSON, since wall-clock is inherently nondeterministic.
+//!   [`orchestrator::FleetOrchestrator`]), before any worker starts.
+//!   Workers claiming chunks of the population from a shared counter
+//!   only decide *when* an app runs, never *with which randomness* — so
+//!   the serialized [`FleetReport`] is byte-identical for `--threads 1`
+//!   and `--threads 8`.
+//! * **Streaming aggregation.** Each finished app folds into its
+//!   worker's constant-memory [`report::FleetAggregator`] (fixed-bin
+//!   histograms, fixed-point sums, a capped detail window); every fold
+//!   is order-free, so the workers' partials merge in any order and
+//!   10k-app fleets never retain a per-app record vector. Wall-clock
+//!   throughput is reported separately from the deterministic JSON,
+//!   since wall-clock is inherently nondeterministic.
 
 pub mod orchestrator;
 pub mod report;
@@ -32,8 +33,7 @@ pub mod zygote_pool;
 pub use orchestrator::{FleetConfig, FleetError, FleetOrchestrator, FleetRunStats, StallHook};
 pub use report::{
     AppChaosRecord, AppRecord, AppSnapshotRecord, AppZygoteRecord, FixedHistogram, FleetAggregator,
-    FleetChaosSummary, FleetReport, FleetSnapshotSummary, FleetSummary, FleetZygoteSummary,
-    SpeedupDistribution,
+    FleetChaosSummary, FleetReport, FleetSnapshotSummary, FleetZygoteSummary, SpeedupDistribution,
 };
 pub use snapshot_pool::{parse_budget, NodeSnapshotPool, DEFAULT_NODE_SIZE};
 pub use zygote_pool::{AppZygoteSpec, NodeZygotePool, ZygotePlan};

@@ -1,23 +1,22 @@
 //! The parallel fleet orchestrator.
 //!
-//! Fans a population of applications out across a pool of worker threads
-//! via a chunked work-stealing scheduler, running the full SLIMSTART
-//! pipeline for each and folding finished apps into a streaming
-//! [`FleetAggregator`]. Determinism discipline:
+//! Fans a population of applications out across scoped worker threads,
+//! running the full SLIMSTART pipeline for each and folding finished
+//! apps into a streaming [`FleetAggregator`]. Determinism discipline:
 //!
 //! 1. **Seeds first.** All per-app seeds are split from the experiment
 //!    seed *sequentially, before any worker starts*
 //!    ([`slimstart_simcore::SimRng::split_seed`]), so seed assignment is a
 //!    pure function of (experiment seed, population index) — which worker
-//!    steals which chunk (and when) is racy and irrelevant.
-//! 2. **Index-ordered aggregation.** The population is cut into
-//!    fixed-size chunks of consecutive indices. Each worker folds its
-//!    chunk's apps in ascending index order into a chunk-local
-//!    aggregator partial; the orchestrating thread merges chunk partials
-//!    in ascending chunk order through a reorder buffer. The fold/merge
-//!    tree is therefore a fixed function of (population, chunk size),
-//!    never of scheduling — and the aggregator's fixed-point sums make
-//!    even the float math associativity-exact.
+//!    claims which chunk (and when) is racy and irrelevant.
+//! 2. **Order-free aggregation.** The population is cut into fixed-size
+//!    chunks of consecutive indices. Workers claim chunk ids one at a
+//!    time from a shared counter and fold every app they run into one
+//!    partial each; the partials merge after the workers join. Every
+//!    field of the aggregator is an order-free fold (integer counts,
+//!    fixed-point sums, histogram bins, min/max, an XOR digest, a detail
+//!    window sorted at the end), so no fold or merge order can move a
+//!    byte of the report.
 //! 3. **Wall-clock stays out.** Timing and pool geometry live in
 //!    [`FleetRunStats`], reported next to — never inside — the
 //!    serialized [`FleetReport`].
@@ -28,14 +27,11 @@
 //! and the `slimstart fleet` CLI contract), while memory stays constant:
 //! no per-app record vector is ever retained at 10k scale.
 
-use std::collections::BTreeMap;
 use std::fmt;
-use std::ops::Range;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel;
-use crossbeam::deque::{Injector, Steal, Stealer, Worker};
 use slimstart_appmodel::catalog::{fleet_population, CatalogApp};
 use slimstart_core::pipeline::{Pipeline, PipelineConfig, PipelineError, PipelineOutcome};
 use slimstart_core::resilience::DegradationLevel;
@@ -56,26 +52,16 @@ use crate::zygote_pool::{NodeZygotePool, ZygotePlan};
 /// chaos seeds never collide with seeds a standalone pipeline would derive.
 const FLEET_CHAOS_TAG: u64 = 0xFEE7_CA05;
 
-/// Population indices per work-queue item. Large enough that queue
-/// traffic is micro-rare next to per-app pipeline work, small enough
-/// that a 10k-app fleet still yields ~300 stealable units.
+/// Population indices per chunk a worker claims. Large enough that
+/// claims are micro-rare next to per-app pipeline work, small enough
+/// that a 10k-app fleet still yields ~300 units to balance.
 pub const DEFAULT_CHUNK: usize = 32;
 
 /// A per-app stall hook for tests: given the population index, how long
-/// the worker should sleep before running that app. The work-queue
-/// property suite uses it to perturb scheduling without touching seeds;
-/// the report must not move.
+/// the worker should sleep before running that app. The scheduling
+/// property suite uses it to perturb completion order without touching
+/// seeds; the report must not move.
 pub type StallHook = Arc<dyn Fn(usize) -> Duration + Send + Sync>;
-
-/// One work-queue item: a chunk of consecutive population indices.
-struct ChunkItem {
-    id: usize,
-    range: Range<usize>,
-}
-
-/// What a worker sends home per chunk: the in-order aggregated partial,
-/// or the chunk's lowest-index failure.
-type ChunkResult = Result<FleetAggregator, (usize, FleetError)>;
 
 /// Fleet-run configuration.
 #[derive(Clone)]
@@ -92,10 +78,10 @@ pub struct FleetConfig {
     /// Measurement runs averaged per application (`SLIMSTART_RUNS`
     /// methodology; the paper averages five).
     pub runs: usize,
-    /// Population indices per work-stealing chunk (clamped to at least
-    /// 1). Changing it regroups the aggregation tree, which is harmless:
-    /// chunk partials merge in index order and every fold is
-    /// associativity-exact, so the report bytes do not move.
+    /// Population indices per chunk a worker claims (clamped to at least
+    /// 1). Changing it regroups which apps share a partial, which is
+    /// harmless: every fold is order-free, so the report bytes do not
+    /// move.
     pub chunk: usize,
     /// Optional per-app stall hook (see [`StallHook`]). `None` runs
     /// apps back to back.
@@ -189,7 +175,7 @@ impl FleetConfig {
         self
     }
 
-    /// Sets the work-stealing chunk size.
+    /// Sets the chunk size.
     #[must_use]
     pub fn with_chunk(mut self, chunk: usize) -> Self {
         self.chunk = chunk;
@@ -285,9 +271,9 @@ pub struct FleetRunStats {
     /// Applications completed per wall-clock second (0.0 for an empty
     /// fleet or an immeasurably fast run — never NaN or infinite).
     pub apps_per_second: f64,
-    /// Peak resident size of the aggregation state on the orchestrating
-    /// thread (merged aggregate plus reorder-buffered chunk partials),
-    /// in bytes. Bounded by chunk count in flight, not fleet size.
+    /// Peak resident size of the aggregation state: the workers'
+    /// partials summed once they have all finished, in bytes. Bounded by
+    /// the worker count, not fleet size.
     pub aggregate_peak_bytes: usize,
 }
 
@@ -384,35 +370,6 @@ fn plan_zygotes(
     Ok(Some(pool.plan(&apps)))
 }
 
-/// Pops the next chunk: local deque first, then a batch from the global
-/// injector, then other workers' queues.
-fn find_chunk(
-    local: &Worker<ChunkItem>,
-    injector: &Injector<ChunkItem>,
-    stealers: &[Stealer<ChunkItem>],
-) -> Option<ChunkItem> {
-    if let Some(item) = local.pop() {
-        return Some(item);
-    }
-    loop {
-        match injector.steal_batch_and_pop(local) {
-            Steal::Success(item) => return Some(item),
-            Steal::Retry => continue,
-            Steal::Empty => break,
-        }
-    }
-    for stealer in stealers {
-        loop {
-            match stealer.steal() {
-                Steal::Success(item) => return Some(item),
-                Steal::Retry => continue,
-                Steal::Empty => break,
-            }
-        }
-    }
-    None
-}
-
 /// The orchestrator.
 #[derive(Debug, Clone, Default)]
 pub struct FleetOrchestrator {
@@ -440,14 +397,16 @@ impl FleetOrchestrator {
         self.run_population(&fleet_population(self.config.apps))
     }
 
-    /// Runs the fleet over an explicit population through the
-    /// work-stealing pool and the streaming aggregator.
+    /// Runs the fleet over an explicit population on scoped workers and
+    /// the streaming aggregator.
     ///
     /// # Errors
     ///
-    /// Returns the lowest-index application failure. Every chunk still
-    /// runs to completion (or its own first failure) before the error is
-    /// selected, so the reported failure does not depend on scheduling.
+    /// Returns the lowest-index application failure, whatever the
+    /// scheduling: chunk ids are claimed in ascending order and a worker
+    /// stops at its first failure, so the chunk holding the lowest
+    /// failing index is always claimed (by a worker that has not failed
+    /// below it) and run up to that index.
     pub fn run_population(
         &self,
         population: &[CatalogApp],
@@ -457,113 +416,77 @@ impl FleetOrchestrator {
 
         let jobs = split_jobs(cfg.seed, population);
         let zygote_plan = plan_zygotes(cfg, &jobs)?;
-        let chunk_size = cfg.chunk.max(1);
-        let chunk_count = jobs.len().div_ceil(chunk_size);
-        let threads = cfg.threads.max(1).min(chunk_count.max(1));
+        let chunks: Vec<_> = jobs.chunks(cfg.chunk.max(1)).collect();
+        let threads = cfg.threads.max(1).min(chunks.len().max(1));
 
-        // Chunks of consecutive indices are the unit of scheduling: any
-        // worker may run any chunk, but the fold order *within* a chunk
-        // and the merge order *across* chunks are fixed by index.
-        let injector = Injector::new();
-        for id in 0..chunk_count {
-            let lo = id * chunk_size;
-            let hi = (lo + chunk_size).min(jobs.len());
-            injector.push(ChunkItem { id, range: lo..hi });
-        }
-
-        let locals: Vec<Worker<ChunkItem>> = (0..threads).map(|_| Worker::new_fifo()).collect();
-        let stealers: Vec<Stealer<ChunkItem>> = locals.iter().map(Worker::stealer).collect();
-        let (tx, rx) = channel::unbounded::<(usize, ChunkResult)>();
-
-        let mut first_error: Option<(usize, FleetError)> = None;
-        let mut aggregate = FleetAggregator::new();
-        let mut peak_bytes = aggregate.approx_bytes();
-
-        std::thread::scope(|scope| {
-            for local in locals {
-                let tx = tx.clone();
-                let jobs = &jobs;
-                let zygote_plan = &zygote_plan;
-                let injector = &injector;
-                let stealers = &stealers;
-                scope.spawn(move || {
-                    while let Some(item) = find_chunk(&local, injector, stealers) {
-                        let mut partial = FleetAggregator::new();
-                        let mut failure: Option<(usize, FleetError)> = None;
-                        for &(index, entry, seed, chaos_seed) in &jobs[item.range.clone()] {
-                            if let Some(stall) = &cfg.stall {
-                                let pause = stall(index);
-                                if !pause.is_zero() {
-                                    std::thread::sleep(pause);
-                                }
-                            }
-                            match run_app(cfg, index, entry, seed, chaos_seed, zygote_plan.as_ref())
-                            {
-                                Ok(record) => partial.fold(record),
-                                Err(error) => {
-                                    failure = Some((index, error));
-                                    break;
-                                }
-                            }
-                        }
-                        let result = match failure {
-                            None => Ok(partial),
-                            Some(err) => Err(err),
-                        };
-                        if tx.send((item.id, result)).is_err() {
-                            break;
+        // One chunk per claim: a worker takes the next chunk only when it
+        // has finished its last, so no chunk waits behind a busy worker.
+        // The counter publishes no other data (the jobs are shared
+        // read-only and the partials come back through `join`), so
+        // `Relaxed` will do.
+        let next_chunk = AtomicUsize::new(0);
+        let worker = || -> Result<FleetAggregator, (usize, FleetError)> {
+            let mut partial = FleetAggregator::new();
+            while let Some(chunk) = chunks.get(next_chunk.fetch_add(1, Ordering::Relaxed)) {
+                for &(index, entry, seed, chaos_seed) in *chunk {
+                    if let Some(stall) = &cfg.stall {
+                        let pause = stall(index);
+                        if !pause.is_zero() {
+                            std::thread::sleep(pause);
                         }
                     }
-                });
-            }
-            drop(tx);
-
-            // Streaming merge: chunk partials arrive in completion order,
-            // a reorder buffer releases them in chunk order. Peak resident
-            // size is the merged aggregate plus whatever the buffer holds.
-            let mut pending: BTreeMap<usize, FleetAggregator> = BTreeMap::new();
-            let mut next_chunk = 0usize;
-            for (id, result) in rx {
-                match result {
-                    Ok(partial) => {
-                        pending.insert(id, partial);
-                        while let Some(partial) = pending.remove(&next_chunk) {
-                            aggregate.merge(partial);
-                            next_chunk += 1;
-                        }
-                    }
-                    Err((index, error)) => {
-                        let lower = first_error.as_ref().is_none_or(|(i, _)| index < *i);
-                        if lower {
-                            first_error = Some((index, error));
-                        }
-                    }
+                    let record = run_app(cfg, index, entry, seed, chaos_seed, zygote_plan.as_ref())
+                        .map_err(|error| (index, error))?;
+                    partial.fold(record);
                 }
-                let resident = aggregate.approx_bytes()
-                    + pending
-                        .values()
-                        .map(FleetAggregator::approx_bytes)
-                        .sum::<usize>();
-                peak_bytes = peak_bytes.max(resident);
             }
+            Ok(partial)
+        };
+        let results: Vec<_> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..threads).map(|_| scope.spawn(worker)).collect();
+            handles
+                .into_iter()
+                .map(|handle| {
+                    handle
+                        .join()
+                        .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+                })
+                .collect()
         });
 
+        let mut aggregate = FleetAggregator::new();
+        let mut peak_bytes = 0;
+        let mut first_error: Option<(usize, FleetError)> = None;
+        for result in results {
+            match result {
+                Ok(partial) => {
+                    peak_bytes += partial.approx_bytes();
+                    aggregate.merge(partial);
+                }
+                Err((index, error)) => {
+                    if first_error
+                        .as_ref()
+                        .is_none_or(|(lowest, _)| index < *lowest)
+                    {
+                        first_error = Some((index, error));
+                    }
+                }
+            }
+        }
         if let Some((_, error)) = first_error {
             return Err(error);
         }
-        debug_assert_eq!(aggregate.count(), jobs.len(), "every chunk merged");
+        debug_assert_eq!(aggregate.count(), jobs.len(), "every chunk folded");
         let report = aggregate.finish(cfg.seed, cfg.cold_starts, cfg.runs);
         let stats = FleetRunStats::new(start.elapsed(), threads, report.fleet_size, peak_bytes);
         Ok((report, stats))
     }
 
     /// Runs the fleet sequentially and returns every retained
-    /// [`AppRecord`] — the memory-proportional path behind the
-    /// differential oracle (`tests/fleet_streaming_equivalence.rs`) and
-    /// small interactive inspections. The records feed
-    /// [`crate::report::FleetSummary::from_records`], which must produce
-    /// JSON byte-identical to [`run_population`](Self::run_population)'s
-    /// streaming aggregation.
+    /// [`AppRecord`] in population order — the memory-proportional record
+    /// source for the retained reference aggregation in
+    /// `tests/fleet_streaming_equivalence.rs`, whose report must match
+    /// [`run_population`](Self::run_population)'s byte for byte.
     ///
     /// # Errors
     ///
@@ -727,7 +650,6 @@ fn run_app(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::report::FleetSummary;
     use slimstart_platform::PlatformConfig;
 
     fn quick_fleet(apps: usize, threads: usize) -> FleetOrchestrator {
@@ -770,16 +692,6 @@ mod tests {
         let tiny = FleetOrchestrator::new(quick_fleet(5, 2).config().clone().with_chunk(1));
         let (small, _) = tiny.run().unwrap();
         assert_eq!(big.to_json(), small.to_json());
-    }
-
-    #[test]
-    fn streaming_run_matches_the_retained_oracle() {
-        let orchestrator = quick_fleet(6, 3);
-        let population = fleet_population(6);
-        let (streamed, _) = orchestrator.run_population(&population).unwrap();
-        let records = orchestrator.run_records(&population).unwrap();
-        let oracle = FleetSummary::from_records(7, 10, 1, records);
-        assert_eq!(streamed.to_json(), oracle.to_json());
     }
 
     #[test]

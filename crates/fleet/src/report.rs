@@ -2,29 +2,28 @@
 //!
 //! Everything in a [`FleetReport`] is a deterministic function of the
 //! fleet configuration (population, experiment seed, cold starts, runs).
-//! Two construction paths produce byte-identical JSON:
+//! [`FleetAggregator`] builds it: each finished application folds into
+//! constant-memory summary state (counts, integer-scaled sums, fixed-bin
+//! histograms, a capped per-app detail window), and partials from any
+//! number of workers merge in any order. Nothing retains a per-app
+//! vector at 10k scale.
 //!
-//! * **Streaming** ([`FleetAggregator`]) — the orchestrator's path. Each
-//!   finished application folds into constant-memory summary state
-//!   (counts, integer-scaled sums, fixed-bin histograms, a capped
-//!   per-app detail window); per-worker partials merge **in population
-//!   index order**. Nothing retains a per-app vector at 10k scale.
-//! * **Retained** ([`FleetSummary::from_records`]) — the differential
-//!   oracle: collect every [`AppRecord`], aggregate in one pass. Only
-//!   tests and small interactive runs should pay its memory bill.
-//!
-//! Byte-identity across thread counts (and between the two paths) rests
-//! on two choices, both versioned in the JSON schema
-//! ([`REPORT_SCHEMA`]):
+//! Byte-identity across thread counts and chunk sizes rests on every
+//! field being an order-free fold, with the two numeric choices
+//! versioned in the JSON schema ([`REPORT_SCHEMA`]):
 //!
 //! 1. **Integer-scaled means.** Mean accumulation uses fixed-point
 //!    `i128` sums (`round(v * 2^`[`HIST_SCALE_BITS`]`)`), which are
-//!    associative — unlike `f64` addition — so chunked partial merges
-//!    and a sequential fold produce identical bits no matter how the
-//!    population was partitioned.
+//!    associative and commutative — unlike `f64` addition — so any fold
+//!    and merge order produces identical bits.
 //! 2. **Fixed-bin histograms.** Quantiles come from deterministic
 //!    log2-spaced bins ([`FixedHistogram`]) instead of exact retained
-//!    samples: bin counts are associative, so the same guarantee holds.
+//!    samples: bin counts add, so the same guarantee holds.
+//!
+//! The rest adds or compares: integer counts, `f64` min/max over finite
+//! values, an XOR seed digest, and the detail window, which keeps rows
+//! by population index and is sorted once in
+//! [`FleetAggregator::finish`].
 //!
 //! Wall-clock timing deliberately lives in [`crate::FleetRunStats`],
 //! *outside* this report, so serialized output is byte-identical
@@ -83,7 +82,7 @@ fn mix64(mut z: u64) -> u64 {
 /// The digest contribution of one `(population index, per-app seed)`
 /// assignment. XOR-combining these is order-independent, so the digest
 /// proves *which* seed every app received without retaining any rows —
-/// the work-queue sweep tests compare it against a hand-rolled
+/// the scheduling sweep tests compare it against a hand-rolled
 /// sequential split at any fleet size.
 pub fn seed_digest_term(index: usize, seed: u64) -> u64 {
     mix64(seed ^ mix64(index as u64))
@@ -510,23 +509,7 @@ pub struct FleetChaosSummary {
 }
 
 impl FleetChaosSummary {
-    /// Aggregates the per-app chaos rows; `None` when no row carries one.
-    pub fn from_records(apps: &[AppRecord]) -> Option<Self> {
-        if apps.iter().all(|a| a.chaos.is_none()) {
-            return None;
-        }
-        let rows = || apps.iter().filter_map(|a| a.chaos.as_ref());
-        Some(FleetChaosSummary {
-            faulted: rows().filter(|c| c.faults > 0).count(),
-            recovered: rows().filter(|c| c.recovered).count(),
-            degraded: rows().filter(|c| c.degraded()).count(),
-            failed: rows().filter(|c| c.failed()).count(),
-            faults_total: rows().map(|c| c.faults).sum(),
-        })
-    }
-
-    /// Folds one app's chaos row in (the streaming counterpart of
-    /// [`from_records`](Self::from_records)).
+    /// Folds one app's chaos row in.
     pub fn fold(&mut self, chaos: &AppChaosRecord) {
         self.faulted += usize::from(chaos.faults > 0);
         self.recovered += usize::from(chaos.recovered);
@@ -568,21 +551,7 @@ pub struct FleetSnapshotSummary {
 }
 
 impl FleetSnapshotSummary {
-    /// Aggregates the per-app snapshot rows; `None` when no row carries
-    /// one.
-    pub fn from_records(apps: &[AppRecord]) -> Option<Self> {
-        if apps.iter().all(|a| a.snapshot.is_none()) {
-            return None;
-        }
-        let mut summary = FleetSnapshotSummary::default();
-        for snap in apps.iter().filter_map(|a| a.snapshot.as_ref()) {
-            summary.fold(snap);
-        }
-        Some(summary)
-    }
-
-    /// Folds one app's snapshot row in (the streaming counterpart of
-    /// [`from_records`](Self::from_records)).
+    /// Folds one app's snapshot row in.
     pub fn fold(&mut self, snapshot: &AppSnapshotRecord) {
         self.hits += snapshot.hits;
         self.misses += snapshot.misses;
@@ -633,21 +602,7 @@ pub struct FleetZygoteSummary {
 }
 
 impl FleetZygoteSummary {
-    /// Aggregates the per-app zygote rows; `None` when no row carries
-    /// one.
-    pub fn from_records(apps: &[AppRecord]) -> Option<Self> {
-        if apps.iter().all(|a| a.zygote.is_none()) {
-            return None;
-        }
-        let mut summary = FleetZygoteSummary::default();
-        for zygote in apps.iter().filter_map(|a| a.zygote.as_ref()) {
-            summary.fold(zygote);
-        }
-        Some(summary)
-    }
-
-    /// Folds one app's zygote row in (the streaming counterpart of
-    /// [`from_records`](Self::from_records)).
+    /// Folds one app's zygote row in.
     pub fn fold(&mut self, zygote: &AppZygoteRecord) {
         self.forks += zygote.forks;
         self.forked_loads += zygote.forked_loads;
@@ -674,15 +629,13 @@ impl FleetZygoteSummary {
 /// Streaming fleet aggregation state: everything a [`FleetReport`] needs,
 /// in constant memory.
 ///
-/// Usage contract (asserted): records fold in **ascending population
-/// index order** with no gaps, and [`merge`](Self::merge) only accepts a
-/// partial whose base index continues where this one ends. The
-/// orchestrator satisfies both by folding each work-stealing chunk
-/// in-order into its own partial and merging chunk partials in chunk
-/// order — which worker ran which chunk is irrelevant.
+/// Records may fold, and partials merge, in any order and grouping:
+/// every field is an order-free fold, and [`finish`](Self::finish) sorts
+/// the detail window by population index. The orchestrator has each
+/// worker fold whatever apps it runs into its own partial and merges the
+/// partials after the workers join.
 #[derive(Debug, Clone, Default)]
 pub struct FleetAggregator {
-    base_index: Option<usize>,
     count: usize,
     gate_passed: usize,
     optimized: usize,
@@ -712,27 +665,8 @@ impl FleetAggregator {
         self.count
     }
 
-    /// First population index folded, if any.
-    pub fn base_index(&self) -> Option<usize> {
-        self.base_index
-    }
-
     /// Folds one finished application into the summary state.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `record.index` is not the next expected population
-    /// index — out-of-order folding would silently break the
-    /// byte-identity contract, so it is a hard error.
     pub fn fold(&mut self, record: AppRecord) {
-        match self.base_index {
-            None => self.base_index = Some(record.index),
-            Some(base) => assert_eq!(
-                record.index,
-                base + self.count,
-                "FleetAggregator::fold out of order"
-            ),
-        }
         self.count += 1;
         self.gate_passed += usize::from(record.gate_passed);
         self.optimized += usize::from(record.optimized);
@@ -764,25 +698,8 @@ impl FleetAggregator {
         }
     }
 
-    /// Merges a partial that continues this one's index range.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `other` does not start exactly where this aggregator
-    /// ends.
+    /// Merges another partial in.
     pub fn merge(&mut self, other: FleetAggregator) {
-        let Some(other_base) = other.base_index else {
-            return; // empty partial
-        };
-        let Some(base) = self.base_index else {
-            *self = other;
-            return;
-        };
-        assert_eq!(
-            other_base,
-            base + self.count,
-            "FleetAggregator::merge out of order"
-        );
         self.count += other.count;
         self.gate_passed += other.gate_passed;
         self.optimized += other.optimized;
@@ -813,9 +730,9 @@ impl FleetAggregator {
         self.detail_truncated |= other.detail_truncated;
     }
 
-    /// Rough resident size of the aggregation state, for the bench's
-    /// peak-aggregate accounting. Bounded by the fixed histograms plus
-    /// the capped detail window, regardless of fleet size.
+    /// Rough resident size of the aggregation state, for
+    /// [`crate::FleetRunStats::aggregate_peak_bytes`]. Bounded by the fixed
+    /// histograms plus the capped detail window, regardless of fleet size.
     pub fn approx_bytes(&self) -> usize {
         std::mem::size_of::<FleetAggregator>()
             + self
@@ -825,8 +742,10 @@ impl FleetAggregator {
                 .sum::<usize>()
     }
 
-    /// Finalizes the aggregation into a report.
-    pub fn finish(self, seed: u64, cold_starts: usize, runs: usize) -> FleetReport {
+    /// Finalizes the aggregation into a report, its detail rows in
+    /// population order.
+    pub fn finish(mut self, seed: u64, cold_starts: usize, runs: usize) -> FleetReport {
+        self.detail.sort_unstable_by_key(|app| app.index);
         FleetReport {
             seed,
             cold_starts,
@@ -850,60 +769,6 @@ impl FleetAggregator {
             zygotes: self.zygotes,
             detail: self.detail,
             detail_truncated: self.detail_truncated,
-        }
-    }
-}
-
-/// The retained aggregation path: collect every row, summarize in one
-/// pass. This is the differential oracle the streaming
-/// [`FleetAggregator`] is tested against (`tests/fleet_streaming_equivalence.rs`)
-/// — deliberately the dumbest possible implementation.
-pub struct FleetSummary;
-
-impl FleetSummary {
-    /// Aggregates a fully retained record vector into a report that must
-    /// be byte-identical to the streaming path's.
-    pub fn from_records(
-        seed: u64,
-        cold_starts: usize,
-        runs: usize,
-        apps: Vec<AppRecord>,
-    ) -> FleetReport {
-        let mut init = FixedHistogram::new();
-        let mut e2e = FixedHistogram::new();
-        let mut mem = FixedHistogram::new();
-        for a in &apps {
-            init.record(a.speedup.init);
-            e2e.record(a.speedup.e2e);
-            mem.record(a.speedup.mem);
-        }
-        let seed_digest = apps
-            .iter()
-            .fold(0u64, |d, a| d ^ seed_digest_term(a.index, a.seed));
-        let detail_truncated = apps.len() > DETAIL_ROWS;
-        FleetReport {
-            seed,
-            cold_starts,
-            runs,
-            fleet_size: apps.len(),
-            seed_digest,
-            gate_passed_count: apps.iter().filter(|a| a.gate_passed).count(),
-            optimized_count: apps.iter().filter(|a| a.optimized).count(),
-            rolled_back_count: apps.iter().filter(|a| a.rolled_back).count(),
-            findings_total: apps.iter().map(|a| a.findings).sum(),
-            deferred_total: apps.iter().map(|a| a.deferred).sum(),
-            analyzer_warnings_total: apps.iter().map(|a| a.analyzer_warnings).sum(),
-            init_speedup: SpeedupDistribution::from_histogram(&init),
-            e2e_speedup: SpeedupDistribution::from_histogram(&e2e),
-            mem_reduction: SpeedupDistribution::from_histogram(&mem),
-            chaos: FleetChaosSummary::from_records(&apps),
-            snapshots: FleetSnapshotSummary::from_records(&apps),
-            zygotes: FleetZygoteSummary::from_records(&apps),
-            init_hist: init,
-            e2e_hist: e2e,
-            mem_hist: mem,
-            detail: apps.into_iter().take(DETAIL_ROWS).collect(),
-            detail_truncated,
         }
     }
 }
@@ -963,12 +828,6 @@ pub struct FleetReport {
 }
 
 impl FleetReport {
-    /// Aggregates retained per-app rows into the fleet report
-    /// (delegates to the [`FleetSummary`] oracle path).
-    pub fn from_records(seed: u64, cold_starts: usize, runs: usize, apps: Vec<AppRecord>) -> Self {
-        FleetSummary::from_records(seed, cold_starts, runs, apps)
-    }
-
     /// Serializes the report. Deterministic: depends only on the fleet
     /// configuration, never on thread count, chunking, or wall-clock.
     pub fn to_json(&self) -> String {
@@ -1154,6 +1013,7 @@ impl FleetReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use slimstart_simcore::SimRng;
 
     fn record(index: usize, init: f64, e2e: f64) -> AppRecord {
         AppRecord {
@@ -1186,14 +1046,71 @@ mod tests {
         }
     }
 
+    /// Folds `records` in the order given into one report.
+    fn fold_in_order(records: impl IntoIterator<Item = AppRecord>) -> FleetReport {
+        let mut agg = FleetAggregator::new();
+        for record in records {
+            agg.fold(record);
+        }
+        agg.finish(7, 100, 1)
+    }
+
+    /// About a hundred records with chaos, snapshot and zygote rows mixed
+    /// in, indices on both sides of the detail window, and two non-finite
+    /// speedups (one inside the window) that the histograms skip.
+    fn mixed_records() -> Vec<AppRecord> {
+        let mut rng = SimRng::seed_from(0x0DE5_F1EE);
+        let mut records: Vec<AppRecord> = (0..100)
+            .map(|i| {
+                let mut r = record(i, rng.uniform(0.5, 4.0), rng.uniform(0.8, 2.5));
+                r.seed = rng.next_u64();
+                r.speedup.mem = rng.uniform(0.9, 1.6);
+                r.rolled_back = rng.chance(0.1);
+                r.analyzer_warnings = rng.next_below(4);
+                match i % 4 {
+                    0 => {
+                        r.chaos = Some(AppChaosRecord {
+                            faults: rng.next_below(5) as u64,
+                            profile_retries: 1,
+                            deploy_retries: 0,
+                            degradation: ["none", "conservative", "rolled-back"][rng.next_below(3)],
+                            recovered: rng.chance(0.5),
+                        });
+                    }
+                    1 => {
+                        r.snapshot = Some(AppSnapshotRecord {
+                            hits: rng.next_below(20) as u64,
+                            misses: rng.next_below(5) as u64,
+                            evictions: rng.next_below(3) as u64,
+                            faulted_loads: rng.next_below(9) as u64,
+                            resident_bytes: rng.next_below(1 << 20) as u64,
+                        });
+                    }
+                    2 => {
+                        r.zygote = Some(AppZygoteRecord {
+                            forks: rng.next_below(20) as u64,
+                            forked_loads: rng.next_below(90) as u64,
+                            resident_modules: rng.next_below(9) as u64,
+                            resident_bytes: rng.next_below(1 << 20) as u64,
+                        });
+                    }
+                    _ => {}
+                }
+                r
+            })
+            .collect();
+        records[7].speedup.init = f64::NAN;
+        records[60].speedup.e2e = f64::INFINITY;
+        records
+    }
+
     #[test]
     fn aggregation_counts_and_distributions() {
-        let apps = vec![
+        let report = fold_in_order([
             record(0, 2.0, 1.5),
             record(1, 1.0, 1.0),
             record(2, 1.6, 1.3),
-        ];
-        let report = FleetReport::from_records(7, 100, 1, apps);
+        ]);
         assert_eq!(report.gate_passed_count, 2);
         assert_eq!(report.optimized_count, 2);
         assert_eq!(report.findings_total, 2);
@@ -1207,45 +1124,35 @@ mod tests {
     }
 
     #[test]
-    fn streaming_fold_matches_retained_oracle() {
-        let apps: Vec<AppRecord> = (0..50)
-            .map(|i| record(i, 1.0 + (i % 7) as f64 * 0.2, 1.0 + (i % 5) as f64 * 0.1))
-            .collect();
-        let oracle = FleetSummary::from_records(7, 100, 1, apps.clone());
+    fn any_fold_and_merge_order_prints_the_in_order_bytes() {
+        let records = mixed_records();
+        let in_order = fold_in_order(records.clone());
+        assert!(in_order.detail_truncated);
+        assert_eq!(in_order.detail.len(), DETAIL_ROWS);
+        assert!(in_order.chaos.is_some() && in_order.snapshots.is_some());
+        assert!(in_order.zygotes.is_some());
+        let (json, text) = (in_order.to_json(), in_order.render_text());
 
-        // Stream through chunked partials merged in index order.
-        let mut root = FleetAggregator::new();
-        for chunk in apps.chunks(8) {
-            let mut partial = FleetAggregator::new();
-            for rec in chunk {
-                partial.fold(rec.clone());
+        let mut rng = SimRng::seed_from(0x0DE5_5EED);
+        for trial in 0..64 {
+            // Shuffled records dealt into a random number of partials
+            // (some possibly empty), then merged pairwise in random order.
+            let mut shuffled = records.clone();
+            rng.shuffle(&mut shuffled);
+            let mut partials = vec![FleetAggregator::new(); 1 + rng.next_below(8)];
+            for record in shuffled {
+                let at = rng.next_below(partials.len());
+                partials[at].fold(record);
             }
-            root.merge(partial);
+            while partials.len() > 1 {
+                let from = partials.swap_remove(rng.next_below(partials.len()));
+                let into = rng.next_below(partials.len());
+                partials[into].merge(from);
+            }
+            let report = partials.pop().expect("one partial left").finish(7, 100, 1);
+            assert_eq!(report.to_json(), json, "trial {trial}");
+            assert_eq!(report.render_text(), text, "trial {trial}");
         }
-        let streamed = root.finish(7, 100, 1);
-        assert_eq!(oracle.to_json(), streamed.to_json());
-        assert_eq!(oracle.seed_digest, streamed.seed_digest);
-        assert!(streamed.detail_truncated);
-        assert_eq!(streamed.detail.len(), DETAIL_ROWS);
-    }
-
-    #[test]
-    fn fold_and_merge_enforce_index_order() {
-        let mut agg = FleetAggregator::new();
-        agg.fold(record(0, 1.5, 1.2));
-        let out_of_order = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let mut agg = agg.clone();
-            agg.fold(record(2, 1.5, 1.2));
-        }));
-        assert!(out_of_order.is_err(), "gap in fold order must panic");
-
-        let mut gap = FleetAggregator::new();
-        gap.fold(record(5, 1.5, 1.2));
-        let bad_merge = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let mut agg = agg.clone();
-            agg.merge(gap.clone());
-        }));
-        assert!(bad_merge.is_err(), "non-contiguous merge must panic");
     }
 
     #[test]
@@ -1272,8 +1179,9 @@ mod tests {
 
     #[test]
     fn json_is_well_formed_and_complete() {
-        let report = FleetReport::from_records(7, 100, 2, vec![record(0, 2.0, 1.5)]);
-        let json = report.to_json();
+        let mut agg = FleetAggregator::new();
+        agg.fold(record(0, 2.0, 1.5));
+        let json = agg.finish(7, 100, 2).to_json();
         assert!(json.starts_with('{') && json.ends_with('}'));
         assert!(json.contains("\"schema\":\"slimstart-fleet-report/v3\""));
         assert!(json.contains("\"fleet_size\":1"));
@@ -1287,17 +1195,15 @@ mod tests {
 
     #[test]
     fn empty_fleet_serializes() {
-        let report = FleetReport::from_records(7, 100, 1, Vec::new());
+        let report = fold_in_order([]);
         assert!(report.to_json().contains("\"detail\":[]"));
         assert_eq!(report.init_speedup.mean, 0.0);
         assert_eq!(report.fleet_size, 0);
-        let streamed = FleetAggregator::new().finish(7, 100, 1);
-        assert_eq!(report.to_json(), streamed.to_json());
     }
 
     #[test]
     fn chaos_free_report_omits_every_chaos_key() {
-        let report = FleetReport::from_records(7, 100, 1, vec![record(0, 2.0, 1.5)]);
+        let report = fold_in_order([record(0, 2.0, 1.5)]);
         assert!(report.chaos.is_none());
         assert!(!report.to_json().contains("chaos"));
         assert!(!report.render_text().contains("chaos"));
@@ -1321,7 +1227,7 @@ mod tests {
             degradation: "rolled-back",
             recovered: false,
         });
-        let report = FleetReport::from_records(7, 100, 1, vec![a.clone(), b.clone()]);
+        let report = fold_in_order([a, b]);
         let summary = report.chaos.unwrap();
         assert_eq!(summary.faulted, 2);
         assert_eq!(summary.recovered, 1);
@@ -1333,17 +1239,11 @@ mod tests {
         assert!(json.contains("\"degradation\":\"rolled-back\""));
         assert!(report.render_text().contains("chaos: 13 faults injected"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
-
-        // The streaming path aggregates chaos identically.
-        let mut agg = FleetAggregator::new();
-        agg.fold(a);
-        agg.fold(b);
-        assert_eq!(agg.finish(7, 100, 1).to_json(), json);
     }
 
     #[test]
     fn pool_free_report_omits_every_snapshot_key() {
-        let report = FleetReport::from_records(7, 100, 1, vec![record(0, 2.0, 1.5)]);
+        let report = fold_in_order([record(0, 2.0, 1.5)]);
         assert!(report.snapshots.is_none());
         assert!(!report.to_json().contains("snapshot"));
         assert!(!report.render_text().contains("snapshots"));
@@ -1367,7 +1267,7 @@ mod tests {
             faulted_loads: 0,
             resident_bytes: 1024,
         });
-        let report = FleetReport::from_records(7, 100, 1, vec![a.clone(), b.clone()]);
+        let report = fold_in_order([a, b]);
         let summary = report.snapshots.unwrap();
         assert_eq!(summary.hits, 10);
         assert_eq!(summary.misses, 4);
@@ -1381,12 +1281,6 @@ mod tests {
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         let text = report.render_text();
         assert!(text.contains("snapshots: 10 hits | 4 misses | 71.4% hit rate"));
-
-        // The streaming path aggregates snapshot counters identically.
-        let mut agg = FleetAggregator::new();
-        agg.fold(a);
-        agg.fold(b);
-        assert_eq!(agg.finish(7, 100, 1).to_json(), json);
     }
 
     #[test]
@@ -1396,7 +1290,7 @@ mod tests {
 
     #[test]
     fn zygote_free_report_keeps_the_v3_schema_and_omits_zygote_keys() {
-        let report = FleetReport::from_records(7, 100, 1, vec![record(0, 2.0, 1.5)]);
+        let report = fold_in_order([record(0, 2.0, 1.5)]);
         assert!(report.zygotes.is_none());
         let json = report.to_json();
         assert!(json.contains("\"schema\":\"slimstart-fleet-report/v3\""));
@@ -1420,7 +1314,7 @@ mod tests {
             resident_modules: 3,
             resident_bytes: 2048,
         });
-        let report = FleetReport::from_records(7, 100, 1, vec![a.clone(), b.clone()]);
+        let report = fold_in_order([a, b]);
         let summary = report.zygotes.unwrap();
         assert_eq!(summary.forks, 12);
         assert_eq!(summary.forked_loads, 46);
@@ -1433,12 +1327,6 @@ mod tests {
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         let text = report.render_text();
         assert!(text.contains("zygotes: 12 forks | 46 forked loads"));
-
-        // The streaming path aggregates zygote counters identically.
-        let mut agg = FleetAggregator::new();
-        agg.fold(a);
-        agg.fold(b);
-        assert_eq!(agg.finish(7, 100, 1).to_json(), json);
     }
 
     #[test]

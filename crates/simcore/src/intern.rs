@@ -68,14 +68,6 @@ impl Interner {
         Interner::default()
     }
 
-    /// Creates an empty interner with room for `capacity` symbols.
-    pub fn with_capacity(capacity: usize) -> Self {
-        Interner {
-            index: FxHashMap::with_capacity_and_hasher(capacity, Default::default()),
-            strings: Vec::with_capacity(capacity),
-        }
-    }
-
     /// Interns `s`, returning its symbol. The first occurrence of a string
     /// allocates once; every later occurrence is a hash lookup.
     pub fn intern(&mut self, s: &str) -> Symbol {
@@ -161,7 +153,7 @@ mod tests {
     fn deterministic_across_instances() {
         let names = ["pkg", "pkg.a", "pkg.b", "pkg.a.inner", "other"];
         let mut first = Interner::new();
-        let mut second = Interner::with_capacity(16);
+        let mut second = Interner::new();
         let a: Vec<Symbol> = names.iter().map(|n| first.intern(n)).collect();
         let b: Vec<Symbol> = names.iter().map(|n| second.intern(n)).collect();
         assert_eq!(a, b);

@@ -33,8 +33,8 @@
 //!     --light                               cycle the 5 lightweight fixture
 //!                                           apps instead of the full catalog
 //!                                           (sub-ms each; use for 10k+ runs)
-//!     --chunk <C>                           population indices per
-//!                                           work-stealing chunk (default 32)
+//!     --chunk <C>                           population indices per chunk
+//!                                           a worker claims (default 32)
 //!     --snapshot-budget <BYTES>             enable the node snapshot pool
 //!                                           with this per-node byte budget
 //!                                           (`64m`-style suffixes allowed;

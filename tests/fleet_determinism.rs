@@ -1,21 +1,22 @@
 //! Fleet-orchestrator determinism: the serialized [`FleetReport`] must be
 //! byte-identical regardless of worker-pool size, because per-app RNG
 //! streams are split from the experiment seed sequentially before any
-//! worker starts (the work-stealing scheduler decides *when* an app runs,
-//! never *with which randomness*), and chunk partials merge in population
-//! index order through associativity-exact folds.
+//! worker starts (workers claiming chunks decide *when* an app runs,
+//! never *with which randomness*), and every fold and merge of the
+//! aggregation is order-free.
 //!
 //! Covers the small-catalog contract, a 2k-app scale-out cell swept over
-//! 1/2/4/8 threads (chaos on and off), and a seeded property sweep
-//! proving that random worker counts, chunk sizes, and artificial per-app
-//! delays can never change which seed an app receives.
+//! 1/2/4/8 threads (chaos on and off), a seeded property sweep proving
+//! that random worker counts, chunk sizes, and artificial per-app delays
+//! can never change which seed an app receives, and the error contract:
+//! the lowest-index failure is returned whatever the scheduling.
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use slimstart::appmodel::catalog::light_population;
 use slimstart::fleet::report::seed_digest_term;
-use slimstart::fleet::{FleetConfig, FleetOrchestrator, FleetReport, StallHook};
+use slimstart::fleet::{FleetConfig, FleetError, FleetOrchestrator, FleetReport, StallHook};
 use slimstart::platform::chaos::ChaosConfig;
 use slimstart::platform::PlatformConfig;
 use slimstart::simcore::SimRng;
@@ -147,9 +148,9 @@ fn honors_runs_averaging_in_the_fleet_path() {
 }
 
 /// A 2k-app scale-out configuration over the lightweight fixture
-/// population — big enough that the detail window truncates, work
-/// stealing kicks in across hundreds of chunks, and the streaming
-/// aggregator carries real load, while staying fast in debug builds.
+/// population — big enough that the detail window truncates, workers
+/// claim across dozens of chunks, and the streaming aggregator carries
+/// real load, while staying fast in debug builds.
 fn scale_config(threads: usize) -> FleetConfig {
     FleetConfig::default()
         .with_apps(2000)
@@ -188,8 +189,8 @@ fn two_thousand_apps_are_byte_identical_across_1_2_4_8_threads() {
         );
         assert_eq!(stats.threads, threads);
         // The streaming path is constant-memory: the aggregation state
-        // (fixed histograms + 32 detail rows + a few buffered chunk
-        // partials) stays far below what 2000 retained rows would cost.
+        // (one partial of fixed histograms per worker + 32 detail rows)
+        // stays far below what 2000 retained rows would cost.
         assert!(
             stats.aggregate_peak_bytes < 256 * 1024,
             "peak aggregate {} B is not constant-memory",
@@ -217,7 +218,7 @@ fn two_thousand_app_chaos_cell_is_byte_identical_across_worker_counts() {
 
 #[test]
 fn random_worker_counts_and_delays_never_change_seed_assignment() {
-    // The work-queue property: `split_seed` assignment is a pure function
+    // The scheduling property: `split_seed` assignment is a pure function
     // of the population index. Whatever the scheduler does — however many
     // workers race, however lopsided the chunking, however adversarial
     // the per-app delays injected through the stall hook — every app must
@@ -259,6 +260,43 @@ fn random_worker_counts_and_delays_never_change_seed_assignment() {
         match &baseline_json {
             None => baseline_json = Some(json),
             Some(baseline) => assert_eq!(baseline, &json, "trial {trial} moved report bytes"),
+        }
+    }
+}
+
+#[test]
+fn the_lowest_index_failure_is_returned_at_any_thread_count_and_chunk() {
+    // Two blueprints broken through their pub fields (a module budget
+    // below the synthesizer's minimum), in different chunks at every chunk
+    // size below. The lower one stalls before it runs, so with several
+    // workers the higher failure is usually hit first; the lower index's
+    // error must still be the one returned.
+    let apps = 70;
+    let mut population = light_population(apps);
+    for (index, code) in [(5, "BROKEN-5"), (40, "BROKEN-40")] {
+        population[index].n_modules = 1;
+        population[index].code = code;
+    }
+    let stall: StallHook = Arc::new(|i| {
+        if i == 5 {
+            Duration::from_millis(20)
+        } else {
+            Duration::ZERO
+        }
+    });
+    for threads in [1, 2, 4] {
+        for chunk in [1, 3, 32] {
+            let config = scale_config(threads)
+                .with_apps(apps)
+                .with_chunk(chunk)
+                .with_stall_hook(Arc::clone(&stall));
+            match FleetOrchestrator::new(config).run_population(&population) {
+                Err(FleetError::Build { code, message }) => {
+                    assert_eq!(code, "BROKEN-5", "threads {threads}, chunk {chunk}");
+                    assert!(message.contains("module budget too small"), "{message}");
+                }
+                other => panic!("threads {threads}, chunk {chunk}: expected BROKEN-5's build error, got {other:?}"),
+            }
         }
     }
 }

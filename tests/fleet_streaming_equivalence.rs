@@ -2,20 +2,29 @@
 //! indistinguishable from the retained-everything oracle.
 //!
 //! [`FleetOrchestrator::run_population`] folds each finished app into a
-//! constant-memory [`FleetAggregator`] as workers race over a stolen-work
-//! queue. [`FleetSummary::from_records`] is the simple oracle: run every
-//! app sequentially, keep the full `Vec<AppRecord>`, summarize at the
-//! end. For every population the two must serialize to byte-identical
-//! JSON — the streaming rewrite is only allowed to change *how much
-//! memory the summary costs*, never a single byte of what it says.
+//! constant-memory [`FleetAggregator`] per worker, in whatever order the
+//! workers claim chunks, and merges the partials after they join.
+//! [`reference_report`] is the simple oracle: run every app sequentially
+//! ([`FleetOrchestrator::run_records`]), keep the full `Vec<AppRecord>`,
+//! summarize at the end. For every population the two must serialize to
+//! byte-identical JSON — the streaming path is only allowed to change
+//! *how much memory the summary costs*, never a single byte of what it
+//! says.
 //!
 //! Populations are randomized (sizes, thread counts, chaos on/off) from a
 //! fixed sweep seed, plus the degenerate cells a randomized sweep can
 //! miss: the empty fleet, the 1-app fleet, the first fleet big enough to
-//! truncate the detail window, and a real-catalog chaos cell.
+//! truncate the detail window, and real-catalog cells with chaos off and
+//! on.
+//!
+//! [`FleetAggregator`]: slimstart::fleet::FleetAggregator
 
 use slimstart::appmodel::catalog::{fleet_population, light_population, CatalogApp};
-use slimstart::fleet::{FleetConfig, FleetOrchestrator, FleetReport, FleetSummary};
+use slimstart::fleet::report::{seed_digest_term, DETAIL_ROWS};
+use slimstart::fleet::{
+    AppRecord, FixedHistogram, FleetChaosSummary, FleetConfig, FleetOrchestrator, FleetReport,
+    FleetSnapshotSummary, FleetZygoteSummary, SpeedupDistribution,
+};
 use slimstart::platform::chaos::ChaosConfig;
 use slimstart::platform::PlatformConfig;
 use slimstart::simcore::SimRng;
@@ -32,6 +41,91 @@ fn config(apps: usize, threads: usize, seed: u64) -> FleetConfig {
         )
 }
 
+/// The retained aggregation path: collect every row, summarize in one
+/// pass — deliberately the dumbest possible implementation.
+fn reference_report(
+    seed: u64,
+    cold_starts: usize,
+    runs: usize,
+    apps: Vec<AppRecord>,
+) -> FleetReport {
+    let mut init = FixedHistogram::new();
+    let mut e2e = FixedHistogram::new();
+    let mut mem = FixedHistogram::new();
+    for a in &apps {
+        init.record(a.speedup.init);
+        e2e.record(a.speedup.e2e);
+        mem.record(a.speedup.mem);
+    }
+    let seed_digest = apps
+        .iter()
+        .fold(0u64, |d, a| d ^ seed_digest_term(a.index, a.seed));
+    let detail_truncated = apps.len() > DETAIL_ROWS;
+    FleetReport {
+        seed,
+        cold_starts,
+        runs,
+        fleet_size: apps.len(),
+        seed_digest,
+        gate_passed_count: apps.iter().filter(|a| a.gate_passed).count(),
+        optimized_count: apps.iter().filter(|a| a.optimized).count(),
+        rolled_back_count: apps.iter().filter(|a| a.rolled_back).count(),
+        findings_total: apps.iter().map(|a| a.findings).sum(),
+        deferred_total: apps.iter().map(|a| a.deferred).sum(),
+        analyzer_warnings_total: apps.iter().map(|a| a.analyzer_warnings).sum(),
+        init_speedup: SpeedupDistribution::from_histogram(&init),
+        e2e_speedup: SpeedupDistribution::from_histogram(&e2e),
+        mem_reduction: SpeedupDistribution::from_histogram(&mem),
+        chaos: chaos_from_records(&apps),
+        snapshots: snapshots_from_records(&apps),
+        zygotes: zygotes_from_records(&apps),
+        init_hist: init,
+        e2e_hist: e2e,
+        mem_hist: mem,
+        detail: apps.into_iter().take(DETAIL_ROWS).collect(),
+        detail_truncated,
+    }
+}
+
+/// Aggregates the per-app chaos rows; `None` when no row carries one.
+fn chaos_from_records(apps: &[AppRecord]) -> Option<FleetChaosSummary> {
+    if apps.iter().all(|a| a.chaos.is_none()) {
+        return None;
+    }
+    let rows = || apps.iter().filter_map(|a| a.chaos.as_ref());
+    Some(FleetChaosSummary {
+        faulted: rows().filter(|c| c.faults > 0).count(),
+        recovered: rows().filter(|c| c.recovered).count(),
+        degraded: rows().filter(|c| c.degraded()).count(),
+        failed: rows().filter(|c| c.failed()).count(),
+        faults_total: rows().map(|c| c.faults).sum(),
+    })
+}
+
+/// Aggregates the per-app snapshot rows; `None` when no row carries one.
+fn snapshots_from_records(apps: &[AppRecord]) -> Option<FleetSnapshotSummary> {
+    if apps.iter().all(|a| a.snapshot.is_none()) {
+        return None;
+    }
+    let mut summary = FleetSnapshotSummary::default();
+    for snap in apps.iter().filter_map(|a| a.snapshot.as_ref()) {
+        summary.fold(snap);
+    }
+    Some(summary)
+}
+
+/// Aggregates the per-app zygote rows; `None` when no row carries one.
+fn zygotes_from_records(apps: &[AppRecord]) -> Option<FleetZygoteSummary> {
+    if apps.iter().all(|a| a.zygote.is_none()) {
+        return None;
+    }
+    let mut summary = FleetZygoteSummary::default();
+    for zygote in apps.iter().filter_map(|a| a.zygote.as_ref()) {
+        summary.fold(zygote);
+    }
+    Some(summary)
+}
+
 /// Runs the same configuration through both paths and asserts the JSON
 /// (and the rendered text table, which shares the detail window) agree
 /// byte for byte.
@@ -41,7 +135,7 @@ fn assert_paths_agree(config: FleetConfig, population: &[CatalogApp]) -> FleetRe
         .run_population(population)
         .expect("streaming fleet runs");
     let records = orchestrator.run_records(population).expect("oracle runs");
-    let oracle = FleetSummary::from_records(config.seed, config.cold_starts, config.runs, records);
+    let oracle = reference_report(config.seed, config.cold_starts, config.runs, records);
     assert_eq!(
         streamed.to_json(),
         oracle.to_json(),
@@ -99,6 +193,16 @@ fn detail_truncating_fleet_matches_the_retained_oracle() {
     let report = assert_paths_agree(config(33, 3, 2025), &light_population(33));
     assert!(report.detail_truncated);
     assert_eq!(report.detail.len(), 32);
+}
+
+#[test]
+fn catalog_population_without_chaos_matches_the_retained_oracle() {
+    // The full pipeline on real catalog entries, chaos off: profiling
+    // deployments, analyzer findings and optimizations, with no fault
+    // summary in either path.
+    let report = assert_paths_agree(config(6, 3, 7), &fleet_population(6));
+    assert!(report.chaos.is_none());
+    assert_eq!(report.detail.len(), 6);
 }
 
 #[test]
