@@ -36,6 +36,7 @@
 
 pub mod dist;
 pub mod event;
+mod hash;
 pub mod intern;
 pub mod json;
 pub mod rng;

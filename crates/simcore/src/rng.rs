@@ -135,6 +135,88 @@ fn splitmix64(mut z: u64) -> u64 {
 mod tests {
     use super::*;
 
+    /// Each method's first four outputs from a fresh `seed_from(seed)`,
+    /// floats as their bits.
+    fn first_outputs(seed: u64) -> [[u64; 4]; 5] {
+        let draws: [fn(&mut SimRng) -> u64; 5] = [
+            |r| r.next_u64(),
+            |r| r.next_f64().to_bits(),
+            |r| r.next_below(10) as u64,
+            |r| r.uniform(-2.0, 3.0).to_bits(),
+            |r| r.split_seed(),
+        ];
+        draws.map(|draw| {
+            let mut rng = SimRng::seed_from(seed);
+            [(); 4].map(|()| draw(&mut rng))
+        })
+    }
+
+    #[test]
+    fn streams_are_pinned() {
+        // The goldens depend on these streams, so unlike the other RNG
+        // tests this one asserts exact values.
+        assert_eq!(
+            first_outputs(0),
+            [
+                [
+                    0x53175d61490b23df,
+                    0x61da6f3dc380d507,
+                    0x5c0fdf91ec9a7bfc,
+                    0x02eebf8c3bbe5e1a
+                ],
+                [
+                    0x3fd4c5d7585242c8,
+                    0x3fd8769bcf70e034,
+                    0x3fd703f7e47b269e,
+                    0x3f8775fc61ddf2c0
+                ],
+                [3, 5, 0, 0],
+                [
+                    0xbfd822cb4664b218,
+                    0xbfb6bbd3cb2e7bf0,
+                    0xbfc9d85113307dd0,
+                    0xbfff1564242d5484
+                ],
+                [
+                    0x5629ccb154f179ba,
+                    0x59d7bbda739f5447,
+                    0xc319eb1e905d4551,
+                    0x061726f166e213a9
+                ],
+            ]
+        );
+        assert_eq!(
+            first_outputs(2025),
+            [
+                [
+                    0xcb2b830825937149,
+                    0xbf965a06eb73a2da,
+                    0xc55e708071ae8fa7,
+                    0xf2a7ca4e46f2a9f3
+                ],
+                [
+                    0x3fe965706104b26e,
+                    0x3fe7f2cb40dd6e74,
+                    0x3fe8abce100e35d1,
+                    0x3fee54f949c8de55
+                ],
+                [5, 2, 3, 3],
+                [
+                    0x3fff7d98f28bbe14,
+                    0x3ffbdefc22299422,
+                    0x3ffdad832823868a,
+                    0x4005ea379c3b15ea
+                ],
+                [
+                    0xc4d00655c30bab8c,
+                    0x94231254b22535e2,
+                    0xb74357b7f20ffd3a,
+                    0x7db4340098b090e6
+                ],
+            ]
+        );
+    }
+
     #[test]
     fn same_seed_same_stream() {
         let mut a = SimRng::seed_from(123);
