@@ -7,7 +7,7 @@
 
 use std::collections::HashSet;
 
-use fxhash::FxHashMap;
+use slimstart_simcore::hash::FxHashMap;
 use slimstart_simcore::intern::Interner;
 use slimstart_simcore::time::SimDuration;
 

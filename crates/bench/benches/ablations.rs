@@ -58,7 +58,7 @@ fn profile(
     let records = platform.run(&invs).expect("no faults").to_vec();
     let e2e = records.iter().map(|r| r.e2e_ms()).sum::<f64>() / records.len() as f64;
     let colds = records.iter().filter(|r| r.cold).count() as u64;
-    let store = store.lock().clone();
+    let store = store.lock().expect("profile store lock").clone();
     (store, e2e, colds)
 }
 

@@ -19,9 +19,9 @@
 //! pre-arena implementation lives in the `cct_equivalence` differential
 //! suite, which checks this tree against it.
 
-use fxhash::FxHashMap;
 use slimstart_appmodel::Application;
 use slimstart_pyrt::stack::{Frame, FrameKind};
+use slimstart_simcore::hash::FxHashMap;
 
 use crate::profile::{path_runs, NodeMap, PathId, PathTable, SampleRecord};
 

@@ -14,19 +14,16 @@
 //! report.
 
 use std::sync::mpsc::{channel, Sender};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
-use bytes::Bytes;
-use parking_lot::Mutex;
-
-use crate::profile::ProfileStore;
+use crate::profile::{lock, ProfileStore};
 use crate::wire::{ProfileBatch, WireError};
 
 /// A handle for submitting encoded batches to the collector.
 #[derive(Debug, Clone)]
 pub struct BatchSender {
-    tx: Sender<Bytes>,
+    tx: Sender<Vec<u8>>,
 }
 
 impl BatchSender {
@@ -34,7 +31,7 @@ impl BatchSender {
     ///
     /// Submissions after [`AsyncCollector::finish`] are dropped silently
     /// (the collector has left), mirroring fire-and-forget uploads.
-    pub fn send(&self, payload: Bytes) -> usize {
+    pub fn send(&self, payload: Vec<u8>) -> usize {
         if payload.is_empty() {
             return 0; // reserved as the shutdown sentinel
         }
@@ -64,14 +61,14 @@ pub struct CollectorStats {
 pub struct AsyncCollector {
     store: Arc<Mutex<ProfileStore>>,
     stats: Arc<Mutex<CollectorStats>>,
-    tx: Option<Sender<Bytes>>,
+    tx: Option<Sender<Vec<u8>>>,
     worker: Option<JoinHandle<()>>,
 }
 
 impl std::fmt::Debug for AsyncCollector {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("AsyncCollector")
-            .field("stats", &*self.stats.lock())
+            .field("stats", &*lock(&self.stats))
             .field("running", &self.worker.is_some())
             .finish()
     }
@@ -86,7 +83,7 @@ impl AsyncCollector {
 
     /// Spawns the collector thread writing into an existing store.
     pub fn start_with_store(store: Arc<Mutex<ProfileStore>>) -> AsyncCollector {
-        let (tx, rx) = channel::<Bytes>();
+        let (tx, rx) = channel::<Vec<u8>>();
         let stats = Arc::new(Mutex::new(CollectorStats::default()));
         let store_for_worker = Arc::clone(&store);
         let stats_for_worker = Arc::clone(&stats);
@@ -101,18 +98,18 @@ impl AsyncCollector {
                         break;
                     }
                     let len = payload.len() as u64;
-                    match ProfileBatch::decode(payload) {
+                    match ProfileBatch::decode(&payload) {
                         Ok(batch) => {
-                            let mut store = store_for_worker.lock();
+                            let mut store = lock(&store_for_worker);
                             store.absorb(&batch.paths, &batch.samples, batch.init_micros, 1);
-                            let mut stats = stats_for_worker.lock();
+                            let mut stats = lock(&stats_for_worker);
                             stats.batches += 1;
                             stats.bytes += len;
                         }
                         Err(_e @ WireError::BadMagic)
                         | Err(_e @ WireError::Truncated)
                         | Err(_e @ WireError::BadFrameKind(_)) => {
-                            stats_for_worker.lock().decode_errors += 1;
+                            lock(&stats_for_worker).decode_errors += 1;
                         }
                     }
                 }
@@ -144,7 +141,7 @@ impl AsyncCollector {
 
     /// Current statistics snapshot.
     pub fn stats(&self) -> CollectorStats {
-        *self.stats.lock()
+        *lock(&self.stats)
     }
 
     /// Signals shutdown, waits for the worker to drain everything queued
@@ -155,7 +152,7 @@ impl AsyncCollector {
     /// containers) cannot stall the join.
     pub fn finish(&mut self) -> CollectorStats {
         if let Some(tx) = self.tx.take() {
-            let _ = tx.send(Bytes::new()); // shutdown sentinel
+            let _ = tx.send(Vec::new()); // shutdown sentinel
         }
         if let Some(worker) = self.worker.take() {
             worker.join().expect("collector thread exits cleanly");
@@ -169,7 +166,7 @@ impl Drop for AsyncCollector {
         // Non-blocking teardown guarantee (C-DTOR-BLOCK): `finish` is the
         // blocking API; Drop only signals shutdown and detaches.
         if let Some(tx) = self.tx.take() {
-            let _ = tx.send(Bytes::new());
+            let _ = tx.send(Vec::new());
         }
     }
 }
@@ -181,7 +178,7 @@ mod tests {
     use slimstart_pyrt::stack::{Frame, FrameKind};
 
     use crate::profile::{PathTable, SampleRecord};
-    use fxhash::FxHashMap;
+    use slimstart_simcore::hash::FxHashMap;
 
     fn frame(i: usize) -> Frame {
         Frame {
@@ -218,7 +215,7 @@ mod tests {
         assert_eq!(stats.decode_errors, 0);
         assert!(stats.bytes > 0);
         let store = collector.store();
-        let store = store.lock();
+        let store = lock(&store);
         assert_eq!(store.samples.len(), 5);
         // Each batch's table is absorbed into the store's: three paths.
         assert_eq!(store.paths.len(), 4);
@@ -239,12 +236,12 @@ mod tests {
     fn malformed_payloads_are_counted_not_fatal() {
         let mut collector = AsyncCollector::start();
         let sender = collector.sender();
-        sender.send(Bytes::from_static(b"garbage"));
+        sender.send(b"garbage".to_vec());
         sender.send_batch(&batch(0, FxHashMap::default()));
         let stats = collector.finish();
         assert_eq!(stats.decode_errors, 1);
         assert_eq!(stats.batches, 1);
-        assert_eq!(collector.store().lock().samples.len(), 1);
+        assert_eq!(lock(&collector.store()).samples.len(), 1);
     }
 
     #[test]
@@ -261,19 +258,19 @@ mod tests {
         let sender = collector.sender();
         collector.finish();
         // Fire-and-forget: no panic, payload silently dropped.
-        sender.send(Bytes::from_static(b"late"));
+        sender.send(b"late".to_vec());
     }
 
     #[test]
     fn start_with_existing_store_appends() {
         let store = ProfileStore::shared();
-        store.lock().invocations = 7;
+        lock(&store).invocations = 7;
         let mut collector = AsyncCollector::start_with_store(Arc::clone(&store));
         collector
             .sender()
             .send_batch(&batch(1, FxHashMap::default()));
         collector.finish();
-        let store = store.lock();
+        let store = lock(&store);
         assert_eq!(store.invocations, 7);
         assert_eq!(store.samples.len(), 1);
     }

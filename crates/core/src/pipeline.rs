@@ -41,6 +41,7 @@ use crate::cct::Cct;
 use crate::config::{DetectorConfig, SamplerConfig};
 use crate::detect::InefficiencyReport;
 use crate::optimizer::OptimizationOutcome;
+use crate::profile::lock;
 use crate::resilience::{ResilienceOutcome, RetryPolicy};
 use crate::stage::{GateDecision, PipelineCtx, StageEngine};
 use crate::utilization::Utilization;
@@ -348,11 +349,11 @@ impl Pipeline {
         StageEngine::new()
             .then(crate::stage::ProfileStage)
             .run(&mut ctx)?;
-        let store = ctx
-            .profile_store
-            .as_ref()
-            .expect("ProfileStage fills the store")
-            .lock();
+        let store = lock(
+            ctx.profile_store
+                .as_ref()
+                .expect("ProfileStage fills the store"),
+        );
         Ok(Utilization::from_samples(&store.paths, &store.samples, app))
     }
 

@@ -12,12 +12,11 @@
 //! holding each distinct path once, so a sample is 8 bytes however deep its
 //! stack and an analysis can visit each distinct path once.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use fxhash::FxHashMap;
-use parking_lot::Mutex;
 use slimstart_appmodel::ModuleId;
 use slimstart_pyrt::stack::{Frame, FrameKind};
+use slimstart_simcore::hash::FxHashMap;
 use slimstart_simcore::time::SimDuration;
 
 /// A call path interned in a [`PathTable`]: the index of the trie node
@@ -237,6 +236,13 @@ pub struct ProfileStore {
     pub invocations: u64,
     /// Number of batches transferred (each paid the flush cost).
     pub batches_transferred: u64,
+}
+
+/// Locks a profile mutex, recovering the data if a panicking holder
+/// poisoned it: the store and the collector's counters hold plain data
+/// that every writer leaves whole, so a later reader can use it.
+pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 impl ProfileStore {
@@ -469,7 +475,7 @@ mod tests {
     fn shared_handle_is_usable_across_clones() {
         let store = ProfileStore::shared();
         let clone = Arc::clone(&store);
-        clone.lock().invocations += 1;
-        assert_eq!(store.lock().invocations, 1);
+        lock(&clone).invocations += 1;
+        assert_eq!(lock(&store).invocations, 1);
     }
 }

@@ -17,9 +17,8 @@
 //!    only when a batch boundary is crossed (asynchronous batched transfer,
 //!    TC-1 strategies 2–3).
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use parking_lot::Mutex;
 use slimstart_appmodel::{Application, ModuleId};
 use slimstart_pyrt::observer::{AdvanceContext, ExecutionObserver};
 use slimstart_pyrt::stack::{CallStack, Frame};
@@ -27,7 +26,7 @@ use slimstart_simcore::time::{SimDuration, SimTime};
 
 use crate::collector::BatchSender;
 use crate::config::SamplerConfig;
-use crate::profile::{PathId, PathTable, ProfileStore, SampleRecord};
+use crate::profile::{lock, PathId, PathTable, ProfileStore, SampleRecord};
 use crate::wire::ProfileBatch;
 
 /// Where a sampler attachment delivers its data.
@@ -60,7 +59,7 @@ impl SampleSink {
                 if new.is_empty() {
                     cursor.leaf()
                 } else {
-                    cursor.extend(new, &mut store.lock().paths)
+                    cursor.extend(new, &mut lock(store).paths)
                 }
             }
             SampleSink::Channel { capture, .. } => capture.capture(stack),
@@ -331,7 +330,7 @@ impl ExecutionObserver for SamplerAttachment {
         let flushes = std::mem::take(&mut self.pending_batches);
         match &mut self.sink {
             SampleSink::Direct { store, .. } => {
-                let mut store = store.lock();
+                let mut store = lock(store);
                 store.append(&mut self.buffer, self.init.drain(), flushes);
                 store.invocations += 1;
             }
@@ -426,7 +425,7 @@ mod tests {
             ..SamplerConfig::default()
         };
         let (store, _) = run_profiled(cfg);
-        let store = store.lock();
+        let store = lock(&store);
         // 210 ms of activity at 5 ms period → ~42 samples.
         let n = store.samples.len();
         assert!((38..=44).contains(&n), "samples = {n}");
@@ -440,7 +439,7 @@ mod tests {
             ..SamplerConfig::default()
         };
         let (store, app) = run_profiled(cfg);
-        let store = store.lock();
+        let store = lock(&store);
         // Init phase: 110 ms → ~22 samples; runtime: 100 ms → ~20.
         let init = store.init_sample_count();
         let runtime = store.runtime_sample_count();
@@ -464,7 +463,7 @@ mod tests {
             ..SamplerConfig::default()
         };
         let (store, app) = run_profiled(cfg);
-        let store = store.lock();
+        let store = lock(&store);
         let lib = app.module_by_name("lib").unwrap();
         let handler = app.module_by_name("handler").unwrap();
         assert_eq!(store.init_time(lib), ms(100));
@@ -559,7 +558,7 @@ mod tests {
             .unwrap();
         // Runtime work is 100 ms; exec also carries 2 batch flushes = 20 ms.
         assert_eq!(out.exec_time, ms(120));
-        assert_eq!(store.lock().batches_transferred, 2);
+        assert_eq!(lock(&store).batches_transferred, 2);
     }
 
     fn call(i: usize) -> slimstart_pyrt::stack::FrameKind {
@@ -697,7 +696,7 @@ mod tests {
         }
         collector.finish();
         let channelled = collector.store();
-        let (direct, channelled) = (direct.lock(), channelled.lock());
+        let (direct, channelled) = (lock(&direct), lock(&channelled));
         let resolved = |store: &ProfileStore| -> Vec<(Vec<Frame>, bool)> {
             store
                 .samples

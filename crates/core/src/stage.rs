@@ -22,7 +22,7 @@
 //! `seed ^ 0x3`) or how workloads are regenerated for the final artifact.
 
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use slimstart_appmodel::Application;
 use slimstart_platform::chaos::ChaosPlan;
@@ -39,12 +39,10 @@ use crate::detect::{detect, InefficiencyReport};
 use crate::initprof::InitBreakdown;
 use crate::optimizer::{optimize, optimize_conservative, OptimizationOutcome};
 use crate::pipeline::{PipelineConfig, PipelineError};
-use crate::profile::ProfileStore;
+use crate::profile::{lock, ProfileStore};
 use crate::resilience::ResilienceLog;
 use crate::sampler::SamplerAttachment;
 use crate::utilization::Utilization;
-
-use parking_lot::Mutex;
 
 /// The gate verdict taken from baseline measurements (paper step 2).
 ///
@@ -375,14 +373,14 @@ impl Stage for ProfileStage {
                 }
                 // Retry budget exhausted: no profile survived. Ship empty
                 // data and degrade instead of aborting the cycle.
-                let mut s = store.lock();
+                let mut s = lock(&store);
                 s.samples.clear();
                 s.init_micros_by_module.clear();
                 drop(s);
                 ctx.resilience.profile_missing = true;
             } else if let Some(keep) = chaos.upload_truncation() {
                 // Chaos: the upload survived but only a prefix arrived.
-                let mut s = store.lock();
+                let mut s = lock(&store);
                 let surviving = (s.samples.len() as f64 * keep).floor() as usize;
                 s.samples.truncate(surviving);
                 drop(s);
@@ -412,11 +410,11 @@ impl Stage for AnalyzeStage {
             .baseline
             .as_ref()
             .expect("AnalyzeStage requires BaselineStage");
-        let store = ctx
-            .profile_store
-            .as_ref()
-            .expect("AnalyzeStage requires ProfileStage")
-            .lock();
+        let store = lock(
+            ctx.profile_store
+                .as_ref()
+                .expect("AnalyzeStage requires ProfileStage"),
+        );
         let breakdown = InitBreakdown::from_store(
             &store,
             &ctx.app,

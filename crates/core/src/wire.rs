@@ -22,11 +22,9 @@
 //! seedless FxHash like the rest of the profile path: batches come from
 //! this process's own sampler attachments, not from an untrusted peer.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-use fxhash::FxHashMap;
-
 use slimstart_appmodel::{FunctionId, ModuleId};
 use slimstart_pyrt::stack::{Frame, FrameKind};
+use slimstart_simcore::hash::FxHashMap;
 
 use crate::profile::{PathTable, SampleRecord};
 use crate::sampler::PathCursor;
@@ -84,40 +82,36 @@ impl PartialEq for ProfileBatch {
 impl ProfileBatch {
     /// Encodes the batch into its wire form. Each sample carries its
     /// frames in full.
-    pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(self.encoded_len());
-        buf.put_u32_le(MAGIC);
-        buf.put_u32_le(self.samples.len() as u32);
+    pub fn encode(&self) -> Vec<u8> {
+        let mut buf = Vec::with_capacity(self.encoded_len());
+        buf.extend_from_slice(&MAGIC.to_le_bytes());
+        buf.extend_from_slice(&(self.samples.len() as u32).to_le_bytes());
         let mut frames = Vec::new();
         for (i, s) in self.samples.iter().enumerate() {
             if i == 0 || s.path != self.samples[i - 1].path {
                 self.paths.resolve(s.path, &mut frames);
             }
-            buf.put_u8(u8::from(s.is_init));
-            buf.put_u16_le(frames.len() as u16);
+            buf.push(u8::from(s.is_init));
+            buf.extend_from_slice(&(frames.len() as u16).to_le_bytes());
             for frame in &frames {
-                match frame.kind {
-                    FrameKind::ModuleInit(m) => {
-                        buf.put_u8(0);
-                        buf.put_u32_le(m.index() as u32);
-                    }
-                    FrameKind::Call(f) => {
-                        buf.put_u8(1);
-                        buf.put_u32_le(f.index() as u32);
-                    }
-                }
-                buf.put_u32_le(frame.line);
+                let (kind, id) = match frame.kind {
+                    FrameKind::ModuleInit(m) => (0, m.index()),
+                    FrameKind::Call(f) => (1, f.index()),
+                };
+                buf.push(kind);
+                buf.extend_from_slice(&(id as u32).to_le_bytes());
+                buf.extend_from_slice(&frame.line.to_le_bytes());
             }
         }
-        buf.put_u32_le(self.init_micros.len() as u32);
+        buf.extend_from_slice(&(self.init_micros.len() as u32).to_le_bytes());
         // Deterministic order for reproducible byte streams.
         let mut entries: Vec<(&ModuleId, &u64)> = self.init_micros.iter().collect();
         entries.sort();
         for (module, micros) in entries {
-            buf.put_u32_le(module.index() as u32);
-            buf.put_u64_le(*micros);
+            buf.extend_from_slice(&(module.index() as u32).to_le_bytes());
+            buf.extend_from_slice(&micros.to_le_bytes());
         }
-        buf.freeze()
+        buf
     }
 
     /// The exact size [`ProfileBatch::encode`] will produce, in bytes —
@@ -140,33 +134,43 @@ impl ProfileBatch {
     /// # Errors
     ///
     /// Returns a [`WireError`] on malformed input.
-    pub fn decode(mut buf: Bytes) -> Result<ProfileBatch, WireError> {
-        fn need(buf: &Bytes, n: usize) -> Result<(), WireError> {
-            if buf.remaining() < n {
+    pub fn decode(mut buf: &[u8]) -> Result<ProfileBatch, WireError> {
+        fn need(buf: &[u8], n: usize) -> Result<(), WireError> {
+            if buf.len() < n {
                 Err(WireError::Truncated)
             } else {
                 Ok(())
             }
         }
-        need(&buf, 8)?;
-        if buf.get_u32_le() != MAGIC {
+        /// Reads the next `N` bytes; `need` has checked they are there.
+        fn take<const N: usize>(buf: &mut &[u8]) -> [u8; N] {
+            let (head, rest) = buf.split_first_chunk().expect("length checked by need");
+            *buf = rest;
+            *head
+        }
+        let get_u8 = |buf: &mut &[u8]| take::<1>(buf)[0];
+        let get_u16 = |buf: &mut &[u8]| u16::from_le_bytes(take(buf));
+        let get_u32 = |buf: &mut &[u8]| u32::from_le_bytes(take(buf));
+        let get_u64 = |buf: &mut &[u8]| u64::from_le_bytes(take(buf));
+        need(buf, 8)?;
+        if get_u32(&mut buf) != MAGIC {
             return Err(WireError::BadMagic);
         }
-        let sample_count = buf.get_u32_le() as usize;
+        let sample_count = get_u32(&mut buf) as usize;
         let mut samples = Vec::with_capacity(sample_count.min(1 << 20));
         let mut paths = PathTable::new();
         let mut cursor = PathCursor::new();
         let mut path = Vec::new();
         for _ in 0..sample_count {
-            need(&buf, 3)?;
-            let flags = buf.get_u8();
-            let depth = buf.get_u16_le() as usize;
+            need(buf, 3)?;
+            let flags = get_u8(&mut buf);
+            let depth = get_u16(&mut buf) as usize;
             path.clear();
             for _ in 0..depth {
-                need(&buf, 9)?;
-                let kind_byte = buf.get_u8();
-                let id = buf.get_u32_le() as usize;
-                let line = buf.get_u32_le();
+                need(buf, 9)?;
+                let kind_byte = get_u8(&mut buf);
+                let id = get_u32(&mut buf) as usize;
+                let line = get_u32(&mut buf);
                 let kind = match kind_byte {
                     0 => FrameKind::ModuleInit(ModuleId::from_index(id)),
                     1 => FrameKind::Call(FunctionId::from_index(id)),
@@ -179,14 +183,14 @@ impl ProfileBatch {
                 is_init: flags & 1 != 0,
             });
         }
-        need(&buf, 4)?;
-        let entry_count = buf.get_u32_le() as usize;
+        need(buf, 4)?;
+        let entry_count = get_u32(&mut buf) as usize;
         let mut init_micros =
             FxHashMap::with_capacity_and_hasher(entry_count.min(1 << 20), Default::default());
         for _ in 0..entry_count {
-            need(&buf, 12)?;
-            let module = ModuleId::from_index(buf.get_u32_le() as usize);
-            let micros = buf.get_u64_le();
+            need(buf, 12)?;
+            let module = ModuleId::from_index(get_u32(&mut buf) as usize);
+            let micros = get_u64(&mut buf);
             init_micros.insert(module, micros);
         }
         Ok(ProfileBatch {
@@ -268,19 +272,18 @@ mod tests {
     fn encoding_is_pinned() {
         let batch = pinned_batch();
         let encoded = batch.encode();
-        assert_eq!(encoded.as_slice(), PINNED);
+        assert_eq!(encoded, PINNED);
         assert_eq!(batch.encoded_len(), encoded.len());
-        let decoded = ProfileBatch::decode(encoded).unwrap();
+        let decoded = ProfileBatch::decode(&encoded).unwrap();
         assert_eq!(decoded, batch);
         assert_eq!(decoded.samples[0].path, decoded.samples[2].path);
-        assert_eq!(decoded.encode().as_slice(), PINNED);
+        assert_eq!(decoded.encode(), PINNED);
     }
 
     #[test]
     fn round_trip() {
         let b = batch();
-        let encoded = b.encode();
-        let decoded = ProfileBatch::decode(encoded).unwrap();
+        let decoded = ProfileBatch::decode(&b.encode()).unwrap();
         assert_eq!(decoded, b);
     }
 
@@ -296,41 +299,32 @@ mod tests {
     #[test]
     fn empty_batch_round_trips() {
         let b = ProfileBatch::default();
-        assert_eq!(ProfileBatch::decode(b.encode()).unwrap(), b);
+        assert_eq!(ProfileBatch::decode(&b.encode()).unwrap(), b);
     }
 
     #[test]
     fn bad_magic_rejected() {
-        let mut raw = BytesMut::new();
-        raw.put_u32_le(0xDEAD_BEEF);
-        raw.put_u32_le(0);
-        assert_eq!(ProfileBatch::decode(raw.freeze()), Err(WireError::BadMagic));
+        let raw = [0xDEAD_BEEFu32, 0].map(u32::to_le_bytes).concat();
+        assert_eq!(ProfileBatch::decode(&raw), Err(WireError::BadMagic));
     }
 
     #[test]
     fn truncation_detected() {
         let encoded = batch().encode();
         for cut in [0, 4, 7, encoded.len() - 1] {
-            let err = ProfileBatch::decode(encoded.slice(..cut)).unwrap_err();
+            let err = ProfileBatch::decode(&encoded[..cut]).unwrap_err();
             assert_eq!(err, WireError::Truncated, "cut at {cut}");
         }
     }
 
     #[test]
     fn bad_frame_kind_detected() {
-        let mut raw = BytesMut::new();
-        raw.put_u32_le(MAGIC);
-        raw.put_u32_le(1); // one sample
-        raw.put_u8(0); // flags
-        raw.put_u16_le(1); // depth 1
-        raw.put_u8(9); // invalid frame kind
-        raw.put_u32_le(0);
-        raw.put_u32_le(0);
-        raw.put_u32_le(0); // no init entries
-        assert_eq!(
-            ProfileBatch::decode(raw.freeze()),
-            Err(WireError::BadFrameKind(9))
-        );
+        let mut raw = [MAGIC, 1].map(u32::to_le_bytes).concat(); // one sample
+        raw.push(0); // flags
+        raw.extend_from_slice(&1u16.to_le_bytes()); // depth 1
+        raw.push(9); // invalid frame kind
+        raw.extend_from_slice(&[0; 12]); // id, line, no init entries
+        assert_eq!(ProfileBatch::decode(&raw), Err(WireError::BadFrameKind(9)));
     }
 
     #[test]
@@ -371,9 +365,9 @@ mod tests {
             };
             let encoded = b.encode();
             assert_eq!(encoded.len(), b.encoded_len());
-            let decoded = ProfileBatch::decode(encoded.clone()).unwrap();
+            let decoded = ProfileBatch::decode(&encoded).unwrap();
             assert_eq!(decoded, b);
-            assert_eq!(decoded.encode().as_slice(), encoded.as_slice());
+            assert_eq!(decoded.encode(), encoded);
         }
     }
 }

@@ -59,8 +59,8 @@ use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use fxhash::FxHasher;
 use slimstart_appmodel::{Application, ModuleId};
+use slimstart_simcore::hash::FxHasher;
 use slimstart_simcore::time::{SimDuration, SimTime};
 
 /// Identifies one memoized cold-start outcome: the entry module plus a

@@ -15,6 +15,7 @@
 //! * [`stats`] — online summaries, exact percentiles and histograms used by
 //!   the metric collectors.
 //! * [`event`] — a generic discrete-event queue keyed by virtual time.
+//! * [`hash`] — FxHash, the seedless hasher behind the hot-path maps.
 //! * [`intern`] — an insertion-ordered string interner issuing dense
 //!   [`Symbol`] handles for hot-path name lookups.
 //! * [`json`] — the string escape and float encoder shared by every
@@ -36,7 +37,7 @@
 
 pub mod dist;
 pub mod event;
-mod hash;
+pub mod hash;
 pub mod intern;
 pub mod json;
 pub mod rng;

@@ -5,13 +5,14 @@
 //! (workload generation, per-invocation branches, sampling jitter) obtain
 //! *split* child generators so that adding randomness consumption in one
 //! component never perturbs another.
-
-use rand::rngs::StdRng;
-use rand::{Rng, RngCore, SeedableRng};
+//!
+//! The generator is xoshiro256++, its four state words seeded by SplitMix64
+//! from the `u64` seed. The same seed gives the same stream on every run,
+//! thread count and platform.
 
 /// A deterministic random-number generator for simulation use.
 ///
-/// Wraps a portable PRNG seeded from a `u64`. Use [`SimRng::split`] to derive
+/// xoshiro256++ seeded from a `u64`. Use [`SimRng::split`] to derive
 /// statistically independent child generators for sub-components.
 ///
 /// # Example
@@ -25,14 +26,20 @@ use rand::{Rng, RngCore, SeedableRng};
 /// ```
 #[derive(Debug, Clone)]
 pub struct SimRng {
-    inner: StdRng,
+    s: [u64; 4],
 }
 
 impl SimRng {
     /// Creates a generator from a 64-bit seed.
     pub fn seed_from(seed: u64) -> Self {
+        // The first four outputs of a SplitMix64 generator started at `seed`.
+        let mut state = seed;
         SimRng {
-            inner: StdRng::seed_from_u64(seed),
+            s: [(); 4].map(|()| {
+                let word = splitmix64(state);
+                state = state.wrapping_add(GOLDEN_GAMMA);
+                word
+            }),
         }
     }
 
@@ -55,17 +62,26 @@ impl SimRng {
     pub fn split_seed(&mut self) -> u64 {
         // Mix the drawn value so that consecutive splits land on distant
         // seeds even if the underlying stream were low-entropy.
-        splitmix64(self.inner.next_u64())
+        splitmix64(self.next_u64())
     }
 
     /// Draws the next `u64`.
     pub fn next_u64(&mut self) -> u64 {
-        self.inner.next_u64()
+        let s = &mut self.s;
+        let result = s[0].wrapping_add(s[3]).rotate_left(23).wrapping_add(s[0]);
+        let t = s[1] << 17;
+        s[2] ^= s[0];
+        s[3] ^= s[1];
+        s[1] ^= s[2];
+        s[0] ^= s[3];
+        s[2] ^= t;
+        s[3] = s[3].rotate_left(45);
+        result
     }
 
-    /// Draws a uniform float in `[0, 1)`.
+    /// Draws a uniform float in `[0, 1)` from the top 53 bits of a draw.
     pub fn next_f64(&mut self) -> f64 {
-        self.inner.gen::<f64>()
+        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
     /// Draws a uniform integer in `[0, bound)`.
@@ -75,7 +91,16 @@ impl SimRng {
     /// Panics if `bound` is zero.
     pub fn next_below(&mut self, bound: usize) -> usize {
         assert!(bound > 0, "SimRng::next_below: bound must be positive");
-        self.inner.gen_range(0..bound)
+        // Reject draws above the largest multiple of `bound`, so the
+        // remainder is unbiased.
+        let span = bound as u64;
+        let zone = u64::MAX - (u64::MAX - span + 1) % span;
+        loop {
+            let v = self.next_u64();
+            if v <= zone {
+                return (v % span) as usize;
+            }
+        }
     }
 
     /// Returns `true` with probability `p` (clamped to `[0, 1]`).
@@ -100,7 +125,7 @@ impl SimRng {
         if lo == hi {
             lo
         } else {
-            self.inner.gen_range(lo..hi)
+            lo + self.next_f64() * (hi - lo)
         }
     }
 
@@ -123,9 +148,13 @@ impl SimRng {
     }
 }
 
-/// SplitMix64 finalizer used to decorrelate split seeds.
+/// SplitMix64's increment.
+const GOLDEN_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// One SplitMix64 step from state `z`: seeds the generator's state words
+/// and decorrelates split seeds.
 fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = z.wrapping_add(GOLDEN_GAMMA);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)

@@ -556,7 +556,8 @@ fn assert_catalog_ccts_match(what: &str, config: impl Fn(PipelineConfig) -> Pipe
             .profile_store
             .as_ref()
             .expect("the profile stage fills the store")
-            .lock();
+            .lock()
+            .expect("profile store lock");
         let cct = ctx.cct.as_ref().expect("the analyze stage builds the CCT");
         let what = format!("{what}, {}", entry.code);
         assert_same_nodes(cct, &reference_for(&store), &what);

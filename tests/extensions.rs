@@ -75,7 +75,7 @@ fn wire_round_trip_through_a_real_profile() {
     assert_eq!(stats.decode_errors, 0);
     assert!(stats.bytes > 1_000, "real byte volume: {stats:?}");
     let collected = collector.store();
-    let collected = collected.lock();
+    let collected = collected.lock().expect("profile store lock");
     assert!(collected.samples.len() > 100);
     // All init observations survived the wire.
     let nltk = built.app.module_by_name("nltk").expect("nltk");

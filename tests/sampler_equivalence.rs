@@ -348,7 +348,7 @@ fn run_sequence(app: &Application, config: SamplerConfig, seed: u64, coverage: &
         "{what}: samples taken"
     );
     coverage.batches_mid_advance += reference.batches_mid_advance;
-    let ours_store = store.lock().clone();
+    let ours_store = store.lock().expect("profile store lock").clone();
     let reference_store = reference_store
         .lock()
         .expect("reference store lock")
@@ -441,7 +441,7 @@ fn hand_written_edges_match_the_reference() {
     reference.on_invocation_end(&app);
     assert_eq!(ours.samples_taken(), reference.samples_taken);
     assert_eq!(ours.samples_taken(), 8);
-    let ours_store = store.lock().clone();
+    let ours_store = store.lock().expect("profile store lock").clone();
     let reference_store = reference_store
         .lock()
         .expect("reference store lock")
@@ -473,6 +473,7 @@ fn profile_both(
             .as_ref()
             .expect("the profile stage fills the store")
             .lock()
+            .expect("profile store lock")
             .clone(),
         ctx.profiled.clone().expect("the profile stage measures"),
     );
@@ -512,7 +513,7 @@ fn profile_both(
     let store = match collector.as_mut() {
         Some(c) => {
             c.finish();
-            resolved(&c.store().lock())
+            resolved(&c.store().lock().expect("profile store lock"))
         }
         None => direct.lock().expect("reference store lock").clone(),
     };

@@ -186,6 +186,7 @@ fn profile(
         .as_ref()
         .expect("the profile stage fills the store")
         .lock()
+        .expect("profile store lock")
         .clone();
     store
 }
