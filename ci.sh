@@ -14,7 +14,8 @@ cargo test -q
 
 # The root `cargo test -q` runs only the `slimstart` package's targets.
 # The member crates' unit and doc tests (the fleet report and
-# orchestrator, pyrt's restores, the vendored stubs, ...) run here.
+# orchestrator, pyrt's restores, simcore's pinned RNG streams and hash
+# values, ...) run here.
 echo "==> cargo test -q --workspace --exclude slimstart"
 cargo test -q --workspace --exclude slimstart
 
@@ -90,5 +91,10 @@ cargo fmt --check
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+
+# Every crate's API docs build without a warning: no broken, ambiguous or
+# private intra-doc link.
+echo "==> RUSTDOCFLAGS=\"-D warnings\" cargo doc --no-deps --workspace"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 
 echo "CI OK"

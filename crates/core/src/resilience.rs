@@ -1,7 +1,7 @@
 //! Retry/backoff policy and graceful-degradation bookkeeping for the
 //! pipeline's fault handling.
 //!
-//! When a [`ChaosPlan`](slimstart_platform::chaos::ChaosPlan) injects
+//! When a [`ChaosPlan`] injects
 //! faults, the pipeline does what a production CI/CD loop would: retries
 //! profile collection and redeploys with exponential backoff on the
 //! **virtual** clock (backoff delays are simulated time, not wall time),

@@ -6,18 +6,19 @@
 //!
 //! # Implementation: hierarchical timing wheel
 //!
-//! [`EventQueue`] is a hierarchical timing wheel: [`LEVELS`] levels of
-//! [`SLOTS`] buckets each, where a level-`L` slot spans `64^L` microseconds
-//! (power-of-two bucket spans, [`BITS`] bits per level). An event lands at
-//! the lowest level whose resolution still separates it from the wheel
-//! cursor; events beyond the top level's horizon (~52 simulated days) wait
-//! in an overflow list. Scheduling is O(1); popping finds the earliest
-//! non-empty bucket with one occupancy-bitmap scan per level and cascades
-//! coarse buckets down as the cursor reaches them, so each event is touched
-//! at most [`LEVELS`] times over its lifetime — versus the O(log n)
-//! comparisons *per operation* of the binary heap it replaced. Ties at the same instant still pop in `seq` (insertion) order:
-//! level-0 buckets resolve to a single microsecond, and draining one picks
-//! the minimum `(at, seq)` entry.
+//! [`EventQueue`] is a hierarchical timing wheel: `LEVELS` (7) levels of
+//! `SLOTS` (64) buckets each, where a level-`L` slot spans `64^L`
+//! microseconds (power-of-two bucket spans, `BITS` (6) bits per level). An
+//! event lands at the lowest level whose resolution still separates it from
+//! the wheel cursor; events beyond the top level's horizon (~52 simulated
+//! days) wait in an overflow list. Scheduling is O(1); popping finds the
+//! earliest non-empty bucket with one occupancy-bitmap scan per level and
+//! cascades coarse buckets down as the cursor reaches them, so each event is
+//! touched at most `LEVELS` times over its lifetime — versus the O(log n)
+//! comparisons *per operation* of the binary heap it replaced. Ties at the
+//! same instant still pop in `seq` (insertion) order: level-0 buckets
+//! resolve to a single microsecond, and draining one picks the minimum
+//! `(at, seq)` entry.
 //!
 //! The previous `BinaryHeap` implementation lives on as the
 //! differential-testing oracle of the `event_wheel_differential` suite.

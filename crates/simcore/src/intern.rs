@@ -9,10 +9,10 @@
 //!
 //! Determinism: symbol ids are assigned in **insertion order**, never from
 //! hash values, so identical inputs produce identical ids on every run and
-//! on every thread count. The [`FxHashMap`](crate::hash::FxHashMap) index
-//! only accelerates the string→id lookup; it does not influence the ids
-//! themselves (and FxHash is itself seedless and deterministic, so even
-//! iteration-order-dependent debugging output is stable).
+//! on every thread count. The [`FxHashMap`] index only accelerates the
+//! string→id lookup; it does not influence the ids themselves (and FxHash
+//! is itself seedless and deterministic, so even iteration-order-dependent
+//! debugging output is stable).
 
 use std::sync::Arc;
 

@@ -21,7 +21,7 @@
 //!   verifier, import lints, over-approximation auditor);
 //! * [`fleet`] — the parallel fleet orchestrator (deterministic fan-out of
 //!   N applications across a worker pool, aggregated [`FleetReport`]);
-//! * [`bench`] — the experiment harness (one target per paper table or
+//! * [`bench`](mod@bench) — the experiment harness (one target per paper table or
 //!   figure).
 //!
 //! The CI/CD pipeline itself is a composition of [`Stage`]s over a shared
