@@ -103,7 +103,7 @@ impl AnalysisReport {
     }
 
     /// Number of info-severity diagnostics.
-    pub fn info_count(&self) -> usize {
+    fn info_count(&self) -> usize {
         self.count(Severity::Info)
     }
 

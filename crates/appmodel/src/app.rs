@@ -215,14 +215,6 @@ impl Application {
             .sum()
     }
 
-    /// Total memory pinned by an eager cold start from `root`, in KiB.
-    pub fn eager_mem_kb(&self, root: ModuleId) -> u64 {
-        self.eager_load_set(root)
-            .iter()
-            .map(|m| self.module(*m).mem_kb())
-            .sum()
-    }
-
     /// The static call graph: adjacency from each function to the targets of
     /// all its call sites (branches flattened — statically *possible* calls).
     pub fn static_call_graph(&self) -> Vec<Vec<FunctionId>> {
@@ -244,11 +236,6 @@ impl Application {
     /// Builds the package tree over all modules (Fig. 6 hierarchy).
     pub fn package_tree(&self) -> PackageTree {
         PackageTree::build(&self.modules)
-    }
-
-    /// Module ids belonging to `library`.
-    pub fn modules_of_library(&self, library: LibraryId) -> &[ModuleId] {
-        self.library(library).modules()
     }
 
     /// Average module depth (the paper's "Avg. Depth" column), over library
@@ -614,7 +601,6 @@ mod tests {
         let app = small_app();
         let h = app.module_by_name("handler").unwrap();
         assert_eq!(app.eager_init_cost(h), ms(46));
-        assert_eq!(app.eager_mem_kb(h), 460);
     }
 
     #[test]
@@ -747,7 +733,7 @@ mod tests {
         assert_eq!(app.handler(h).name(), "main");
         assert_eq!(app.module(app.handler_module(h)).name(), "handler");
         assert_eq!(app.libraries().len(), 1);
-        assert_eq!(app.modules_of_library(LibraryId::from_index(0)).len(), 3);
+        assert_eq!(app.libraries()[0].modules().len(), 3);
     }
 
     #[test]

@@ -166,7 +166,7 @@ const EXTRA_LIB_NAMES: &[&str] = &[
 
 impl CatalogApp {
     /// The hot (always-needed) fraction of initialization cost.
-    pub fn frac_hot(&self) -> f64 {
+    fn frac_hot(&self) -> f64 {
         1.0 - self.frac_static_dead
             - self.frac_workload_dead
             - self.frac_rare
@@ -177,13 +177,6 @@ impl CatalogApp {
     /// (§IV-A1): apps below it are excluded from optimization.
     pub fn above_gate(&self) -> bool {
         self.init_share > 0.10
-    }
-
-    /// The deferrable init fraction a perfect profile-guided optimizer can
-    /// avoid on the hot path (Fig. 2's DYN upper bound includes
-    /// `frac_side_effectful`, which cannot be realized).
-    pub fn frac_deferrable(&self) -> f64 {
-        self.frac_static_dead + self.frac_workload_dead + self.frac_rare
     }
 
     /// Handler names and their invocation weights in the evaluation
@@ -1292,13 +1285,6 @@ pub fn antipattern_apps() -> Vec<CatalogApp> {
     ]
 }
 
-/// Returns a deterministic population of `n` anti-pattern-bearing apps by
-/// cycling [`antipattern_apps`] in order, mirroring [`fleet_population`].
-pub fn antipattern_population(n: usize) -> Vec<CatalogApp> {
-    let base = antipattern_apps();
-    (0..n).map(|i| base[i % base.len()].clone()).collect()
-}
-
 /// Returns a deterministic population of `n` applications for fleet-scale
 /// experiments by cycling the 22-entry catalog in order.
 ///
@@ -1368,7 +1354,8 @@ mod tests {
                 "{}: hot fraction {hot} out of range",
                 app.code
             );
-            assert!(app.frac_deferrable() < 1.0, "{}", app.code);
+            let deferrable = app.frac_static_dead + app.frac_workload_dead + app.frac_rare;
+            assert!(deferrable < 1.0, "{}", app.code);
             assert!((0.0..=1.0).contains(&app.init_share), "{}", app.code);
         }
     }
@@ -1418,7 +1405,8 @@ mod tests {
         // Structural check: removing the deferrable subpackages' init cost
         // should reproduce the paper's initialization speedup within ~10 %.
         for app in catalog().iter().filter(|a| a.above_gate()) {
-            let expected = 1.0 / (1.0 - app.frac_deferrable());
+            let deferrable = app.frac_static_dead + app.frac_workload_dead + app.frac_rare;
+            let expected = 1.0 / (1.0 - deferrable);
             let rel = (expected - app.paper.init_speedup).abs() / app.paper.init_speedup;
             assert!(
                 rel < 0.12,
@@ -1489,15 +1477,6 @@ mod tests {
         // Seeding never grows the published evaluation set.
         assert_eq!(catalog().len(), 22);
         assert!(catalog().iter().all(|a| a.antipattern.is_none()));
-    }
-
-    #[test]
-    fn antipattern_population_cycles_fixture_apps() {
-        let pop = antipattern_population(7);
-        assert_eq!(pop.len(), 7);
-        assert_eq!(pop[5].code, pop[0].code);
-        assert_eq!(pop[6].code, pop[1].code);
-        assert!(antipattern_population(0).is_empty());
     }
 
     #[test]

@@ -155,22 +155,6 @@ impl Function {
         out
     }
 
-    /// Total `Work` time in the body assuming every branch executes
-    /// (a static upper bound, excluding callee work).
-    pub fn max_local_work(&self) -> SimDuration {
-        fn walk(stmts: &[Stmt]) -> SimDuration {
-            stmts
-                .iter()
-                .map(|s| match &s.kind {
-                    StmtKind::Work(d) => *d,
-                    StmtKind::Branch { body, .. } => walk(body),
-                    StmtKind::Call(_) | StmtKind::Touch(_) => SimDuration::ZERO,
-                })
-                .sum()
-        }
-        walk(&self.body)
-    }
-
     /// All branch probabilities in the body (for validation).
     pub(crate) fn branch_probabilities(&self) -> Vec<f64> {
         fn walk(stmts: &[Stmt], out: &mut Vec<f64>) {
@@ -241,12 +225,6 @@ mod tests {
     }
 
     #[test]
-    fn max_local_work_includes_branches() {
-        let f = sample_function();
-        assert_eq!(f.max_local_work(), SimDuration::from_millis(3));
-    }
-
-    #[test]
     fn branch_probabilities_collected_recursively() {
         let nested = Function::new(
             "g",
@@ -297,7 +275,6 @@ mod tests {
             vec![ModuleId::from_index(5), ModuleId::from_index(6)]
         );
         assert!(f.call_sites().is_empty());
-        assert_eq!(f.max_local_work(), SimDuration::ZERO);
     }
 
     #[test]

@@ -102,11 +102,6 @@ impl Module {
         self.file = format!("{dir}/__init__.py");
     }
 
-    /// Whether this module is rendered as a package `__init__.py`.
-    pub fn is_package(&self) -> bool {
-        self.file.ends_with("/__init__.py")
-    }
-
     /// Every dotted prefix of the name, outermost first, ending with the
     /// name itself (`nltk.sem.logic` → `nltk`, `nltk.sem`,
     /// `nltk.sem.logic`). The name is split at every `.` byte, so an empty
@@ -156,10 +151,9 @@ mod tests {
     #[test]
     fn mark_package_switches_to_init_form() {
         let mut m = module("nltk.sem");
-        assert!(!m.is_package());
+        assert_eq!(m.file(), "nltk/sem.py");
         m.mark_package();
         assert_eq!(m.file(), "nltk/sem/__init__.py");
-        assert!(m.is_package());
         m.mark_package();
         assert_eq!(m.file(), "nltk/sem/__init__.py");
     }

@@ -292,7 +292,7 @@ fn check_shares(
 ///
 /// Returns an error if the blueprint's shares are inconsistent or the module
 /// budget cannot cover the declared subpackages.
-pub fn build_library(
+fn build_library(
     b: &mut AppBuilder,
     bp: &LibraryBlueprint,
     rng: &mut SimRng,

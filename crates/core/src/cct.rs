@@ -19,7 +19,6 @@
 //! pre-arena implementation lives in the `cct_equivalence` differential
 //! suite, which checks this tree against it.
 
-use slimstart_appmodel::Application;
 use slimstart_pyrt::stack::{Frame, FrameKind};
 use slimstart_simcore::hash::FxHashMap;
 
@@ -66,11 +65,6 @@ impl CctNode {
             self_samples: 0,
             self_init_samples: 0,
         }
-    }
-
-    /// Runtime (non-init) self samples.
-    pub fn self_runtime_samples(&self) -> u64 {
-        self.self_samples - self.self_init_samples
     }
 }
 
@@ -262,20 +256,6 @@ impl Cct {
         inclusive
     }
 
-    /// Inclusive *runtime* (non-init) sample counts.
-    pub fn inclusive_runtime(&self) -> Vec<u64> {
-        let mut inclusive: Vec<u64> = self
-            .nodes
-            .iter()
-            .map(CctNode::self_runtime_samples)
-            .collect();
-        for i in (1..self.nodes.len()).rev() {
-            let parent = self.nodes[i].parent.expect("non-root has parent");
-            inclusive[parent] += inclusive[i];
-        }
-        inclusive
-    }
-
     /// The path from the root to node `i` (exclusive of the synthetic
     /// root), outermost first.
     pub fn path_to(&self, i: usize) -> Vec<&CctNode> {
@@ -290,23 +270,6 @@ impl Cct {
         }
         path.reverse();
         path
-    }
-
-    /// Renders a node's calling context as `file:line → file:line → …`,
-    /// the format of the paper's report tables. (This is the display site:
-    /// frame naming and formatting happen here, never on capture paths.)
-    pub fn render_path(&self, i: usize, app: &Application) -> String {
-        self.path_to(i)
-            .iter()
-            .map(|n| {
-                let frame = Frame {
-                    kind: n.key.kind,
-                    line: n.key.line,
-                };
-                format!("{}:{}", frame.file(app), n.key.line)
-            })
-            .collect::<Vec<_>>()
-            .join(" -> ")
     }
 
     /// Merges another tree into this one (used when combining profiling
@@ -405,10 +368,9 @@ mod tests {
         cct.insert(&[init(0, 1)], true);
         cct.insert(&[call(0, 5)], false);
         assert_eq!(cct.total_samples(), 3);
-        let runtime = cct.inclusive_runtime();
-        assert_eq!(runtime[0], 1);
-        // Node 1 = the init frame: zero runtime samples.
-        assert_eq!(cct.node(1).self_runtime_samples(), 0);
+        // Node 1 = the init frame: every sample on it is an init sample.
+        assert_eq!(cct.node(1).self_samples, 2);
+        assert_eq!(cct.node(1).self_init_samples, 2);
     }
 
     #[test]

@@ -124,11 +124,6 @@ pub struct InefficiencyReport {
 }
 
 impl InefficiencyReport {
-    /// The flagged packages the optimizer will actually defer.
-    pub fn deferrable_findings(&self) -> impl Iterator<Item = &Finding> {
-        self.findings.iter().filter(|f| f.deferrable)
-    }
-
     /// Total init share of end-to-end time covered by all findings — the
     /// DYN upper bound of Fig. 2.
     pub fn detected_init_fraction(&self) -> f64 {
@@ -481,7 +476,6 @@ mod tests {
         // (60 + 10 + 30) / 123 of init time.
         let expected = 100.0 / 123.0;
         assert!((report.detected_init_fraction() - expected).abs() < 1e-9);
-        assert_eq!(report.deferrable_findings().count(), 2);
     }
 
     #[test]

@@ -70,7 +70,7 @@ pub fn report_to_json(report: &InefficiencyReport) -> String {
 }
 
 /// Serializes an [`AppMetrics`] summary.
-pub fn metrics_to_json(metrics: &AppMetrics) -> String {
+fn metrics_to_json(metrics: &AppMetrics) -> String {
     format!(
         "{{\"invocations\":{},\"cold_starts\":{},\"mean_init_ms\":{},\"p99_init_ms\":{},\"mean_load_ms\":{},\"mean_e2e_ms\":{},\"p99_e2e_ms\":{},\"peak_mem_mb\":{}}}",
         metrics.invocations,
@@ -85,7 +85,7 @@ pub fn metrics_to_json(metrics: &AppMetrics) -> String {
 }
 
 /// Serializes a [`Speedup`].
-pub fn speedup_to_json(s: &Speedup) -> String {
+fn speedup_to_json(s: &Speedup) -> String {
     format!(
         "{{\"init\":{},\"load\":{},\"e2e\":{},\"p99_init\":{},\"p99_load\":{},\"p99_e2e\":{},\"mem\":{}}}",
         num(s.init),
@@ -99,7 +99,7 @@ pub fn speedup_to_json(s: &Speedup) -> String {
 }
 
 /// Serializes a [`ResilienceOutcome`] (emitted only for chaos-enabled runs).
-pub fn resilience_to_json(r: &ResilienceOutcome) -> String {
+fn resilience_to_json(r: &ResilienceOutcome) -> String {
     format!(
         "{{\"chaos_enabled\":{},\"faults_injected\":{},\"profile_retries\":{},\"deploy_retries\":{},\"backoff_ms\":{},\"degradation\":\"{}\",\"recovered\":{}}}",
         r.chaos_enabled,

@@ -3,16 +3,12 @@
 //! The paper's empirical study (§II-B) profiles deployed applications "over
 //! a period of 1 week" and its adaptive mechanism re-profiles as workloads
 //! evolve. [`ProfileHistory`] keeps each profiling window's
-//! [`ProfileStore`] separately so analyses can look at trends — is a
-//! package's utilization rising? — while still offering the merged view the
-//! detector consumes for maximum statistical confidence (the
-//! law-of-large-numbers argument needs all samples).
-
-use slimstart_appmodel::Application;
+//! [`ProfileStore`] separately and offers the merged view the detector
+//! consumes for maximum statistical confidence (the law-of-large-numbers
+//! argument needs all samples).
 
 use crate::cct::Cct;
 use crate::profile::ProfileStore;
-use crate::utilization::Utilization;
 
 /// One retained profiling window.
 #[derive(Debug, Clone)]
@@ -58,14 +54,6 @@ impl ProfileHistory {
         self.windows.is_empty()
     }
 
-    /// Drops all but the most recent `keep` windows (bounded retention for
-    /// long-running deployments).
-    pub fn truncate_to_recent(&mut self, keep: usize) {
-        if self.windows.len() > keep {
-            self.windows.drain(..self.windows.len() - keep);
-        }
-    }
-
     /// All windows merged into one store — what the detector consumes when
     /// it wants the full week of evidence.
     pub fn merged(&self) -> ProfileStore {
@@ -94,28 +82,6 @@ impl ProfileHistory {
         }
         cct
     }
-
-    /// Per-window utilization of one package — the trend the adaptive
-    /// mechanism's triggers correspond to.
-    pub fn utilization_trend(&self, app: &Application, package: &str) -> Vec<f64> {
-        self.windows
-            .iter()
-            .map(|w| {
-                Utilization::from_samples(&w.store.paths, &w.store.samples, app).package(package)
-            })
-            .collect()
-    }
-
-    /// Whether `package`'s utilization crossed `threshold` between the first
-    /// and last window, in either direction — a cheap staleness probe for
-    /// deployed optimizations.
-    pub fn crossed_threshold(&self, app: &Application, package: &str, threshold: f64) -> bool {
-        let trend = self.utilization_trend(app, package);
-        match (trend.first(), trend.last()) {
-            (Some(first), Some(last)) => (first < &threshold) != (last < &threshold),
-            _ => false,
-        }
-    }
 }
 
 impl Extend<ProfileWindow> for ProfileHistory {
@@ -128,7 +94,7 @@ impl Extend<ProfileWindow> for ProfileHistory {
 mod tests {
     use super::*;
     use slimstart_appmodel::app::AppBuilder;
-    use slimstart_appmodel::{FunctionId, ImportMode};
+    use slimstart_appmodel::{Application, FunctionId, ImportMode};
     use slimstart_pyrt::stack::{Frame, FrameKind};
     use slimstart_simcore::time::SimDuration;
 
@@ -191,61 +157,9 @@ mod tests {
     }
 
     #[test]
-    fn utilization_trend_tracks_drift() {
-        let (app, f_main, f_lib) = app();
-        let mut h = ProfileHistory::new();
-        h.push("w0", store_with(8, 2, f_main, f_lib)); // 80 % lib use
-        h.push("w1", store_with(4, 6, f_main, f_lib)); // 40 %
-        h.push("w2", store_with(0, 10, f_main, f_lib)); // dead
-        let trend = h.utilization_trend(&app, "lib");
-        assert_eq!(trend.len(), 3);
-        assert!((trend[0] - 0.8).abs() < 1e-12);
-        assert!((trend[1] - 0.4).abs() < 1e-12);
-        assert_eq!(trend[2], 0.0);
-    }
-
-    #[test]
-    fn threshold_crossing_detects_both_directions() {
-        let (app, f_main, f_lib) = app();
-        let mut dying = ProfileHistory::new();
-        dying.push("w0", store_with(8, 2, f_main, f_lib));
-        dying.push("w1", store_with(0, 10, f_main, f_lib));
-        assert!(dying.crossed_threshold(&app, "lib", 0.02));
-
-        let mut waking = ProfileHistory::new();
-        waking.push("w0", store_with(0, 10, f_main, f_lib));
-        waking.push("w1", store_with(8, 2, f_main, f_lib));
-        assert!(waking.crossed_threshold(&app, "lib", 0.02));
-
-        let mut stable = ProfileHistory::new();
-        stable.push("w0", store_with(8, 2, f_main, f_lib));
-        stable.push("w1", store_with(7, 3, f_main, f_lib));
-        assert!(!stable.crossed_threshold(&app, "lib", 0.02));
-    }
-
-    #[test]
-    fn retention_keeps_most_recent() {
-        let (_, f_main, f_lib) = app();
-        let mut h = ProfileHistory::new();
-        for i in 0..5 {
-            h.push(format!("w{i}"), store_with(i, 1, f_main, f_lib));
-        }
-        h.truncate_to_recent(2);
-        assert_eq!(h.len(), 2);
-        assert_eq!(h.windows()[0].label, "w3");
-        assert_eq!(h.windows()[1].label, "w4");
-        // Truncating to more than we have is a no-op.
-        h.truncate_to_recent(10);
-        assert_eq!(h.len(), 2);
-    }
-
-    #[test]
     fn empty_history_behaviour() {
-        let (app, _, _) = app();
         let h = ProfileHistory::new();
         assert!(h.is_empty());
         assert_eq!(h.merged().samples.len(), 0);
-        assert!(h.utilization_trend(&app, "lib").is_empty());
-        assert!(!h.crossed_threshold(&app, "lib", 0.02));
     }
 }

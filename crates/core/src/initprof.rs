@@ -94,15 +94,6 @@ impl InitBreakdown {
         self.total.ratio(self.e2e_mean)
     }
 
-    /// A package's share of end-to-end time.
-    pub fn package_share(&self, path: &str) -> f64 {
-        self.by_package
-            .get(path)
-            .copied()
-            .unwrap_or(SimDuration::ZERO)
-            .ratio(self.e2e_mean)
-    }
-
     /// A package's share of *total initialization* time (the percentages in
     /// the paper's report tables).
     pub fn package_init_fraction(&self, path: &str) -> f64 {
@@ -175,7 +166,6 @@ mod tests {
         let (store, app) = store_and_app();
         let bd = InitBreakdown::from_store(&store, &app, 2, ms(100));
         assert!((bd.total_share() - 0.60).abs() < 1e-9);
-        assert!((bd.package_share("nltk.sem") - 0.55).abs() < 1e-9);
         assert!((bd.package_init_fraction("nltk.sem") - 55.0 / 60.0).abs() < 1e-9);
         assert!(bd.passes_gate(0.10));
         assert!(!bd.passes_gate(0.70));
@@ -185,7 +175,6 @@ mod tests {
     fn missing_package_has_zero_share() {
         let (store, app) = store_and_app();
         let bd = InitBreakdown::from_store(&store, &app, 2, ms(100));
-        assert_eq!(bd.package_share("numpy"), 0.0);
         assert_eq!(bd.package_init_fraction("numpy"), 0.0);
     }
 

@@ -33,13 +33,6 @@ pub struct OptimizationOutcome {
     pub skipped: Vec<(String, SkipReason)>,
 }
 
-impl OptimizationOutcome {
-    /// Number of import declarations rewritten.
-    pub fn deferred_import_count(&self) -> usize {
-        self.edits.len()
-    }
-}
-
 /// Applies the report's deferrable findings to a copy of `app`.
 ///
 /// # Example
@@ -319,7 +312,7 @@ mod tests {
             .unwrap();
         assert!(internal.mode.is_global());
         assert_eq!(out.deferred_packages, vec!["nltk.sem".to_string()]);
-        assert_eq!(out.deferred_import_count(), 1);
+        assert_eq!(out.edits.len(), 1);
     }
 
     #[test]
@@ -444,11 +437,7 @@ mod tests {
 
         let out = optimize_conservative(&app);
         assert_eq!(out.deferred_packages, vec!["pandas".to_string()]);
-        assert_eq!(
-            out.deferred_import_count(),
-            1,
-            "one boundary edit at the root"
-        );
+        assert_eq!(out.edits.len(), 1, "one boundary edit at the root");
         // The internal pandas→pandas.io edge stays global.
         let root = out.app.module_by_name("pandas").unwrap();
         let sub = out.app.module_by_name("pandas.io").unwrap();

@@ -105,13 +105,6 @@ impl PipelineConfig {
         self
     }
 
-    /// Sets the detector thresholds.
-    #[must_use]
-    pub fn with_detector(mut self, detector: DetectorConfig) -> Self {
-        self.detector = detector;
-        self
-    }
-
     /// Sets the number of cold starts per measurement run.
     #[must_use]
     pub fn with_cold_starts(mut self, cold_starts: usize) -> Self {
@@ -148,13 +141,6 @@ impl PipelineConfig {
     #[must_use]
     pub fn with_chaos_plan(mut self, chaos: Arc<ChaosPlan>) -> Self {
         self.chaos = chaos;
-        self
-    }
-
-    /// Sets the retry/backoff policy.
-    #[must_use]
-    pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
         self
     }
 }
@@ -260,7 +246,7 @@ impl PipelineOutcome {
     ///
     /// Returns [`PipelineError::Incomplete`] naming the first missing
     /// stage product when the composition did not run the full cycle.
-    pub fn from_ctx(ctx: PipelineCtx) -> Result<Self, PipelineError> {
+    fn from_ctx(ctx: PipelineCtx) -> Result<Self, PipelineError> {
         let final_app = ctx.final_app();
         let resilience = ResilienceOutcome::from_parts(&ctx.chaos, &ctx.resilience);
         Ok(PipelineOutcome {
@@ -490,15 +476,13 @@ mod tests {
     }
 
     #[test]
-    fn builder_setters_cover_every_field() {
+    fn builder_setters_set_their_fields() {
         let cfg = PipelineConfig::default()
             .with_platform(PlatformConfig::default().without_jitter())
             .with_sampler(crate::config::SamplerConfig::default())
-            .with_detector(crate::config::DetectorConfig::default())
             .with_cold_starts(77)
             .with_seed(123)
             .with_async_collector(true)
-            .with_retry(crate::resilience::RetryPolicy::default())
             .with_chaos(ChaosConfig::uniform(0.5));
         assert_eq!(cfg.cold_starts, 77);
         assert_eq!(cfg.seed, 123);

@@ -27,12 +27,12 @@ impl StaticAnalysis {
     /// per-handler view the anti-pattern lints need to ask "does *this*
     /// entry point reach that package?", which the all-handlers union
     /// cannot answer.
-    pub fn analyze_entry(app: &Application, entry: FunctionId) -> StaticAnalysis {
+    fn analyze_entry(app: &Application, entry: FunctionId) -> StaticAnalysis {
         StaticAnalysis::analyze_from(app, &[entry])
     }
 
     /// Runs the analysis from an explicit set of entry functions.
-    pub fn analyze_from(app: &Application, roots: &[FunctionId]) -> StaticAnalysis {
+    fn analyze_from(app: &Application, roots: &[FunctionId]) -> StaticAnalysis {
         let call_graph = app.static_call_graph();
         let mut reachable = vec![false; app.functions().len()];
         let mut pinned = vec![false; app.libraries().len()];
@@ -87,17 +87,12 @@ impl StaticAnalysis {
         self.pinned_libraries[lib.index()]
     }
 
-    /// Number of reachable functions.
-    pub fn reachable_count(&self) -> usize {
-        self.reachable_functions.iter().filter(|r| **r).count()
-    }
-
     /// Whether any reachable function is defined in — or touches a module
     /// of — the dotted `package` subtree. Combined with
     /// [`StaticAnalysis::analyze_entry`] this answers the init-in-handler
     /// question: an entry point that statically uses a deferred package
     /// will pay its lazy load inside the request on every fresh container.
-    pub fn uses_package(&self, app: &Application, package: &str) -> bool {
+    fn uses_package(&self, app: &Application, package: &str) -> bool {
         self.reachable_functions
             .iter()
             .enumerate()
@@ -189,7 +184,8 @@ mod tests {
         let a = StaticAnalysis::analyze(&app);
         // Every function except sdead_fn is reachable: main, admin, hot_fn,
         // wdead_fn (via the never-invoked admin handler!), ext_fn.
-        assert_eq!(a.reachable_count(), app.functions().len() - 1);
+        let reachable = a.reachable_functions.iter().filter(|r| **r).count();
+        assert_eq!(reachable, app.functions().len() - 1);
         let sdead_fn = (0..app.functions().len())
             .map(FunctionId::from_index)
             .find(|f| app.function(*f).name() == "sdead_fn")

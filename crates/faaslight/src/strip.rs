@@ -26,13 +26,6 @@ pub struct StrippedApp {
     pub removed_mem_kb: u64,
 }
 
-impl StrippedApp {
-    /// Number of modules removed.
-    pub fn stripped_module_count(&self) -> usize {
-        self.app.modules().iter().filter(|m| m.stripped()).count()
-    }
-}
-
 /// Applies FaaSLight-style slimming to a copy of `app`.
 ///
 /// # Example
@@ -60,7 +53,7 @@ pub fn strip_unreachable(app: &Application) -> StrippedApp {
     // function must survive: stripping them would break `lib.CONSTANT`.
     let mut touched = vec![false; app.modules().len()];
     for (i, f) in app.functions().iter().enumerate() {
-        if analysis.is_reachable(slimstart_appmodel::FunctionId::from_index(i)) {
+        if analysis.is_reachable(FunctionId::from_index(i)) {
             for m in f.touched_modules() {
                 touched[m.index()] = true;
             }
@@ -124,17 +117,6 @@ pub fn strip_unreachable(app: &Application) -> StrippedApp {
     }
 }
 
-/// Convenience: the set of functions defined in stripped modules (used by
-/// safety tests).
-pub fn functions_in_stripped(app: &Application) -> Vec<FunctionId> {
-    app.functions()
-        .iter()
-        .enumerate()
-        .filter(|(_, f)| app.module(f.module()).stripped())
-        .map(|(i, _)| FunctionId::from_index(i))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -182,7 +164,8 @@ mod tests {
         let app = app();
         let out = strip_unreachable(&app);
         assert_eq!(out.stripped_packages, vec!["lib.sdead".to_string()]);
-        assert_eq!(out.stripped_module_count(), 2); // sdead + leaf
+        let stripped = out.app.modules().iter().filter(|m| m.stripped()).count();
+        assert_eq!(stripped, 2); // sdead + leaf
         assert_eq!(out.removed_init, ms(55));
         assert_eq!(out.removed_mem_kb, 550);
     }
@@ -274,14 +257,5 @@ mod tests {
         let out = strip_unreachable(&app);
         assert!(out.stripped_packages.is_empty());
         assert!(!out.app.module(consts).stripped());
-    }
-
-    #[test]
-    fn functions_in_stripped_reports_dead_functions() {
-        let app = app();
-        let out = strip_unreachable(&app);
-        let dead = functions_in_stripped(&out.app);
-        assert_eq!(dead.len(), 1);
-        assert_eq!(out.app.function(dead[0]).name(), "dead_fn");
     }
 }

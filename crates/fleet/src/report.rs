@@ -413,7 +413,7 @@ impl FixedHistogram {
     }
 
     /// The non-empty bins as `(bin index, count)` pairs, ascending.
-    pub fn sparse_bins(&self) -> Vec<(usize, u64)> {
+    fn sparse_bins(&self) -> Vec<(usize, u64)> {
         self.counts
             .iter()
             .enumerate()
@@ -460,15 +460,6 @@ impl SpeedupDistribution {
             min: hist.min(),
             max: hist.max(),
         }
-    }
-
-    /// Convenience: folds the values through a [`FixedHistogram`] first.
-    pub fn from_values(values: impl IntoIterator<Item = f64>) -> Self {
-        let mut hist = FixedHistogram::new();
-        for v in values {
-            hist.record(v);
-        }
-        SpeedupDistribution::from_histogram(&hist)
     }
 
     fn to_json(self, hist: &FixedHistogram) -> String {

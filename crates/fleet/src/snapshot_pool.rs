@@ -68,20 +68,6 @@ impl NodeSnapshotPool {
         }
     }
 
-    /// Sets the per-node byte budget.
-    #[must_use]
-    pub fn with_node_budget(mut self, bytes: Option<u64>) -> Self {
-        self.node_budget_bytes = bytes;
-        self
-    }
-
-    /// Sets how many apps share a node.
-    #[must_use]
-    pub fn with_node_size(mut self, node_size: usize) -> Self {
-        self.node_size = node_size.max(1);
-        self
-    }
-
     /// The modeled per-node budget in bytes (`None` = unlimited).
     pub fn node_budget_bytes(&self) -> Option<u64> {
         self.node_budget_bytes
@@ -95,16 +81,6 @@ impl NodeSnapshotPool {
     /// Whether restores are working-set lazy.
     pub fn lazy_restore(&self) -> bool {
         self.lazy_restore
-    }
-
-    /// The node a population index lands on.
-    pub fn node_of(&self, index: usize) -> usize {
-        index / self.node_size
-    }
-
-    /// Nodes a fleet of `apps` applications occupies.
-    pub fn nodes_for(&self, apps: usize) -> usize {
-        apps.div_ceil(self.node_size)
     }
 
     /// One app's fair share of the node budget. Integer division floors,
@@ -132,7 +108,7 @@ impl NodeSnapshotPool {
     /// pool's resident bytes share the same modeled node memory). The
     /// reserve saturates: a zygote closure larger than the node budget
     /// leaves zero-byte snapshot shards rather than wrapping.
-    pub fn shard_budget_for_reserved(&self, index: usize, reserve_bytes: u64) -> Option<u64> {
+    fn shard_budget_for_reserved(&self, index: usize, reserve_bytes: u64) -> Option<u64> {
         self.node_budget_bytes.map(|b| {
             let budget = b.saturating_sub(reserve_bytes);
             let base = budget / self.node_size as u64;
@@ -267,17 +243,6 @@ mod tests {
         // Unlimited nodes ignore the reserve.
         let unlimited = NodeSnapshotPool::new(None, 4, true);
         assert_eq!(unlimited.shard_budget_for_reserved(0, 300), None);
-    }
-
-    #[test]
-    fn node_packing_is_by_index() {
-        let pool = NodeSnapshotPool::new(Some(1 << 20), 4, true);
-        assert_eq!(pool.node_of(0), 0);
-        assert_eq!(pool.node_of(3), 0);
-        assert_eq!(pool.node_of(4), 1);
-        assert_eq!(pool.nodes_for(0), 0);
-        assert_eq!(pool.nodes_for(4), 1);
-        assert_eq!(pool.nodes_for(5), 2);
     }
 
     #[test]

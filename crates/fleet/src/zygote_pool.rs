@@ -20,7 +20,7 @@
 //! 3. The zygote holds a prefix of that ranking resident: names stay
 //!    eligible while acquiring them at the fork cost is strictly
 //!    cheaper than every member's own load (`min init cost > fork
-//!    cost`) and while the optional per-zygote byte budget lasts.
+//!    cost`).
 //! 4. Every member app then forks from its **best-matching** zygote of
 //!    the node: the one whose resident set overlaps the app's own
 //!    modules with the highest summed init cost (lowest zygote index on
@@ -50,7 +50,6 @@ pub struct NodeZygotePool {
     zygotes_per_node: usize,
     node_size: usize,
     fork_cost: SimDuration,
-    resident_budget_bytes: Option<u64>,
 }
 
 impl NodeZygotePool {
@@ -68,7 +67,6 @@ impl NodeZygotePool {
             zygotes_per_node,
             node_size,
             fork_cost,
-            resident_budget_bytes: None,
         }
     }
 
@@ -76,19 +74,6 @@ impl NodeZygotePool {
     /// [`DEFAULT_NODE_SIZE`]-app node at [`DEFAULT_FORK_COST`].
     pub fn default_geometry() -> Self {
         NodeZygotePool::new(1, DEFAULT_NODE_SIZE, DEFAULT_FORK_COST)
-    }
-
-    /// Returns a copy capping each zygote's resident bytes (`None` holds
-    /// the full eligible closure).
-    #[must_use]
-    pub fn with_resident_budget(mut self, budget_bytes: Option<u64>) -> Self {
-        self.resident_budget_bytes = budget_bytes;
-        self
-    }
-
-    /// Zygotes kept per node.
-    pub fn zygotes_per_node(&self) -> usize {
-        self.zygotes_per_node
     }
 
     /// Apps per simulated node.
@@ -189,11 +174,6 @@ impl NodeZygotePool {
         for (_, s) in &ranked {
             if s.min_cost_us <= fork_us {
                 break; // acquiring must strictly beat every member's load
-            }
-            if let Some(budget) = self.resident_budget_bytes {
-                if resident_bytes + s.max_bytes > budget {
-                    break;
-                }
             }
             resident_bytes += s.max_bytes;
             resident_prefix += 1;
@@ -351,7 +331,7 @@ mod tests {
     }
 
     #[test]
-    fn residency_stops_at_cheap_modules_and_byte_budget() {
+    fn residency_stops_at_cheap_modules() {
         // Fork cost 2 ms: "lib" (2 ms) is not strictly cheaper to load
         // than to fork, so residency stops there even though the ranking
         // continues past it.
@@ -362,14 +342,6 @@ mod tests {
         let ranked: Vec<&str> = spec.ranked.iter().map(String::as_str).collect();
         assert_eq!(ranked, vec!["lib.hot", "lib", "handler"]);
         assert_eq!(spec.resident_prefix, 1, "lib's 2 ms load == fork cost");
-        assert_eq!(spec.node_reserve_bytes, 100 * 1024);
-
-        // A byte budget truncates the prefix the same way.
-        let tight = NodeZygotePool::new(1, 2, SimDuration::from_micros(100))
-            .with_resident_budget(Some(100 * 1024));
-        let plan = tight.plan(&apps);
-        let spec = plan.spec(0).unwrap();
-        assert_eq!(spec.resident_prefix, 1, "only lib.hot fits 100 KiB");
         assert_eq!(spec.node_reserve_bytes, 100 * 1024);
     }
 

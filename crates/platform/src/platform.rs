@@ -276,11 +276,6 @@ impl Platform {
         &self.records
     }
 
-    /// Number of currently provisioned containers.
-    pub fn container_count(&self) -> usize {
-        self.containers.len()
-    }
-
     /// Pre-provisions `count` warm containers at time zero, each cold-started
     /// for `handler`'s module graph — the platform-level mitigation
     /// (pre-warmed instances, provisioned concurrency) the paper's related
@@ -647,7 +642,7 @@ mod tests {
         assert!(!recs[2].cold);
         assert_eq!(recs[1].init_latency, SimDuration::ZERO);
         assert_eq!(recs[1].e2e_latency, ms(10));
-        assert_eq!(p.container_count(), 1);
+        assert_eq!(p.containers.len(), 1);
     }
 
     #[test]
@@ -657,7 +652,7 @@ mod tests {
         let recs = p.run(&[inv(0, 1), inv(gap_ms, 2)]).unwrap().to_vec();
         assert!(recs[0].cold);
         assert!(recs[1].cold);
-        assert_eq!(p.container_count(), 1); // old one reclaimed
+        assert_eq!(p.containers.len(), 1); // old one reclaimed
     }
 
     #[test]
@@ -667,7 +662,7 @@ mod tests {
         let recs = p.run(&[inv(0, 1), inv(5, 2)]).unwrap().to_vec();
         assert!(recs[0].cold);
         assert!(recs[1].cold);
-        assert_eq!(p.container_count(), 2);
+        assert_eq!(p.containers.len(), 2);
     }
 
     #[test]
@@ -696,7 +691,7 @@ mod tests {
     fn prewarmed_pool_absorbs_first_requests() {
         let mut p = Platform::new(app(), cfg(), 1);
         p.prewarm(2, HandlerId::from_index(0)).unwrap();
-        assert_eq!(p.container_count(), 2);
+        assert_eq!(p.containers.len(), 2);
         // Requests arriving after warm-up completes (init = 180 ms) are warm.
         let recs = p.run(&[inv(200, 1), inv(210, 2)]).unwrap().to_vec();
         assert!(!recs[0].cold);
@@ -711,7 +706,7 @@ mod tests {
         // Arrives at 10 ms, while the pool is still warming (busy to 180 ms).
         let recs = p.run(&[inv(10, 1)]).unwrap().to_vec();
         assert!(recs[0].cold);
-        assert_eq!(p.container_count(), 2);
+        assert_eq!(p.containers.len(), 2);
     }
 
     #[test]
@@ -722,7 +717,7 @@ mod tests {
         // cold-starts.
         let recs = p.run(&[inv(11 * 60 * 1000, 1)]).unwrap().to_vec();
         assert!(recs[0].cold);
-        assert_eq!(p.container_count(), 1);
+        assert_eq!(p.containers.len(), 1);
     }
 
     #[test]

@@ -290,16 +290,6 @@ impl Process {
         &self.load_events
     }
 
-    /// Total module-init time paid during cold start (the hierarchical
-    /// breakdown's ground truth, Eq. 1).
-    pub fn init_time_paid(&self) -> SimDuration {
-        self.load_events
-            .iter()
-            .filter(|e| e.during_init)
-            .map(|e| e.self_cost)
-            .sum()
-    }
-
     /// Performs the cold-start load of the handler module graph and returns
     /// the initialization latency (library-loading portion of a cold start).
     ///
@@ -767,7 +757,6 @@ mod tests {
         let init = p.cold_start(root).unwrap();
         // 1 + 2 + 10 + 50 + 25 ms.
         assert_eq!(init, ms(88));
-        assert_eq!(p.init_time_paid(), ms(88));
         assert_eq!(p.mem_kb(), 128 + 256 + 1_000 + 5_000 + 2_000);
     }
 
@@ -908,7 +897,7 @@ mod tests {
         let out = p.invoke(h, &mut SimRng::seed_from(1)).unwrap();
         // All loading happens as "deferred" inside the invocation.
         assert_eq!(out.deferred_load_time, ms(88));
-        assert_eq!(p.init_time_paid(), SimDuration::ZERO);
+        assert!(p.load_events().iter().all(|e| !e.during_init));
     }
 
     #[test]
@@ -1099,7 +1088,6 @@ mod tests {
             assert_eq!(restored.load_events(), replay.load_events());
             assert_eq!(restored.mem_kb(), replay.mem_kb());
             assert_eq!(restored.peak_mem_kb(), replay.peak_mem_kb());
-            assert_eq!(restored.init_time_paid(), replay.init_time_paid());
             for i in 0..app.modules().len() {
                 let m = ModuleId::from_index(i);
                 assert_eq!(restored.is_loaded(m), replay.is_loaded(m));

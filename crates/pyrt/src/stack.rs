@@ -36,17 +36,6 @@ impl Frame {
         }
     }
 
-    /// Human-readable function name (`<module:init>` for init frames).
-    ///
-    /// Borrows from the application (or the static init label) instead of
-    /// allocating; any formatting happens at the display site.
-    pub fn function_name<'a>(&self, app: &'a Application) -> &'a str {
-        match self.kind {
-            FrameKind::ModuleInit(_) => "<module:init>",
-            FrameKind::Call(f) => app.function(f).name(),
-        }
-    }
-
     /// The modeled source file of this frame.
     pub fn file<'a>(&self, app: &'a Application) -> &'a str {
         app.module(self.module(app)).file()
@@ -191,14 +180,12 @@ mod tests {
             kind: FrameKind::Call(FunctionId::from_index(0)),
             line: 4,
         };
-        assert_eq!(call.function_name(&app), "main");
         assert_eq!(call.file(&app), "handler.py");
         assert!(!call.is_init());
         let init = Frame {
             kind: FrameKind::ModuleInit(ModuleId::from_index(0)),
             line: 1,
         };
-        assert_eq!(init.function_name(&app), "<module:init>");
         assert!(init.is_init());
     }
 

@@ -181,22 +181,6 @@ impl LogNormal {
         Ok(LogNormal { mu, sigma })
     }
 
-    /// Creates a log-normal from the desired *median* and a shape factor.
-    ///
-    /// The median of a log-normal is `exp(mu)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when `median` is not positive or `sigma` invalid.
-    pub fn from_median(median: f64, sigma: f64) -> Result<Self, InvalidDistribution> {
-        if !median.is_finite() || median <= 0.0 {
-            return Err(InvalidDistribution::new(
-                "LogNormal requires a positive median",
-            ));
-        }
-        LogNormal::new(median.ln(), sigma)
-    }
-
     /// Draws a sample via Box–Muller.
     pub fn sample(&self, rng: &mut SimRng) -> f64 {
         let u1 = (1.0 - rng.next_f64()).max(f64::MIN_POSITIVE);
@@ -379,7 +363,7 @@ mod tests {
 
     #[test]
     fn lognormal_is_positive_and_median_tracks() {
-        let ln = LogNormal::from_median(5.0, 0.5).unwrap();
+        let ln = LogNormal::new(5.0f64.ln(), 0.5).unwrap();
         let mut r = rng();
         let mut samples: Vec<f64> = (0..9_999).map(|_| ln.sample(&mut r)).collect();
         assert!(samples.iter().all(|x| *x > 0.0));
@@ -390,7 +374,7 @@ mod tests {
 
     #[test]
     fn lognormal_zero_sigma_is_constant() {
-        let ln = LogNormal::from_median(3.0, 0.0).unwrap();
+        let ln = LogNormal::new(3.0f64.ln(), 0.0).unwrap();
         let mut r = rng();
         for _ in 0..10 {
             assert!((ln.sample(&mut r) - 3.0).abs() < 1e-9);

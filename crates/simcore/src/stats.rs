@@ -5,8 +5,8 @@
 //! [`Percentiles`] computes exact order statistics, and [`Histogram`] bins
 //! values for the figure-style outputs.
 
-/// Online summary statistics (count, mean, variance, min, max) using
-/// Welford's algorithm.
+/// Online summary statistics (count, mean, min, max), the mean updated
+/// incrementally as in Welford's algorithm.
 ///
 /// # Example
 ///
@@ -24,7 +24,6 @@
 pub struct Summary {
     count: u64,
     mean: f64,
-    m2: f64,
     min: f64,
     max: f64,
 }
@@ -35,7 +34,6 @@ impl Summary {
         Summary {
             count: 0,
             mean: 0.0,
-            m2: 0.0,
             min: f64::INFINITY,
             max: f64::NEG_INFINITY,
         }
@@ -51,7 +49,6 @@ impl Summary {
         self.count += 1;
         let delta = x - self.mean;
         self.mean += delta / self.count as f64;
-        self.m2 += delta * (x - self.mean);
         self.min = self.min.min(x);
         self.max = self.max.max(x);
     }
@@ -68,20 +65,6 @@ impl Summary {
         } else {
             self.mean
         }
-    }
-
-    /// Population variance (0.0 when fewer than two observations).
-    pub fn variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
-        }
-    }
-
-    /// Population standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
     }
 
     /// Smallest observation (`None` when empty).
@@ -102,7 +85,8 @@ impl Summary {
         }
     }
 
-    /// Merges another summary into this one (parallel Welford combine).
+    /// Merges another summary into this one (the parallel Welford combine
+    /// of the means).
     pub fn merge(&mut self, other: &Summary) {
         if other.count == 0 {
             return;
@@ -116,7 +100,6 @@ impl Summary {
         let delta = other.mean - self.mean;
         let total = n1 + n2;
         self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
         self.count += other.count;
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
@@ -336,17 +319,6 @@ impl Histogram {
             })
             .collect()
     }
-
-    /// The midpoint of bin `i`, for labeling figure axes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn bin_center(&self, i: usize) -> f64 {
-        assert!(i < self.counts.len(), "bin index out of range");
-        let width = (self.hi - self.lo) / self.counts.len() as f64;
-        self.lo + width * (i as f64 + 0.5)
-    }
 }
 
 #[cfg(test)]
@@ -354,13 +326,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn summary_mean_and_variance() {
+    fn summary_mean_min_max() {
         let s: Summary = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]
             .into_iter()
             .collect();
         assert_eq!(s.count(), 8);
         assert!((s.mean() - 5.0).abs() < 1e-12);
-        assert!((s.variance() - 4.0).abs() < 1e-9);
         assert_eq!(s.min(), Some(2.0));
         assert_eq!(s.max(), Some(9.0));
     }
@@ -370,7 +341,6 @@ mod tests {
         let s = Summary::new();
         assert_eq!(s.count(), 0);
         assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.variance(), 0.0);
         assert_eq!(s.min(), None);
         assert_eq!(s.max(), None);
     }
@@ -383,7 +353,6 @@ mod tests {
         left.merge(&right);
         assert_eq!(left.count(), all.count());
         assert!((left.mean() - all.mean()).abs() < 1e-9);
-        assert!((left.variance() - all.variance()).abs() < 1e-6);
     }
 
     #[test]
@@ -464,13 +433,6 @@ mod tests {
         h.record(5.0);
         assert_eq!(h.counts(), &[1, 1]);
         assert_eq!(h.total(), 2);
-    }
-
-    #[test]
-    fn histogram_bin_centers() {
-        let h = Histogram::new(0.0, 10.0, 5);
-        assert!((h.bin_center(0) - 1.0).abs() < 1e-12);
-        assert!((h.bin_center(4) - 9.0).abs() < 1e-12);
     }
 
     #[test]

@@ -86,7 +86,7 @@ impl DriftSchedule {
     }
 
     /// The weights in effect at `t`.
-    pub fn weights_at(&self, t: SimTime) -> &[f64] {
+    fn weights_at(&self, t: SimTime) -> &[f64] {
         let mut current = &self.initial_weights;
         for ep in &self.episodes {
             if ep.at <= t {
