@@ -173,6 +173,15 @@ fn flag_value(args: &[String], flag: &str) -> Result<Option<u64>, String> {
     }
 }
 
+/// `--cold-starts <N>` (default 500) for `run`, `lint`, `fleet` and
+/// `chaos`: every measurement run needs at least one cold start.
+fn cold_starts_flag(args: &[String]) -> Result<usize, String> {
+    match flag_value(args, "--cold-starts")?.unwrap_or(500) {
+        0 => Err("--cold-starts must be at least 1".to_string()),
+        n => Ok(n as usize),
+    }
+}
+
 fn flag_value_str(args: &[String], flag: &str) -> Result<Option<String>, String> {
     match args.iter().position(|a| a == flag) {
         None => Ok(None),
@@ -223,7 +232,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         .filter(|a| !a.starts_with("--"))
         .ok_or("usage: slimstart run <CODE> [options]")?;
     let entry = by_code(code).ok_or_else(|| format!("unknown catalog code `{code}`"))?;
-    let cold_starts = flag_value(args, "--cold-starts")?.unwrap_or(500) as usize;
+    let cold_starts = cold_starts_flag(args)?;
     let seed = flag_value(args, "--seed")?.unwrap_or(2025);
     let json = args.iter().any(|a| a == "--json");
     let rounds = flag_value(args, "--iterate")?.unwrap_or(1) as usize;
@@ -317,7 +326,7 @@ fn cmd_lint(args: &[String]) -> Result<ExitCode, String> {
     )?;
     let entry = by_code(code).ok_or_else(|| format!("unknown catalog code `{code}`"))?;
     let seed = flag_value(args, "--seed")?.unwrap_or(2025);
-    let cold_starts = flag_value(args, "--cold-starts")?.unwrap_or(500) as usize;
+    let cold_starts = cold_starts_flag(args)?;
     let json = args.iter().any(|a| a == "--json");
     let deny_warnings = match flag_value_str(args, "--deny")? {
         None => false,
@@ -490,7 +499,7 @@ fn parse_fleet_config(args: &[String]) -> Result<(FleetConfig, bool), String> {
             .unwrap_or(1),
     };
     let seed = flag_value(args, "--seed")?.unwrap_or(2025);
-    let cold_starts = flag_value(args, "--cold-starts")?.unwrap_or(500) as usize;
+    let cold_starts = cold_starts_flag(args)?;
     let runs = flag_value(args, "--runs")?.unwrap_or(1) as usize;
     let chunk = flag_value(args, "--chunk")?.unwrap_or(32) as usize;
     let light = args.iter().any(|a| a == "--light");

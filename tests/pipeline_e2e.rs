@@ -161,3 +161,26 @@ fn report_renders_for_every_gated_app() {
         assert!(text.contains("Call Path"), "{}: {text}", entry.code);
     }
 }
+
+#[test]
+fn cli_rejects_zero_cold_starts() {
+    for command in [
+        &["run", "R-GB"][..],
+        &["lint", "R-GB"],
+        &["fleet", "--apps", "2"],
+        &["chaos", "--apps", "2"],
+    ] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_slimstart"))
+            .args(command)
+            .args(["--cold-starts", "0"])
+            .output()
+            .expect("the CLI starts");
+        assert_eq!(out.status.code(), Some(1), "{command:?}");
+        assert!(out.stdout.is_empty(), "{command:?}");
+        assert_eq!(
+            String::from_utf8_lossy(&out.stderr),
+            "error: --cold-starts must be at least 1\n",
+            "{command:?}"
+        );
+    }
+}
