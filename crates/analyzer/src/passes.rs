@@ -149,7 +149,7 @@ impl AnalysisPass for DeferralSafetyPass {
         }
         for package in ctx.index.tree().packages(app) {
             let path = package.path();
-            if let Err(v) = ctx.index.verify_deferral(app, path) {
+            if let Err(v) = ctx.index.package_deferral_boundary(app, &package) {
                 let (file, line) = {
                     let (f, l) = v.span();
                     (f.to_string(), l)

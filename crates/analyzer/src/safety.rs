@@ -231,10 +231,19 @@ impl ModuleIndex {
         app: &Application,
         package: &str,
     ) -> Result<Vec<BoundaryImport>, SafetyViolation> {
-        let package = self.tree().package(app, package);
-        let boundary = self.boundary_imports(app, &package);
+        self.package_deferral_boundary(app, &self.tree().package(app, package))
+    }
+
+    /// [`Self::deferral_boundary`] of a package already resolved against
+    /// this index's tree.
+    pub(crate) fn package_deferral_boundary(
+        &self,
+        app: &Application,
+        package: &Package<'_>,
+    ) -> Result<Vec<BoundaryImport>, SafetyViolation> {
+        let boundary = self.boundary_imports(app, package);
         if !boundary.is_empty() {
-            self.verify_boundary(app, &package, &boundary)?;
+            self.verify_boundary(app, package, &boundary)?;
         }
         Ok(boundary)
     }
