@@ -238,9 +238,10 @@ pub struct ProfileStore {
     pub batches_transferred: u64,
 }
 
-/// Locks a profile mutex, recovering the data if a panicking holder
-/// poisoned it: the store and the collector's counters hold plain data
-/// that every writer leaves whole, so a later reader can use it.
+/// Locks a profile mutex, recovering the guard if a holder panicked. Every
+/// update of the profile store and of the collector's counters (appends,
+/// counter bumps, truncation) leaves them readable at each step, so a
+/// holder's panic costs at most part of a profile.
 pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
