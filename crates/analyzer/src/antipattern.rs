@@ -194,7 +194,10 @@ fn estimate(index: &ModuleIndex, app: &Application, rt: &RuntimeProfile) -> f64 
     }
     let mut total = 0.0;
     for (h, root) in handlers.iter().zip(index.roots()) {
-        let mut loaded = index.closure(app, &[*root], |_, d| d.mode.is_global());
+        let eager = index.reach(app, *root);
+        let mut loaded: Vec<bool> = (0..app.modules().len())
+            .map(|i| eager.contains(ModuleId::from_index(i)))
+            .collect();
         let mut cost = 0.0;
         for (i, m) in app.modules().iter().enumerate() {
             if loaded[i] {
@@ -218,10 +221,10 @@ fn estimate(index: &ModuleIndex, app: &Application, rt: &RuntimeProfile) -> f64 
                 if !function_uses_package(app, h.function(), tname) {
                     continue;
                 }
-                let lazy = index.closure(app, &[decl.target], |_, d| d.mode.is_global());
+                let lazy = index.reach(app, decl.target);
                 let mut lazy_cost = 0.0;
                 for (i, m) in app.modules().iter().enumerate() {
-                    if lazy[i] && !loaded[i] {
+                    if lazy.contains(ModuleId::from_index(i)) && !loaded[i] {
                         lazy_cost += m.init_cost().as_millis_f64() * rt.init_cost_factor
                             + rt.per_module_import_ms;
                         loaded[i] = true;
@@ -609,12 +612,10 @@ fn detect_init_in_handler(
         if !action.apply(&mut probe) || probe.validate().is_err() {
             continue;
         }
-        let lazy = ctx
-            .index
-            .closure(app, &[decl.target], |_, d| d.mode.is_global());
+        let lazy = ctx.index.reach(app, decl.target);
         let members: Vec<ModuleId> = (0..app.modules().len())
-            .filter(|i| lazy[*i] && !eager[*i])
             .map(ModuleId::from_index)
+            .filter(|m| lazy.contains(*m) && !eager[m.index()])
             .collect();
         let cost = member_cost(app, &members, rt) * rt.lazy_load_penalty;
         let saving = saving_of(ctx, &action, rt);
@@ -825,12 +826,10 @@ fn detect_handler_hot_import(
         if !action.apply(&mut probe) || probe.validate().is_err() {
             continue;
         }
-        let lazy = ctx
-            .index
-            .closure(app, &[decl.target], |_, d| d.mode.is_global());
+        let lazy = ctx.index.reach(app, decl.target);
         let members: Vec<ModuleId> = (0..app.modules().len())
-            .filter(|i| lazy[*i] && !eager[*i])
             .map(ModuleId::from_index)
+            .filter(|m| lazy.contains(*m) && !eager[m.index()])
             .collect();
         let cost = member_cost(app, &members, rt) * rt.lazy_load_penalty * frac;
         let saving = saving_of(ctx, &action, rt);

@@ -9,11 +9,19 @@
 //! global imports transitively. `Application::eager_load_set` follows
 //! import edges only, so it misses implicitly-loaded parents; safety
 //! verification must not.
+//!
+//! The reachability questions of the passes and the verifier are lookups
+//! in two tables, each built at most once per index, on first use, from one
+//! pass over the strongly connected components of the load graph: the
+//! reach matrix (the eager-load closure of every module) and the
+//! package-cut table (which eager side-effectful module deferring a
+//! package's boundary imports would drop from the cold-start load set).
 
 use std::ops::Range;
+use std::sync::OnceLock;
 
 use slimstart_appmodel::library::{Package, PackageTree};
-use slimstart_appmodel::{Application, FunctionId, ImportDecl, ModuleId};
+use slimstart_appmodel::{Application, FunctionId, ModuleId};
 
 use crate::usage::ObservedUsage;
 
@@ -76,10 +84,357 @@ impl<T: Copy> Grouped<T> {
         }
     }
 
+    /// No rows yet; [`Self::push_row`] appends them in order.
+    fn new() -> Grouped<T> {
+        Grouped {
+            start: vec![0],
+            items: Vec::new(),
+        }
+    }
+
+    /// Closes the current row: the items pushed since the previous call.
+    fn push_row(&mut self) {
+        self.start.push(self.items.len() as u32);
+    }
+
+    /// The number of rows.
+    fn len(&self) -> usize {
+        self.start.len() - 1
+    }
+
     /// The items of `rows`.
     fn rows(&self, rows: Range<u32>) -> &[T] {
         &self.items
             [self.start[rows.start as usize] as usize..self.start[rows.end as usize] as usize]
+    }
+
+    /// The items of row `row`.
+    fn row(&self, row: usize) -> &[T] {
+        self.rows(row as u32..row as u32 + 1)
+    }
+}
+
+/// A set of modules, one bit per module index: a row of the reach matrix.
+#[derive(Debug, Clone, Copy)]
+pub struct LoadSet<'a> {
+    words: &'a [u64],
+}
+
+impl LoadSet<'_> {
+    /// Whether `module` is in the set.
+    #[inline]
+    pub fn contains(&self, module: ModuleId) -> bool {
+        let i = module.index();
+        self.words[i / 64] >> (i % 64) & 1 == 1
+    }
+}
+
+/// Sets bit `i` of a bitset row.
+#[inline]
+fn set_bit(words: &mut [u64], i: usize) {
+    words[i / 64] |= 1 << (i % 64);
+}
+
+/// Row `i` of a flat table of `stride`-word rows.
+fn row_mut(rows: &mut [u64], stride: usize, i: usize) -> &mut [u64] {
+    &mut rows[i * stride..(i + 1) * stride]
+}
+
+/// The as-written load graph — an edge from each module to its nearest
+/// existing ancestor, then one per global import — and its strongly
+/// connected components.
+#[derive(Debug, Clone)]
+struct LoadGraph {
+    /// The load edges out of each module, by module index.
+    edges: Grouped<ModuleId>,
+    /// Each module's component, by module index.
+    component: Vec<u32>,
+    /// The modules of each component. Components are in reverse
+    /// topological order: an edge that leaves a component enters an
+    /// earlier one.
+    members: Grouped<ModuleId>,
+}
+
+impl LoadGraph {
+    fn build(tree: &PackageTree, app: &Application, roots: &[ModuleId]) -> LoadGraph {
+        let n = app.modules().len();
+        let mut edges = Grouped::new();
+        for i in 0..n {
+            let m = ModuleId::from_index(i);
+            edges.items.extend(tree.parent(m));
+            edges.items.extend(
+                app.imports_of(m)
+                    .iter()
+                    .filter(|d| d.mode.is_global())
+                    .map(|d| d.target),
+            );
+            edges.push_row();
+        }
+
+        // Tarjan's algorithm without recursion, from the handler roots
+        // first. A component is complete when the walk leaves the first
+        // module it visited there, so the components complete sinks first.
+        const UNSEEN: u32 = u32::MAX;
+        let mut number = vec![UNSEEN; n];
+        let mut low = vec![0u32; n];
+        let mut component = vec![UNSEEN; n];
+        let mut components = 0;
+        // Visited modules not yet in a component, the walk's path as
+        // (module index, next edge), and the modules in the order the walk
+        // left them.
+        let mut open: Vec<usize> = Vec::new();
+        let mut path: Vec<(usize, u32)> = Vec::new();
+        let mut finished = Vec::with_capacity(n);
+        let mut visited = 0;
+        for root in roots.iter().map(|m| m.index()).chain(0..n) {
+            if number[root] != UNSEEN {
+                continue;
+            }
+            let mut next = Some(root);
+            loop {
+                if let Some(v) = next.take() {
+                    number[v] = visited;
+                    low[v] = visited;
+                    visited += 1;
+                    open.push(v);
+                    path.push((v, edges.start[v]));
+                }
+                let Some(&(v, e)) = path.last() else {
+                    break;
+                };
+                if e < edges.start[v + 1] {
+                    let top = path.len() - 1;
+                    path[top].1 += 1;
+                    let w = edges.items[e as usize].index();
+                    if number[w] == UNSEEN {
+                        next = Some(w);
+                    } else if component[w] == UNSEEN {
+                        low[v] = low[v].min(number[w]);
+                    }
+                    continue;
+                }
+                path.pop();
+                finished.push(v);
+                if let Some(&(u, _)) = path.last() {
+                    low[u] = low[u].min(low[v]);
+                }
+                if low[v] == number[v] {
+                    loop {
+                        let w = open.pop().expect("the component's first module is open");
+                        component[w] = components;
+                        if w == v {
+                            break;
+                        }
+                    }
+                    components += 1;
+                }
+            }
+        }
+        // Each component's members in reverse postorder of the walk, the
+        // order in which a forward pass over a component sees most of its
+        // edges after their source has settled.
+        let members = Grouped::build(
+            components as usize,
+            finished
+                .iter()
+                .rev()
+                .map(|&v| (component[v], ModuleId::from_index(v)))
+                .collect(),
+        );
+        LoadGraph {
+            edges,
+            component,
+            members,
+        }
+    }
+
+    /// The component of `module`.
+    fn component(&self, module: ModuleId) -> usize {
+        self.component[module.index()] as usize
+    }
+}
+
+/// The reach matrix: one bitset row per component of the load graph,
+/// holding every module that loading any of the component's modules loads.
+#[derive(Debug, Clone)]
+struct Reach {
+    /// Words per row.
+    stride: usize,
+    rows: Vec<u64>,
+}
+
+impl Reach {
+    /// Fills the rows sinks first, so a row takes in the finished rows of
+    /// the components its modules' edges enter.
+    fn build(graph: &LoadGraph, modules: usize) -> Reach {
+        let stride = modules.div_ceil(64);
+        let components = graph.members.len();
+        let mut rows = vec![0u64; components * stride];
+        // The component whose row last took in each row, to take it once.
+        let mut taken = vec![usize::MAX; components];
+        for c in 0..components {
+            let (done, rest) = rows.split_at_mut(c * stride);
+            let row = &mut rest[..stride];
+            for &m in graph.members.row(c) {
+                set_bit(row, m.index());
+                for &t in graph.edges.row(m.index()) {
+                    let d = graph.component(t);
+                    if d != c && taken[d] != c {
+                        taken[d] = c;
+                        let other = &done[d * stride..(d + 1) * stride];
+                        for (word, bits) in row.iter_mut().zip(other) {
+                            *word |= bits;
+                        }
+                    }
+                }
+            }
+        }
+        Reach { stride, rows }
+    }
+}
+
+/// The package-cut table. Its columns are the member runs of the
+/// application's packages (packages with the same members share one), and
+/// it holds, per column, the first eager side-effectful module, in
+/// module-index order, that every load path from a handler root reaches
+/// only by entering the column's packages over an import from outside:
+/// the module that deferring their boundary imports drops from the
+/// cold-start load set.
+#[derive(Debug, Clone)]
+struct Cuts {
+    /// Each column's run of package-tree positions, by start and then by
+    /// end, descending (outer packages first).
+    runs: Vec<(u32, u32)>,
+    /// Each column's dropped module index, `u32::MAX` for none.
+    dropped: Vec<u32>,
+}
+
+impl Cuts {
+    const NONE: u32 = u32::MAX;
+
+    fn build(index: &ModuleIndex, app: &Application, graph: &LoadGraph) -> Cuts {
+        let tree = index.tree();
+        let n = app.modules().len();
+
+        // The columns, in one sweep over package-tree order that keeps the
+        // packages holding the current module open, outermost first. The
+        // packages opened at one position that close at one position hold
+        // the same modules; they are consecutive and share a column.
+        let mut opened: Vec<(u32, u32)> = Vec::new();
+        let mut open: Vec<(&str, u32)> = Vec::new();
+        // The packages holding each module, innermost first, by position.
+        let mut holding = Grouped::new();
+        for (p, &m) in tree.order().iter().enumerate() {
+            let module = app.module(m);
+            while let Some(&(path, k)) = open.last() {
+                if module.in_package(path) {
+                    break;
+                }
+                opened[k as usize].1 = p as u32;
+                open.pop();
+            }
+            // The open packages are the module's shortest prefixes.
+            for path in module.package_prefixes().skip(open.len()) {
+                open.push((path, opened.len() as u32));
+                opened.push((p as u32, 0));
+            }
+            holding.items.extend(open.iter().rev().map(|&(_, k)| k));
+            holding.push_row();
+        }
+        for (_, k) in open {
+            opened[k as usize].1 = n as u32;
+        }
+        let mut runs: Vec<(u32, u32)> = Vec::new();
+        let mut column = Vec::with_capacity(opened.len());
+        for run in &opened {
+            if runs.last() != Some(run) {
+                runs.push(*run);
+            }
+            column.push(runs.len() as u32 - 1);
+        }
+        for k in &mut holding.items {
+            *k = column[*k as usize];
+        }
+
+        // in(v): the columns every load path from a root to `v` enters over
+        // an edge from outside, as the greatest solution of in(root) = ∅ and
+        // in(v) = ∩ over edges u → v of (in(u) ∪ the columns holding v but
+        // not u). Components are visited sources first, and the rule is
+        // iterated inside each until no set changes (a package importing
+        // its own submodule closes a cycle through the ancestor edge).
+        let stride = runs.len().div_ceil(64);
+        let mut ins = vec![u64::MAX; n * stride];
+        for root in index.roots() {
+            row_mut(&mut ins, stride, root.index()).fill(0);
+        }
+        let mut through = vec![0u64; stride];
+        let mut relax = |ins: &mut [u64], u: ModuleId, v: ModuleId| -> bool {
+            through.copy_from_slice(&ins[u.index() * stride..(u.index() + 1) * stride]);
+            let from = tree.position(u);
+            // Only a package holding v but not u is entered; the runs of
+            // the packages holding v grow outwards, so stop at u's.
+            for &k in holding.row(tree.position(v) as usize) {
+                let (lo, hi) = runs[k as usize];
+                if (lo..hi).contains(&from) {
+                    break;
+                }
+                set_bit(&mut through, k as usize);
+            }
+            let mut changed = false;
+            for (word, t) in row_mut(ins, stride, v.index()).iter_mut().zip(&through) {
+                let next = *word & t;
+                changed |= next != *word;
+                *word = next;
+            }
+            changed
+        };
+        // Whether a module's set changed since its edges were last relaxed.
+        let mut dirty = vec![true; n];
+        for c in (0..graph.members.len()).rev() {
+            let members = graph.members.row(c);
+            if !index.eager[members[0].index()] {
+                continue; // not loaded at cold start, so on no load path
+            }
+            let inside = |t: &ModuleId| graph.component(*t) == c;
+            loop {
+                let mut changed = false;
+                for &u in members {
+                    if !std::mem::take(&mut dirty[u.index()]) {
+                        continue;
+                    }
+                    for &v in graph.edges.row(u.index()).iter().filter(|t| inside(t)) {
+                        if relax(&mut ins, u, v) {
+                            dirty[v.index()] = true;
+                            changed = true;
+                        }
+                    }
+                }
+                if !changed {
+                    break;
+                }
+            }
+            for &u in members {
+                for &v in graph.edges.row(u.index()).iter().filter(|t| !inside(t)) {
+                    relax(&mut ins, u, v);
+                }
+            }
+        }
+
+        let mut dropped = vec![Cuts::NONE; runs.len()];
+        for &s in index.eager_side_effects() {
+            let row = &ins[s.index() * stride..(s.index() + 1) * stride];
+            for (w, &word) in row.iter().enumerate() {
+                let mut bits = word;
+                while bits != 0 {
+                    let k = w * 64 + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    if dropped[k] == Cuts::NONE {
+                        dropped[k] = s.index() as u32;
+                    }
+                }
+            }
+        }
+        Cuts { runs, dropped }
     }
 }
 
@@ -93,7 +448,8 @@ impl<T: Copy> Grouped<T> {
 /// and per-package groupings of the incoming import edges, touching
 /// functions and defining functions that the verifier reads instead of
 /// scanning the whole application. The groupings' rows are package-tree
-/// positions.
+/// positions. The reach matrix and the package-cut table are built on
+/// first use.
 ///
 /// Import modes are part of what it indexes, so an index describes exactly
 /// the application it was built from: pass that same application to every
@@ -120,6 +476,12 @@ pub struct ModuleIndex {
     touchers: Grouped<FunctionId>,
     /// Functions grouped by their defining module's position.
     defined: Grouped<FunctionId>,
+    /// The load graph and its components, for the two tables below.
+    graph: OnceLock<LoadGraph>,
+    /// The reach matrix.
+    reach: OnceLock<Reach>,
+    /// The package-cut table.
+    cuts: OnceLock<Cuts>,
 }
 
 impl ModuleIndex {
@@ -169,8 +531,11 @@ impl ModuleIndex {
             incoming: Grouped::build(n, incoming),
             touchers: Grouped::build(n, touchers),
             defined: Grouped::build(n, defined),
+            graph: OnceLock::new(),
+            reach: OnceLock::new(),
+            cuts: OnceLock::new(),
         };
-        index.eager = index.closure(app, &index.roots, |_, d| d.mode.is_global());
+        index.eager = index.closure(app, &index.roots);
         index.eager_side_effects = index
             .side_effects
             .iter()
@@ -196,16 +561,8 @@ impl ModuleIndex {
     }
 
     /// The parent-aware eager-load closure from every module in `roots`,
-    /// in one traversal, where `is_global` decides whether an import edge
-    /// participates (pass the declaration's real mode to model the app as
-    /// written, or override edges to simulate a hypothetical deferral
-    /// without cloning the application).
-    ///
-    /// Returns one flag per module index.
-    pub fn closure<F>(&self, app: &Application, roots: &[ModuleId], is_global: F) -> Vec<bool>
-    where
-        F: Fn(ModuleId, &ImportDecl) -> bool,
-    {
+    /// in one traversal, one flag per module index.
+    fn closure(&self, app: &Application, roots: &[ModuleId]) -> Vec<bool> {
         let mut loaded = vec![false; app.modules().len()];
         let mut stack = roots.to_vec();
         while let Some(m) = stack.pop() {
@@ -221,12 +578,58 @@ impl ModuleIndex {
                 }
             }
             for decl in app.imports_of(m) {
-                if is_global(m, decl) && !loaded[decl.target.index()] {
+                if decl.mode.is_global() && !loaded[decl.target.index()] {
                     stack.push(decl.target);
                 }
             }
         }
         loaded
+    }
+
+    /// The load graph, built on first use.
+    fn graph(&self, app: &Application) -> &LoadGraph {
+        self.graph
+            .get_or_init(|| LoadGraph::build(&self.tree, app, &self.roots))
+    }
+
+    /// The parent-aware eager-load closure of `module`: every module that
+    /// loading it in a fresh process loads, itself included. A row of the
+    /// reach matrix, which the first call builds.
+    pub fn reach(&self, app: &Application, module: ModuleId) -> LoadSet<'_> {
+        let graph = self.graph(app);
+        let reach = self
+            .reach
+            .get_or_init(|| Reach::build(graph, app.modules().len()));
+        let c = graph.component(module);
+        LoadSet {
+            words: &reach.rows[c * reach.stride..(c + 1) * reach.stride],
+        }
+    }
+
+    /// The first eager side-effectful module, in module-index order, that
+    /// deferring every global import from outside `package` into it drops
+    /// from the cold-start load set: every load path from a handler root to
+    /// it enters `package` over such an import. Reads the package-cut
+    /// table, which the first call builds when there are eager side
+    /// effects at all.
+    pub(crate) fn dropped_side_effect(
+        &self,
+        app: &Application,
+        package: &Package<'_>,
+    ) -> Option<ModuleId> {
+        let run = package.positions();
+        if self.eager_side_effects.is_empty() || run.is_empty() {
+            return None;
+        }
+        let cuts = self
+            .cuts
+            .get_or_init(|| Cuts::build(self, app, self.graph(app)));
+        let k = cuts
+            .runs
+            .binary_search_by(|&(lo, hi)| lo.cmp(&run.start).then(run.end.cmp(&hi)))
+            .expect("every package with members has a column");
+        let dropped = cuts.dropped[k];
+        (dropped != Cuts::NONE).then(|| ModuleId::from_index(dropped as usize))
     }
 
     /// Whether `module` has at least one deferred import.
@@ -263,7 +666,6 @@ impl ModuleIndex {
         self.defined.rows(p..p + 1)
     }
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -293,19 +695,15 @@ mod tests {
         b.finish().unwrap()
     }
 
-    fn global(_: ModuleId, d: &ImportDecl) -> bool {
-        d.mode.is_global()
-    }
-
     #[test]
     fn closure_includes_implicit_parents() {
         let app = app();
         let index = ModuleIndex::build(&app);
         let h = app.module_by_name("handler").unwrap();
-        let closure = index.closure(&app, &[h], global);
+        let closure = index.reach(&app, h);
         for name in ["handler", "lib", "lib.sub", "lib.sub.deep"] {
             let m = app.module_by_name(name).unwrap();
-            assert!(closure[m.index()], "{name} must be in the eager closure");
+            assert!(closure.contains(m), "{name} must be in the eager closure");
         }
         // The import-edge-only closure misses the parents — the exact gap
         // this module exists to close.
@@ -315,25 +713,63 @@ mod tests {
     }
 
     #[test]
-    fn deferred_override_removes_subtree() {
-        let app = app();
-        let index = ModuleIndex::build(&app);
-        let h = app.module_by_name("handler").unwrap();
-        let deep = app.module_by_name("lib.sub.deep").unwrap();
-        let closure = index.closure(&app, &[h], |_, d| d.mode.is_global() && d.target != deep);
-        assert!(closure[h.index()]);
-        for name in ["lib", "lib.sub", "lib.sub.deep"] {
-            let m = app.module_by_name(name).unwrap();
-            assert!(!closure[m.index()], "{name} must leave the closure");
-        }
-    }
-
-    #[test]
     fn all_handlers_union() {
         let app = app();
         let ctx = AnalysisContext::new(&app, None);
         let loaded = ctx.eager_closure_all_handlers();
         assert_eq!(loaded.iter().filter(|x| **x).count(), 4);
+    }
+
+    /// The side effect the package-cut table says deferring `path` drops.
+    fn dropped(app: &Application, path: &str) -> Option<String> {
+        let index = ModuleIndex::build(app);
+        let package = index.tree().package(app, path);
+        let m = index.dropped_side_effect(app, &package)?;
+        Some(app.module(m).name().to_string())
+    }
+
+    /// `handler` imports `lib.a` and `lib.b` globally, and each of them
+    /// imports the side-effectful `noisy`; with `rooted`, a second handler
+    /// lives in `lib.svc`, inside `lib`, and imports `noisy` too.
+    fn two_paths_app(rooted: bool) -> Application {
+        let mut b = AppBuilder::new("t");
+        let lib = b.add_library("lib");
+        let side = b.add_library("noisy");
+        let h = b.add_app_module("handler", ms(1), 0);
+        let a = b.add_library_module("lib.a", ms(1), 0, false, lib);
+        let bm = b.add_library_module("lib.b", ms(1), 0, false, lib);
+        let noisy = b.add_library_module("noisy", ms(1), 0, true, side);
+        b.add_import(h, a, 1, ImportMode::Global).unwrap();
+        b.add_import(h, bm, 2, ImportMode::Global).unwrap();
+        b.add_import(a, noisy, 1, ImportMode::Global).unwrap();
+        b.add_import(bm, noisy, 1, ImportMode::Global).unwrap();
+        let f = b.add_function("main", h, 4, vec![]);
+        b.add_handler("main", f);
+        if rooted {
+            let svc = b.add_app_module("lib.svc", ms(1), 0);
+            b.add_import(svc, noisy, 1, ImportMode::Global).unwrap();
+            let g = b.add_function("serve", svc, 4, vec![]);
+            b.add_handler("serve", g);
+        }
+        b.finish().unwrap()
+    }
+
+    #[test]
+    fn cut_needs_every_load_path_to_enter_the_package() {
+        // No single module lies on both paths to `noisy`, but both enter
+        // `lib`: deferring `lib` drops it, deferring one branch does not.
+        let app = two_paths_app(false);
+        assert_eq!(dropped(&app, "lib").as_deref(), Some("noisy"));
+        assert_eq!(dropped(&app, "lib.a"), None);
+        assert_eq!(dropped(&app, "lib.b"), None);
+        assert_eq!(dropped(&app, "handler"), None);
+    }
+
+    #[test]
+    fn a_handler_inside_the_package_loads_without_entering_it() {
+        let app = two_paths_app(true);
+        assert_eq!(dropped(&app, "lib"), None);
+        assert_eq!(dropped(&app, "lib.svc"), None);
     }
 
     /// A random app over dotted names drawn from a small alphabet, so
@@ -390,18 +826,18 @@ mod tests {
             let plan = Arc::new(LoaderPlan::build(&app));
             for i in 0..app.modules().len() {
                 let m = ModuleId::from_index(i);
-                let ours = index.closure(&app, &[m], global);
+                let ours = index.reach(&app, m);
                 // The oracle is the loader itself: what a cold start of `m`
                 // in a fresh process actually loads.
                 let mut process = Process::with_plan(Arc::clone(&app), Arc::clone(&plan), 1.0);
                 process.cold_start(m).unwrap();
-                for (j, flag) in ours.iter().enumerate() {
+                for j in (0..app.modules().len()).map(ModuleId::from_index) {
                     assert_eq!(
-                        *flag,
-                        process.is_loaded(ModuleId::from_index(j)),
+                        ours.contains(j),
+                        process.is_loaded(j),
                         "seed {seed}: closure of `{}` disagrees on `{}`",
                         app.module(m).name(),
-                        app.module(ModuleId::from_index(j)).name()
+                        app.module(j).name()
                     );
                 }
                 let name = app.module(m).name();

@@ -254,16 +254,8 @@ impl AnalysisPass for DuplicateImportPass {
         for m in 0..app.modules().len() {
             let mid = ModuleId::from_index(m);
             let decls = app.imports_of(mid);
-            // Each declaration's target closure, computed at most once and
-            // dropped with this importer: `loads(k, t)` is whether loading
-            // declaration k's target brings in module t.
-            let mut closures: Vec<Option<Vec<bool>>> = vec![None; decls.len()];
-            let mut loads = |k: usize, t: ModuleId| {
-                closures[k].get_or_insert_with(|| {
-                    ctx.index
-                        .closure(app, &[decls[k].target], |_, dd| dd.mode.is_global())
-                })[t.index()]
-            };
+            // Whether loading declaration k's target brings in module t.
+            let loads = |k: usize, t: ModuleId| ctx.index.reach(app, decls[k].target).contains(t);
             for (i, d) in decls.iter().enumerate() {
                 if d.mode.is_deferred() {
                     if eager[d.target.index()] {

@@ -271,23 +271,18 @@ impl ModuleIndex {
             });
         }
 
-        // 2. Parent-package side effects: diff the parent-aware cold-start
-        //    load set before (the index's as-written closure) and after
-        //    flipping the boundary edges. Any side-effectful module that
-        //    leaves the set — outside the subtree, which step 1 already
-        //    cleared — only loaded through this boundary.
-        if !self.eager_side_effects().is_empty() {
-            let after = self.closure(app, self.roots(), |m, d| {
-                d.mode.is_global() && !self.crosses_into(package, m, d.target)
+        // 2. Parent-package side effects: a side-effectful module that
+        //    leaves the parent-aware cold-start load set once the boundary
+        //    edges flip — outside the subtree, which step 1 already
+        //    cleared — only loaded through this boundary. The package-cut
+        //    table names the first one.
+        if let Some(m) = self.dropped_side_effect(app, package) {
+            let module = app.module(m);
+            return Err(SafetyViolation::ParentSideEffects {
+                package: package.path().to_string(),
+                parent: module.name().to_string(),
+                file: module.file().to_string(),
             });
-            if let Some(&m) = self.eager_side_effects().iter().find(|m| !after[m.index()]) {
-                let module = app.module(m);
-                return Err(SafetyViolation::ParentSideEffects {
-                    package: package.path().to_string(),
-                    parent: module.name().to_string(),
-                    file: module.file().to_string(),
-                });
-            }
         }
 
         // 3. Import-time touch before the first in-package call. The rewrite
@@ -350,12 +345,12 @@ impl ModuleIndex {
 
         // What the deferred import would load when it fires (parents
         // included), minus what every handler already loads at cold start.
-        let lazy = self.closure(app, &[target], |_, d| d.mode.is_global());
+        let lazy = self.reach(app, target);
         let eager = self.eager();
         let hidden = self
             .side_effects()
             .iter()
-            .find(|m| lazy[m.index()] && !eager[m.index()]);
+            .find(|m| lazy.contains(**m) && !eager[m.index()]);
         if let Some(&m) = hidden {
             let module = app.module(m);
             let (name, file) = (module.name().to_string(), module.file().to_string());

@@ -171,6 +171,11 @@ impl PackageTree {
         &self.order[package.lo as usize..package.hi as usize]
     }
 
+    /// Every module, in package-tree order.
+    pub fn order(&self) -> &[ModuleId] {
+        &self.order
+    }
+
     /// The position of `module` in package-tree order.
     #[inline]
     pub fn position(&self, module: ModuleId) -> u32 {

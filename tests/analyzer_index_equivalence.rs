@@ -922,8 +922,11 @@ fn assert_equivalent(app: &Application) -> usize {
     let eager = reference::eager_closure_all_handlers(app, |_, d| d.mode.is_global());
     assert_eq!(index.eager(), &eager[..], "{name}: all-handlers closure");
     for m in (0..app.modules().len()).map(ModuleId::from_index) {
+        let reach = index.reach(app, m);
         assert_eq!(
-            index.closure(app, &[m], |_, d| d.mode.is_global()),
+            (0..app.modules().len())
+                .map(|t| reach.contains(ModuleId::from_index(t)))
+                .collect::<Vec<bool>>(),
             reference::eager_closure(app, m, |_, d| d.mode.is_global()),
             "{name}: closure of `{}`",
             app.module(m).name()
@@ -995,8 +998,9 @@ fn antipattern_fixtures_match_the_reference() {
 /// Which of the verifier's corner cases `app` contains: a module below a
 /// prefix no module carries, a sibling name prefix (`lib.sem` and
 /// `lib.semantics`), two handlers in one module, a side-effectful module
-/// with descendants, and a touch inside a branch.
-fn shapes(app: &Application) -> [bool; 5] {
+/// with descendants, a touch inside a branch, and a handler's module inside
+/// a package that a global import enters from outside.
+fn shapes(app: &Application) -> [bool; 6] {
     let names: Vec<&str> = app.modules().iter().map(|m| m.name()).collect();
     let gap = names.iter().any(|n| {
         let mut prefix = *n;
@@ -1019,6 +1023,15 @@ fn shapes(app: &Application) -> [bool; 5] {
     let handlers = handler_modules.len();
     handler_modules.sort();
     handler_modules.dedup();
+    let entered_root = handler_modules.iter().any(|&h| {
+        app.module(h).package_prefixes().any(|package| {
+            app.all_imports().any(|(importer, decl)| {
+                decl.mode.is_global()
+                    && !app.module(importer).in_package(package)
+                    && app.module(decl.target).in_package(package)
+            })
+        })
+    });
     let noisy_ancestor = app.modules().iter().any(|m| {
         m.side_effectful()
             && app
@@ -1040,6 +1053,7 @@ fn shapes(app: &Application) -> [bool; 5] {
         handler_modules.len() < handlers,
         noisy_ancestor,
         branch_touch,
+        entered_root,
     ]
 }
 
@@ -1047,7 +1061,7 @@ fn shapes(app: &Application) -> [bool; 5] {
 fn random_apps_match_the_reference() {
     let mut verdicts = 0;
     let mut violations = [0usize; 4];
-    let mut shape_counts = [0usize; 5];
+    let mut shape_counts = [0usize; 6];
     for seed in 0..240u64 {
         let app = common::random_app(seed);
         verdicts += assert_equivalent(&app);

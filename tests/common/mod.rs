@@ -5,8 +5,9 @@
 //! shapes the deferral-safety verifier has to get right turn up often:
 //! dotted names whose intermediate packages have no module (`lib.sem.io`
 //! without `lib.sem`), sibling prefixes (`lib.sem` next to
-//! `lib.semantics`), handlers sharing a module, side-effectful ancestors,
-//! deferred edges that close cycles, and touches inside branches.
+//! `lib.semantics`), handlers sharing a module, a handler inside a package
+//! that other modules import into, side-effectful ancestors, deferred
+//! edges that close cycles, and touches inside branches.
 //!
 //! Each test binary uses only part of this module.
 #![allow(dead_code)]
@@ -141,6 +142,7 @@ pub fn random_app(seed: u64) -> Application {
     // Library modules, in creation order: a root package (sometimes
     // missing) and random dotted paths below it, so many have gaps.
     let mut lib_modules: Vec<ModuleId> = Vec::new();
+    let mut lib_names: Vec<String> = Vec::new();
     for root in ["lib", "libx"] {
         let lib = b.add_library(root);
         let mut names = Vec::new();
@@ -164,6 +166,7 @@ pub fn random_app(seed: u64) -> Application {
             let p = if name.contains('.') { 0.08 } else { 0.3 };
             let noisy = rng.chance(p);
             let cost = SimDuration::from_millis(1 + rng.next_below(20) as u64);
+            lib_names.push(name.clone());
             lib_modules.push(b.add_library_module(name, cost, 8, noisy, lib));
         }
     }
@@ -224,6 +227,21 @@ pub fn random_app(seed: u64) -> Application {
         let body = random_body(&mut rng, &lib_modules, &lib_functions, 10, true);
         let f = b.add_function(format!("main{k}"), module, 5 + 100 * k as u32, body);
         b.add_handler(format!("h{k}"), f);
+    }
+    // Sometimes one more handler lives in an application module inside a
+    // library package, which the other handlers import into from outside:
+    // that handler loads the package's modules without entering it.
+    if rng.chance(0.3) {
+        let name = format!("{}.svc", rng.pick(&lib_names));
+        let svc = b.add_app_module(name, SimDuration::from_millis(1), 8);
+        for (j, &t) in lib_modules.iter().enumerate() {
+            if rng.chance(0.25) {
+                let _ = b.add_import(svc, t, 1 + j as u32, ImportMode::Global);
+            }
+        }
+        let body = random_body(&mut rng, &lib_modules, &lib_functions, 10, true);
+        let f = b.add_function("serve", svc, 5, body);
+        b.add_handler("serve", f);
     }
     b.finish()
         .expect("random apps satisfy the model invariants")
