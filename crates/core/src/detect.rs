@@ -138,6 +138,17 @@ pub fn detect(
     utilization: &Utilization,
     config: &DetectorConfig,
 ) -> InefficiencyReport {
+    detect_with_index(app, breakdown, utilization, config).0
+}
+
+/// [`detect`], also returning the module index of `app` that verified the
+/// findings. It is built only when the gate passes; the optimizer reuses it.
+pub(crate) fn detect_with_index(
+    app: &Application,
+    breakdown: &InitBreakdown,
+    utilization: &Utilization,
+    config: &DetectorConfig,
+) -> (InefficiencyReport, Option<ModuleIndex>) {
     let gate_passed = breakdown.passes_gate(config.gate_threshold);
 
     let libraries: Vec<LibrarySummary> = app
@@ -161,6 +172,7 @@ pub fn detect(
         .collect();
 
     let mut findings = Vec::new();
+    let mut built = None;
     if gate_passed {
         let index = ModuleIndex::build(app);
         for (i, lib) in app.libraries().iter().enumerate() {
@@ -178,9 +190,10 @@ pub fn detect(
             );
         }
         findings.sort_by_key(|f| std::cmp::Reverse(f.init_time));
+        built = Some(index);
     }
 
-    InefficiencyReport {
+    let report = InefficiencyReport {
         app_name: app.name().to_string(),
         gate_passed,
         total_init: breakdown.total,
@@ -188,7 +201,8 @@ pub fn detect(
         init_share: breakdown.total_share(),
         libraries,
         findings,
-    }
+    };
+    (report, built)
 }
 
 fn qualifies(util: f64, init_fraction: f64, config: &DetectorConfig) -> bool {

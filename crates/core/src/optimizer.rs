@@ -55,7 +55,15 @@ pub struct OptimizationOutcome {
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub fn optimize(app: &Application, report: &InefficiencyReport) -> OptimizationOutcome {
-    let index = ModuleIndex::build(app);
+    optimize_with_index(app, &ModuleIndex::build(app), report)
+}
+
+/// [`optimize`] against a module index already built from `app`.
+pub(crate) fn optimize_with_index(
+    app: &Application,
+    index: &ModuleIndex,
+    report: &InefficiencyReport,
+) -> OptimizationOutcome {
     let mut optimized = app.clone();
     let mut edits = Vec::new();
     let mut deferred_packages = Vec::new();
@@ -113,6 +121,15 @@ pub fn optimize(app: &Application, report: &InefficiencyReport) -> OptimizationO
 /// never-used package defers at its root, its subtree riding along, and
 /// the edit list is deterministic.
 pub fn optimize_conservative(app: &Application) -> OptimizationOutcome {
+    optimize_conservative_with_index(app, &ModuleIndex::build(app))
+}
+
+/// [`optimize_conservative`] against a module index already built from
+/// `app`.
+pub(crate) fn optimize_conservative_with_index(
+    app: &Application,
+    index: &ModuleIndex,
+) -> OptimizationOutcome {
     fn within(package: &str, parent: &str) -> bool {
         package == parent
             || (package.len() > parent.len()
@@ -120,7 +137,6 @@ pub fn optimize_conservative(app: &Application) -> OptimizationOutcome {
                 && package.as_bytes()[parent.len()] == b'.')
     }
 
-    let index = ModuleIndex::build(app);
     let mut optimized = app.clone();
     let mut edits = Vec::new();
     let mut deferred_packages: Vec<String> = Vec::new();

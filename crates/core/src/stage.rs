@@ -24,6 +24,7 @@
 use std::fmt;
 use std::sync::{Arc, Mutex};
 
+use slimstart_analyzer::ModuleIndex;
 use slimstart_appmodel::Application;
 use slimstart_platform::chaos::ChaosPlan;
 use slimstart_platform::invocation::Invocation;
@@ -35,9 +36,11 @@ use slimstart_workload::spec::WorkloadSpec;
 
 use crate::cct::Cct;
 use crate::collector::AsyncCollector;
-use crate::detect::{detect, InefficiencyReport};
+use crate::detect::{detect_with_index, InefficiencyReport};
 use crate::initprof::InitBreakdown;
-use crate::optimizer::{optimize, optimize_conservative, OptimizationOutcome};
+use crate::optimizer::{
+    optimize_conservative_with_index, optimize_with_index, OptimizationOutcome,
+};
 use crate::pipeline::{PipelineConfig, PipelineError};
 use crate::profile::{lock, ProfileStore};
 use crate::resilience::ResilienceLog;
@@ -48,9 +51,9 @@ use crate::utilization::Utilization;
 ///
 /// The observational gate records the baseline init share against the
 /// configured threshold. The *authoritative* optimization gate remains the
-/// profile-informed one computed by [`detect`] (the paper gates on the
-/// breakdown's init share), so that composing the engine differently
-/// cannot silently change which applications get optimized.
+/// profile-informed one computed by [`detect`](crate::detect::detect) (the
+/// paper gates on the breakdown's init share), so that composing the engine
+/// differently cannot silently change which applications get optimized.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GateDecision {
     /// Baseline library-init share of end-to-end time.
@@ -113,6 +116,10 @@ pub struct PipelineCtx {
     pub utilization: Option<Utilization>,
     /// The detection report ([`AnalyzeStage`]).
     pub report: Option<InefficiencyReport>,
+    /// The unmodified application's module index, when the detector built
+    /// one: [`AnalyzeStage`] keeps it when the gate passes, and
+    /// [`OptimizeStage`] takes it.
+    pub index: Option<ModuleIndex>,
     /// The calling-context tree ([`AnalyzeStage`]).
     pub cct: Option<Cct>,
     /// The code transformation, when one was produced ([`OptimizeStage`]).
@@ -164,6 +171,7 @@ impl PipelineCtx {
             profiled_cold_starts: 0,
             utilization: None,
             report: None,
+            index: None,
             cct: None,
             optimization: None,
             candidate: None,
@@ -422,12 +430,10 @@ impl Stage for AnalyzeStage {
             SimDuration::from_millis_f64(baseline.mean_e2e_ms),
         );
         let utilization = Utilization::from_samples(&store.paths, &store.samples, &ctx.app);
-        ctx.report = Some(detect(
-            &ctx.app,
-            &breakdown,
-            &utilization,
-            &ctx.config.detector,
-        ));
+        let (report, index) =
+            detect_with_index(&ctx.app, &breakdown, &utilization, &ctx.config.detector);
+        ctx.report = Some(report);
+        ctx.index = index;
         ctx.cct = Some(Cct::from_samples(&store.paths, &store.samples));
         drop(store);
         ctx.utilization = Some(utilization);
@@ -458,7 +464,11 @@ impl Stage for OptimizeStage {
                 None => true,
             };
             if gate_ok {
-                let outcome = optimize_conservative(&ctx.app);
+                let index = ctx
+                    .index
+                    .take()
+                    .unwrap_or_else(|| ModuleIndex::build(&ctx.app));
+                let outcome = optimize_conservative_with_index(&ctx.app, &index);
                 if !outcome.edits.is_empty() {
                     ctx.candidate = Some(Arc::new(outcome.app.clone()));
                     ctx.redeploy = true;
@@ -472,7 +482,11 @@ impl Stage for OptimizeStage {
             .as_ref()
             .expect("OptimizeStage requires AnalyzeStage");
         if report.gate_passed && !report.findings.is_empty() {
-            let outcome = optimize(&ctx.app, report);
+            let index = ctx
+                .index
+                .take()
+                .unwrap_or_else(|| ModuleIndex::build(&ctx.app));
+            let outcome = optimize_with_index(&ctx.app, &index, report);
             ctx.candidate = Some(Arc::new(outcome.app.clone()));
             ctx.redeploy = !outcome.edits.is_empty();
             ctx.optimization = Some(outcome);
