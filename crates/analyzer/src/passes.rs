@@ -31,7 +31,7 @@ use std::collections::HashSet;
 use slimstart_appmodel::source::CodeEdit;
 use slimstart_appmodel::{Application, LibraryId, ModuleId};
 use slimstart_faaslight::reachability::StaticAnalysis;
-use slimstart_faaslight::strip_unreachable;
+use slimstart_faaslight::strippable_packages;
 use slimstart_simcore::time::SimDuration;
 
 use crate::context::AnalysisContext;
@@ -426,8 +426,15 @@ impl AnalysisPass for OverApproximationPass {
         };
         let app = ctx.app;
         let tree = ctx.index.tree();
-        let stripped = strip_unreachable(app);
         let analysis = StaticAnalysis::analyze(app);
+        // What FaaSLight leaves out of the package: modules stripped
+        // already, and the members of every package it strips.
+        let mut stripped: Vec<bool> = app.modules().iter().map(|m| m.stripped()).collect();
+        for package in strippable_packages(app, tree, &analysis) {
+            for m in tree.members(&package) {
+                stripped[m.index()] = true;
+            }
+        }
         for (li, lib) in app.libraries().iter().enumerate() {
             let pinned = analysis.is_pinned(LibraryId::from_index(li));
             let mut stack = vec![tree.package(app, lib.name())];
@@ -438,7 +445,7 @@ impl AnalysisPass for OverApproximationPass {
                 }
                 let p = package.path();
                 // Subtrees FaaSLight already strips are not kept at all.
-                if modules.iter().all(|m| stripped.app.module(*m).stripped()) {
+                if modules.iter().all(|m| stripped[m.index()]) {
                     continue;
                 }
                 if observed_fraction(usage, p) == 0.0 {

@@ -24,4 +24,4 @@ pub mod reachability;
 pub mod strip;
 
 pub use reachability::{handlers_reaching_package, StaticAnalysis};
-pub use strip::{strip_unreachable, StrippedApp};
+pub use strip::{strip_unreachable, strippable_packages, StrippedApp};

@@ -7,7 +7,7 @@
 //! skips them entirely (no init cost, no memory), and any runtime call into
 //! them faults — which is why the analysis must stay conservative.
 
-use slimstart_appmodel::library::Package;
+use slimstart_appmodel::library::{Package, PackageTree};
 use slimstart_appmodel::{Application, FunctionId, LibraryId};
 use slimstart_simcore::time::SimDuration;
 
@@ -45,8 +45,42 @@ pub struct StrippedApp {
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub fn strip_unreachable(app: &Application) -> StrippedApp {
-    let analysis = StaticAnalysis::analyze(app);
     let tree = app.package_tree();
+    let packages = strippable_packages(app, &tree, &StaticAnalysis::analyze(app));
+
+    let mut slimmed = app.clone();
+    let mut stripped_packages = Vec::new();
+    let mut removed_init = SimDuration::ZERO;
+    let mut removed_mem_kb = 0u64;
+    for package in packages {
+        for &m in tree.members(&package) {
+            let module = slimmed.module_mut(m);
+            if !module.stripped() {
+                removed_init += module.init_cost();
+                removed_mem_kb += module.mem_kb();
+                module.set_stripped(true);
+            }
+        }
+        stripped_packages.push(package.path().to_string());
+    }
+
+    StrippedApp {
+        app: slimmed,
+        stripped_packages,
+        removed_init,
+        removed_mem_kb,
+    }
+}
+
+/// The packages [`strip_unreachable`] removes from `app`, in library
+/// order: each library whose whole subtree is strippable, or else its
+/// strippable child packages. `tree` and `analysis` are `app`'s package
+/// tree and static analysis.
+pub fn strippable_packages<'a>(
+    app: &'a Application,
+    tree: &PackageTree,
+    analysis: &StaticAnalysis,
+) -> Vec<Package<'a>> {
     let by_module = app.functions_by_module();
 
     // Modules touched (attribute access) by any statically reachable
@@ -59,11 +93,6 @@ pub fn strip_unreachable(app: &Application) -> StrippedApp {
             }
         }
     }
-
-    let mut slimmed = app.clone();
-    let mut stripped_packages = Vec::new();
-    let mut removed_init = SimDuration::ZERO;
-    let mut removed_mem_kb = 0u64;
 
     let subtree_strippable = |package: &Package<'_>, library: LibraryId| -> bool {
         if analysis.is_pinned(library) {
@@ -86,35 +115,19 @@ pub fn strip_unreachable(app: &Application) -> StrippedApp {
         true
     };
 
+    let mut packages = Vec::new();
     for (i, lib) in app.libraries().iter().enumerate() {
         let id = LibraryId::from_index(i);
         let library = tree.package(app, lib.name());
-        let candidates = if subtree_strippable(&library, id) {
-            vec![library]
+        if subtree_strippable(&library, id) {
+            packages.push(library);
         } else {
             let mut children = tree.children(app, &library);
             children.retain(|child| subtree_strippable(child, id));
-            children
-        };
-        for package in candidates {
-            for &m in tree.members(&package) {
-                let module = slimmed.module_mut(m);
-                if !module.stripped() {
-                    removed_init += module.init_cost();
-                    removed_mem_kb += module.mem_kb();
-                    module.set_stripped(true);
-                }
-            }
-            stripped_packages.push(package.path().to_string());
+            packages.extend(children);
         }
     }
-
-    StrippedApp {
-        app: slimmed,
-        stripped_packages,
-        removed_init,
-        removed_mem_kb,
-    }
+    packages
 }
 
 #[cfg(test)]
