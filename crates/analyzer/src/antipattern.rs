@@ -78,7 +78,7 @@ impl RuntimeProfile {
 
     /// Node.js: cheap module loads, small cold starts — small absolute
     /// costs already matter.
-    pub fn nodejs() -> RuntimeProfile {
+    fn nodejs() -> RuntimeProfile {
         RuntimeProfile {
             name: "nodejs",
             per_module_import_ms: 0.25,
@@ -298,14 +298,15 @@ pub enum FixAction {
 }
 
 impl FixAction {
-    /// Whether [`FixAction::apply`] can mutate the model at all.
+    /// Whether the action can mutate the model at all (advisory fixes
+    /// cannot).
     pub fn is_applicable(&self) -> bool {
         !matches!(self, FixAction::Advisory)
     }
 
     /// Stable dedup key: two findings proposing the same action collapse
     /// into one application.
-    pub fn key(&self) -> String {
+    fn key(&self) -> String {
         match self {
             FixAction::DeferPackage { package } => format!("defer:{package}"),
             FixAction::RestoreEager { importer, target } => format!("eager:{importer}->{target}"),
@@ -326,7 +327,7 @@ impl FixAction {
 
     /// Applies the action to `app`. Returns `false` for a no-op (advisory
     /// fixes, stale names, already-applied rewrites).
-    pub fn apply(&self, app: &mut Application) -> bool {
+    fn apply(&self, app: &mut Application) -> bool {
         match self {
             FixAction::DeferPackage { package } => {
                 let boundary = boundary_imports(app, package);

@@ -26,7 +26,7 @@ pub enum Severity {
 
 impl Severity {
     /// Lower-case label used by both renderers.
-    pub fn label(self) -> &'static str {
+    fn label(self) -> &'static str {
         match self {
             Severity::Info => "info",
             Severity::Warning => "warning",

@@ -200,7 +200,7 @@ impl CatalogApp {
     }
 
     /// Expands this entry into a synthesizable [`AppBlueprint`].
-    pub fn blueprint(&self) -> AppBlueprint {
+    fn blueprint(&self) -> AppBlueprint {
         let init_total_ms = self.e2e_ms * self.init_share;
         let exec_total_ms = self.e2e_ms - init_total_ms;
         let app_init = SimDuration::from_millis_f64(init_total_ms * 0.01);

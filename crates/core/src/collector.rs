@@ -31,7 +31,7 @@ impl BatchSender {
     ///
     /// Submissions after [`AsyncCollector::finish`] are dropped silently
     /// (the collector has left), mirroring fire-and-forget uploads.
-    pub fn send(&self, payload: Vec<u8>) -> usize {
+    fn send(&self, payload: Vec<u8>) -> usize {
         if payload.is_empty() {
             return 0; // reserved as the shutdown sentinel
         }
@@ -140,7 +140,7 @@ impl AsyncCollector {
     }
 
     /// Current statistics snapshot.
-    pub fn stats(&self) -> CollectorStats {
+    fn stats(&self) -> CollectorStats {
         *lock(&self.stats)
     }
 

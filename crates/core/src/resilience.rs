@@ -108,7 +108,7 @@ impl ResilienceLog {
     }
 
     /// The rung of the degradation ladder this run landed on.
-    pub fn degradation(&self) -> DegradationLevel {
+    fn degradation(&self) -> DegradationLevel {
         if self.deploy_rolled_back {
             DegradationLevel::RolledBack
         } else if self.profile_degraded() {
@@ -142,7 +142,7 @@ pub struct ResilienceOutcome {
 impl ResilienceOutcome {
     /// The outcome of a run with chaos disabled: nothing injected, nothing
     /// retried, nothing degraded.
-    pub fn passthrough() -> Self {
+    fn passthrough() -> Self {
         ResilienceOutcome {
             chaos_enabled: false,
             faults_injected: 0,

@@ -280,12 +280,7 @@ pub struct FleetRunStats {
 impl FleetRunStats {
     /// Assembles run stats, guarding the throughput division: zero apps
     /// or a zero-duration clock report 0.0 apps/s rather than NaN/inf.
-    pub fn new(
-        wall_clock: Duration,
-        threads: usize,
-        apps: usize,
-        aggregate_peak_bytes: usize,
-    ) -> Self {
+    fn new(wall_clock: Duration, threads: usize, apps: usize, aggregate_peak_bytes: usize) -> Self {
         let secs = wall_clock.as_secs_f64();
         let apps_per_second = if apps == 0 || secs <= 0.0 {
             0.0

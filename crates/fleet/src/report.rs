@@ -274,8 +274,8 @@ impl AppRecord {
 ///
 /// Bins are log2-spaced ([`HIST_LOG2_LO`], [`HIST_LOG2_WIDTH`],
 /// [`HIST_BINS`]); counts, the fixed-point sum, and exact min/max are
-/// all associative under [`merge`](FixedHistogram::merge), so any
-/// partitioning of the population produces bit-identical state.
+/// all associative under `merge`, so any partitioning of the population
+/// produces bit-identical state.
 #[derive(Clone, PartialEq)]
 pub struct FixedHistogram {
     counts: [u64; HIST_BINS],
@@ -349,7 +349,7 @@ impl FixedHistogram {
 
     /// Merges another histogram in. Order-insensitive: every field is
     /// an associative, commutative fold.
-    pub fn merge(&mut self, other: &FixedHistogram) {
+    fn merge(&mut self, other: &FixedHistogram) {
         for (mine, theirs) in self.counts.iter_mut().zip(other.counts.iter()) {
             *mine += theirs;
         }
@@ -367,7 +367,7 @@ impl FixedHistogram {
     /// Exact mean, reconstructed from the fixed-point sum (0.0 when
     /// empty). Quantization error is at most 2^-25 per sample —
     /// invisible at the writer's six decimals.
-    pub fn mean(&self) -> f64 {
+    fn mean(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {
@@ -376,7 +376,7 @@ impl FixedHistogram {
     }
 
     /// Exact minimum (0.0 when empty).
-    pub fn min(&self) -> f64 {
+    fn min(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {
@@ -385,7 +385,7 @@ impl FixedHistogram {
     }
 
     /// Exact maximum (0.0 when empty).
-    pub fn max(&self) -> f64 {
+    fn max(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {
@@ -397,7 +397,7 @@ impl FixedHistogram {
     /// bin holding rank `floor(q * (count - 1))`, clamped into the exact
     /// observed `[min, max]` so degenerate samples stay sane. Resolution
     /// is one bin width (±2.2 %).
-    pub fn quantile(&self, q: f64) -> f64 {
+    fn quantile(&self, q: f64) -> f64 {
         if self.count == 0 {
             return 0.0;
         }
@@ -501,7 +501,7 @@ pub struct FleetChaosSummary {
 
 impl FleetChaosSummary {
     /// Folds one app's chaos row in.
-    pub fn fold(&mut self, chaos: &AppChaosRecord) {
+    fn fold(&mut self, chaos: &AppChaosRecord) {
         self.faulted += usize::from(chaos.faults > 0);
         self.recovered += usize::from(chaos.recovered);
         self.degraded += usize::from(chaos.degraded());
@@ -510,7 +510,7 @@ impl FleetChaosSummary {
     }
 
     /// Merges another summary in (associative and commutative).
-    pub fn merge(&mut self, other: &FleetChaosSummary) {
+    fn merge(&mut self, other: &FleetChaosSummary) {
         self.faulted += other.faulted;
         self.recovered += other.recovered;
         self.degraded += other.degraded;
@@ -552,7 +552,7 @@ impl FleetSnapshotSummary {
     }
 
     /// Merges another summary in (associative and commutative).
-    pub fn merge(&mut self, other: &FleetSnapshotSummary) {
+    fn merge(&mut self, other: &FleetSnapshotSummary) {
         self.hits += other.hits;
         self.misses += other.misses;
         self.evictions += other.evictions;
@@ -562,7 +562,7 @@ impl FleetSnapshotSummary {
 
     /// Hit fraction in [0, 1] (0.0 when no cold start consulted the
     /// store).
-    pub fn hit_rate(&self) -> f64 {
+    fn hit_rate(&self) -> f64 {
         let total = self.hits + self.misses;
         if total == 0 {
             0.0
@@ -602,7 +602,7 @@ impl FleetZygoteSummary {
     }
 
     /// Merges another summary in (associative and commutative).
-    pub fn merge(&mut self, other: &FleetZygoteSummary) {
+    fn merge(&mut self, other: &FleetZygoteSummary) {
         self.forks += other.forks;
         self.forked_loads += other.forked_loads;
         self.resident_modules += other.resident_modules;

@@ -133,7 +133,7 @@ impl ChaosConfig {
     }
 
     /// The configured rate for one fault kind.
-    pub fn rate(&self, kind: FaultKind) -> f64 {
+    fn rate(&self, kind: FaultKind) -> f64 {
         match kind {
             FaultKind::CrashDuringInit => self.crash_during_init,
             FaultKind::SamplerDropout => self.sampler_dropout,
@@ -165,7 +165,7 @@ impl ChaosStats {
     }
 
     /// Total injections across every kind.
-    pub fn total(&self) -> u64 {
+    fn total(&self) -> u64 {
         self.injected.iter().sum()
     }
 }
@@ -227,7 +227,7 @@ impl ChaosPlan {
     }
 
     /// Draws one injection decision for `kind`, counting hits.
-    pub fn inject(&self, kind: FaultKind) -> bool {
+    fn inject(&self, kind: FaultKind) -> bool {
         let Some(state) = &self.state else {
             return false;
         };
@@ -292,7 +292,7 @@ impl ChaosPlan {
     }
 
     /// Snapshot of the injection counters.
-    pub fn stats(&self) -> ChaosStats {
+    fn stats(&self) -> ChaosStats {
         match &self.state {
             Some(state) => state.lock().unwrap_or_else(|e| e.into_inner()).stats,
             None => ChaosStats::default(),

@@ -141,7 +141,7 @@ impl Snapshot {
 
     /// Modeled bytes a restore of this snapshot maps in eagerly: the
     /// working-set loads when refined, every load otherwise.
-    pub fn resident_bytes(&self) -> u64 {
+    fn resident_bytes(&self) -> u64 {
         self.loads
             .iter()
             .filter(|l| self.in_working_set(l.module))

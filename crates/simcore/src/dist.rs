@@ -87,7 +87,7 @@ impl Zipf {
     }
 
     /// Number of ranks.
-    pub fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.cdf.len()
     }
 

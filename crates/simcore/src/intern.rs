@@ -34,7 +34,7 @@ impl Symbol {
     /// Reconstructs a symbol from a raw id. The caller is responsible for
     /// pairing it with the interner that issued it.
     #[inline]
-    pub fn from_index(index: usize) -> Symbol {
+    fn from_index(index: usize) -> Symbol {
         Symbol(u32::try_from(index).expect("symbol index fits in u32"))
     }
 }

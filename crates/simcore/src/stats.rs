@@ -144,7 +144,7 @@ pub struct Percentiles {
 
 impl Percentiles {
     /// Creates an empty collection.
-    pub fn new() -> Self {
+    fn new() -> Self {
         Percentiles {
             values: Vec::new(),
             sorted: true,
@@ -156,7 +156,7 @@ impl Percentiles {
     /// # Panics
     ///
     /// Panics if `x` is not finite.
-    pub fn record(&mut self, x: f64) {
+    fn record(&mut self, x: f64) {
         assert!(x.is_finite(), "Percentiles::record: non-finite observation");
         self.values.push(x);
         self.sorted = false;

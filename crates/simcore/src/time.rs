@@ -63,7 +63,7 @@ impl SimTime {
     }
 
     /// Milliseconds since simulation start, as a float.
-    pub fn as_millis_f64(self) -> f64 {
+    fn as_millis_f64(self) -> f64 {
         self.0 as f64 / 1_000.0
     }
 

@@ -74,7 +74,7 @@ impl TraceApp {
 
     /// Invocation probabilities `p_i(t)` for window `t` (Eq. 5). Returns
     /// `None` if the window saw no invocations.
-    pub fn probabilities(&self, window: usize) -> Option<Vec<f64>> {
+    fn probabilities(&self, window: usize) -> Option<Vec<f64>> {
         let counts = self.counts.get(window)?;
         let total: u64 = counts.iter().sum();
         if total == 0 {
