@@ -317,29 +317,45 @@ impl Cuts {
         let n = app.modules().len();
 
         // The columns, in one sweep over package-tree order that keeps the
-        // packages holding the current module open, outermost first. The
-        // packages opened at one position that close at one position hold
-        // the same modules; they are consecutive and share a column.
+        // packages holding the current module open, outermost first, as
+        // (path length, index into `opened`). The packages opened at one
+        // position that close at one position hold the same modules; they
+        // are consecutive and share a column.
         let mut opened: Vec<(u32, u32)> = Vec::new();
-        let mut open: Vec<(&str, u32)> = Vec::new();
+        let mut open: Vec<(usize, u32)> = Vec::new();
         // The packages holding each module, innermost first, by position.
         let mut holding = Grouped::new();
+        let mut previous: &[u8] = &[];
         for (p, &m) in tree.order().iter().enumerate() {
-            let module = app.module(m);
-            while let Some(&(path, k)) = open.last() {
-                if module.in_package(path) {
+            let name = app.module(m).name().as_bytes();
+            // An open path is a prefix of the previous name. It holds this
+            // module too when this name shares it and a component of this
+            // name ends there (`Module::in_package`).
+            let common = name
+                .iter()
+                .zip(previous)
+                .take_while(|(a, b)| a == b)
+                .count();
+            while let Some(&(len, k)) = open.last() {
+                if len <= common && name.get(len).is_none_or(|b| *b == b'.') {
                     break;
                 }
                 opened[k as usize].1 = p as u32;
                 open.pop();
             }
-            // The open packages are the module's shortest prefixes.
-            for path in module.package_prefixes().skip(open.len()) {
-                open.push((path, opened.len() as u32));
+            // The module's longer prefixes open here: one ending at each
+            // later separator, and its whole name.
+            let from = open.last().map_or(0, |&(len, _)| len + 1);
+            for end in (from..name.len())
+                .filter(|&i| name[i] == b'.')
+                .chain([name.len()])
+            {
+                open.push((end, opened.len() as u32));
                 opened.push((p as u32, 0));
             }
             holding.items.extend(open.iter().rev().map(|&(_, k)| k));
             holding.push_row();
+            previous = name;
         }
         for (_, k) in open {
             opened[k as usize].1 = n as u32;
@@ -421,7 +437,7 @@ impl Cuts {
         }
 
         let mut dropped = vec![Cuts::NONE; runs.len()];
-        for &s in index.eager_side_effects() {
+        for &s in &index.eager_side_effects {
             let row = &ins[s.index() * stride..(s.index() + 1) * stride];
             for (w, &word) in row.iter().enumerate() {
                 let mut bits = word;
@@ -642,12 +658,6 @@ impl ModuleIndex {
         &self.side_effects
     }
 
-    /// Side-effectful modules of the as-written eager closure, in
-    /// module-index order.
-    pub(crate) fn eager_side_effects(&self) -> &[ModuleId] {
-        &self.eager_side_effects
-    }
-
     /// Global imports into `package`'s members as `(importer, declaration
     /// slot)`, grouped by target, importers inside the package included.
     pub(crate) fn imports_into(&self, package: &Package<'_>) -> &[(ModuleId, u32)] {
@@ -763,10 +773,7 @@ mod tests {
         assert_eq!(dropped(&app, "lib.a"), None);
         assert_eq!(dropped(&app, "lib.b"), None);
         assert_eq!(dropped(&app, "handler"), None);
-    }
-
-    #[test]
-    fn a_handler_inside_the_package_loads_without_entering_it() {
+        // A handler module inside `lib` loads without entering it.
         let app = two_paths_app(true);
         assert_eq!(dropped(&app, "lib"), None);
         assert_eq!(dropped(&app, "lib.svc"), None);
