@@ -30,7 +30,10 @@ cargo test -q --workspace --exclude slimstart
 # the zygote-pool dependency-sharing contract (thread-count byte identity,
 # v3 passthrough when disabled), the eviction-order determinism property,
 # the indexed deferral verifier's equivalence with the string-scan
-# reference, the package tree's equivalence with the string-keyed
+# reference (its reach-matrix rows against the reference closures, its
+# package-cut verdicts in every candidate verdict, on random apps that
+# include handlers inside a package imported from outside), the package
+# tree's equivalence with the string-keyed
 # reference tree (package set and order, children's order, the
 # package-cost lints' member walk, loader ancestor chains), the two
 # goldens pinning the detector's tie order (FWB-CML pipeline JSON) and
