@@ -15,6 +15,7 @@
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use slimstart_appmodel::ModuleId;
+use slimstart_pyrt::loader::RecordedWalk;
 use slimstart_pyrt::stack::{Frame, FrameKind};
 use slimstart_simcore::hash::FxHashMap;
 use slimstart_simcore::time::SimDuration;
@@ -176,6 +177,77 @@ impl NodeMap {
     }
 }
 
+/// The path id of each step of the recorded walks that `Direct` sampler
+/// attachments replayed, in the table of the store that holds them: one
+/// row per walk, so each step's stack is interned once per deployment and
+/// every later capture of the step, in any container, is one array read.
+#[derive(Debug, Clone, Default)]
+pub struct WalkPaths {
+    /// At most one row per walk; rows checked out are not here.
+    rows: Vec<WalkRow>,
+}
+
+impl WalkPaths {
+    /// Takes `walk`'s row out, or a new empty one if there is none, for an
+    /// attachment to fill and read without the store's lock.
+    pub(crate) fn check_out(&mut self, walk: &Arc<RecordedWalk>) -> WalkRow {
+        match self.rows.iter().position(|row| row.is_for(walk)) {
+            Some(at) => self.rows.swap_remove(at),
+            None => WalkRow {
+                walk: Arc::clone(walk),
+                ids: vec![PathId::ROOT; walk.len()].into_boxed_slice(),
+            },
+        }
+    }
+
+    /// Returns a checked-out row. If another attachment returned a row of
+    /// the same walk meanwhile, the two are merged: both hold ids of this
+    /// table, and a step's id is the same in each row that has it.
+    pub(crate) fn check_in(&mut self, row: WalkRow) {
+        match self.rows.iter_mut().find(|kept| kept.is_for(&row.walk)) {
+            Some(kept) => {
+                for (id, &returned) in kept.ids.iter_mut().zip(row.ids.iter()) {
+                    if *id == PathId::ROOT {
+                        *id = returned;
+                    }
+                }
+            }
+            None => self.rows.push(row),
+        }
+    }
+}
+
+/// One recorded walk's path ids. The row holds its walk, so it can never
+/// be read for another walk, plan or application.
+#[derive(Debug, Clone)]
+pub(crate) struct WalkRow {
+    walk: Arc<RecordedWalk>,
+    /// `ids[step]` names the step's stack, or is the root before the
+    /// step's first capture: a step's stack holds at least its module's
+    /// frame, so its path is never the empty one.
+    ids: Box<[PathId]>,
+}
+
+impl WalkRow {
+    /// Whether this is `walk`'s row.
+    #[inline]
+    pub(crate) fn is_for(&self, walk: &Arc<RecordedWalk>) -> bool {
+        Arc::ptr_eq(&self.walk, walk)
+    }
+
+    /// The id of `step`'s stack, once a capture interned it.
+    #[inline]
+    pub(crate) fn get(&self, step: usize) -> Option<PathId> {
+        Some(self.ids[step]).filter(|&id| id != PathId::ROOT)
+    }
+
+    /// Records the id of `step`'s stack.
+    #[inline]
+    pub(crate) fn set(&mut self, step: usize, id: PathId) {
+        self.ids[step] = id;
+    }
+}
+
 /// One captured stack sample: 8 bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SampleRecord {
@@ -226,9 +298,14 @@ pub struct ProfileStore {
     pub samples: Vec<SampleRecord>,
     /// The call paths the samples' ids refer to, shared by every sampler
     /// attachment that writes into the store. Attachments intern into it
-    /// while they run and remember ids across captures, so it must only
-    /// grow while they are attached; it may hold paths that no sample uses.
+    /// while they run and remember ids across captures, and
+    /// [`ProfileStore::walk_paths`] keeps ids for every later attachment,
+    /// so it must only grow while the store is in use; it may hold paths
+    /// that no sample uses.
     pub paths: PathTable,
+    /// The ids in `paths` of the stacks of recorded cold-start walks'
+    /// steps, filled by the attachments that replay them.
+    pub walk_paths: WalkPaths,
     /// Exact per-module initialization time observed, accumulated across
     /// all cold starts (microseconds).
     pub init_micros_by_module: FxHashMap<ModuleId, u64>,

@@ -8,7 +8,10 @@
 //!    timer-signal model) and records that many samples of the stack,
 //!    captured once for the advance as an interned path id, charging the
 //!    per-sample capture cost back to the application — the overhead
-//!    Fig. 9 measures;
+//!    Fig. 9 measures. A replayed cold-start advance names its step of the
+//!    recorded walk, whose stack is the same in every container, so the
+//!    in-process sink interns each step's stack once per deployment and
+//!    reads its id back for every later capture of the step;
 //! 2. measures *exact* per-module initialization time by attributing the
 //!    interval to the innermost module-init frame, which yields the
 //!    hierarchical breakdown of Eqs. 1–3;
@@ -20,13 +23,13 @@
 use std::sync::{Arc, Mutex};
 
 use slimstart_appmodel::{Application, ModuleId};
-use slimstart_pyrt::observer::{AdvanceContext, ExecutionObserver};
+use slimstart_pyrt::observer::{AdvanceContext, ExecutionObserver, WalkSite};
 use slimstart_pyrt::stack::{CallStack, Frame};
 use slimstart_simcore::time::{SimDuration, SimTime};
 
 use crate::collector::BatchSender;
 use crate::config::SamplerConfig;
-use crate::profile::{lock, PathId, PathTable, ProfileStore, SampleRecord};
+use crate::profile::{lock, PathId, PathTable, ProfileStore, SampleRecord, WalkRow};
 use crate::wire::ProfileBatch;
 
 /// Where a sampler attachment delivers its data.
@@ -37,6 +40,11 @@ enum SampleSink {
     Direct {
         store: Arc<Mutex<ProfileStore>>,
         cursor: PathCursor,
+        /// The store's row of the walk this container replays, checked
+        /// out at the walk's first capture and returned at invocation end,
+        /// so a capture of a step some container captured before takes no
+        /// lock.
+        walk: Option<WalkRow>,
     },
     /// Encoded batches over a channel to the asynchronous collector
     /// (the paper's production path, §IV-D). Captures intern into the
@@ -48,22 +56,53 @@ enum SampleSink {
 }
 
 impl SampleSink {
-    /// The id of the stack's current path.
+    /// The id of the stack's current path, which is `site`'s recorded
+    /// stack when the advance replays a walk step.
     #[inline]
-    fn capture(&mut self, stack: &CallStack) -> PathId {
+    fn capture(&mut self, stack: &CallStack, site: Option<WalkSite<'_>>) -> PathId {
         match self {
-            SampleSink::Direct { store, cursor } => {
-                // Only new frames need the table: an unchanged or popped
-                // stack is already in the cursor.
-                let new = cursor.rewind(stack.frames());
-                if new.is_empty() {
-                    cursor.leaf()
-                } else {
-                    cursor.extend(new, &mut lock(store).paths)
+            SampleSink::Direct {
+                store,
+                cursor,
+                walk,
+            } => {
+                let Some(site) = site else {
+                    return intern(store, cursor, stack);
+                };
+                let row = match walk {
+                    Some(row) if row.is_for(site.walk) => row,
+                    _ => {
+                        let mut store = lock(store);
+                        if let Some(done) = walk.take() {
+                            store.walk_paths.check_in(done);
+                        }
+                        walk.insert(store.walk_paths.check_out(site.walk))
+                    }
+                };
+                // A hit leaves the cursor where it was: it still holds
+                // frames and ids that the table issued together.
+                if let Some(id) = row.get(site.step) {
+                    return id;
                 }
+                let id = intern(store, cursor, stack);
+                row.set(site.step, id);
+                id
             }
             SampleSink::Channel { capture, .. } => capture.capture(stack),
         }
+    }
+}
+
+/// Interns the stack's path into the store's table through the cursor.
+/// Only new frames need the table: an unchanged or popped stack is already
+/// in the cursor, and is captured without the lock.
+#[inline]
+fn intern(store: &Mutex<ProfileStore>, cursor: &mut PathCursor, stack: &CallStack) -> PathId {
+    let new = cursor.rewind(stack.frames());
+    if new.is_empty() {
+        cursor.leaf()
+    } else {
+        cursor.extend(new, &mut lock(store).paths)
     }
 }
 
@@ -231,6 +270,7 @@ impl SamplerAttachment {
             SampleSink::Direct {
                 store,
                 cursor: PathCursor::new(),
+                walk: None,
             },
         )
     }
@@ -309,7 +349,7 @@ impl ExecutionObserver for SamplerAttachment {
             return SimDuration::ZERO;
         }
         let record = SampleRecord {
-            path: self.sink.capture(ctx.stack),
+            path: self.sink.capture(ctx.stack, ctx.site),
             is_init: ctx.stack.in_init(),
         };
         let buffered = self.buffer.len();
@@ -329,10 +369,13 @@ impl ExecutionObserver for SamplerAttachment {
         // cost charged to the invocation is only the batch hand-off.
         let flushes = std::mem::take(&mut self.pending_batches);
         match &mut self.sink {
-            SampleSink::Direct { store, .. } => {
+            SampleSink::Direct { store, walk, .. } => {
                 let mut store = lock(store);
                 store.append(&mut self.buffer, self.init.drain(), flushes);
                 store.invocations += 1;
+                if let Some(row) = walk.take() {
+                    store.walk_paths.check_in(row);
+                }
             }
             SampleSink::Channel { sender, capture } => {
                 // The batch borrows the attachment's table for the send;

@@ -220,14 +220,16 @@ impl Platform {
 
     /// Cold-starts `container`'s process for `root`, restoring a memoized
     /// snapshot when one exists for this deployment. Observed processes
-    /// always replay for real — the profiler must see every advance — and
-    /// unobserved full-stream replays are byte-identical either way, so
-    /// records, load events and golden reports cannot tell the paths
-    /// apart. Once a lazy-restore store has recorded a working set, a
-    /// restore replays only that set, modeling a REAP-style restore: the
-    /// cold start gets cheaper and omitted modules fault in at first use.
-    /// A full-stream store never records one, so its restores replay the
-    /// whole capture.
+    /// never restore — the profiler must see every advance — so they load
+    /// through the loader, which walks `root`'s imports on the
+    /// deployment's first fresh cold start of it and replays that walk's
+    /// recording on every later one, advance by advance. Unobserved
+    /// full-stream restores are byte-identical to a walk, so records, load
+    /// events and golden reports cannot tell the paths apart. Once a
+    /// lazy-restore store has recorded a working set, a restore replays
+    /// only that set, modeling a REAP-style restore: the cold start gets
+    /// cheaper and omitted modules fault in at first use. A full-stream
+    /// store never records one, so its restores replay the whole capture.
     fn cold_start_container(
         &self,
         container: &mut Container,

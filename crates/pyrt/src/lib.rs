@@ -50,8 +50,8 @@ pub mod stack;
 pub mod zygote;
 
 pub use fault::RuntimeFault;
-pub use loader::LoaderPlan;
-pub use observer::{AdvanceContext, ExecutionObserver, NullObserver};
+pub use loader::{LoaderPlan, RecordedWalk};
+pub use observer::{AdvanceContext, ExecutionObserver, NullObserver, WalkSite};
 pub use process::{InvocationOutcome, LoadEvent, Process};
 pub use snapshot::{deployment_fingerprint, SnapLoad, Snapshot, SnapshotKey, SnapshotStore};
 pub use stack::{CallStack, Frame, FrameKind};

@@ -7,14 +7,26 @@
 //! chain once per application and is shared between processes behind an
 //! `Arc`, so container cold starts pay zero name-resolution work.
 //!
-//! The plan holds nothing else. The loader walks each module's global
-//! imports itself, in declaration order, because load order is observable
-//! (load events, stack shapes under the sampler); a walk therefore costs
-//! O(the modules it loads and the imports they declare), and building a
-//! plan costs one lookup in the application's name index
-//! ([`Application::module_name_index`]) per dotted prefix of each module.
+//! The loader walks each module's global imports itself, in declaration
+//! order, because load order is observable (load events, stack shapes
+//! under the sampler); a walk therefore costs O(the modules it loads and
+//! the imports they declare), and building a plan costs one lookup in the
+//! application's name index ([`Application::module_name_index`]) per
+//! dotted prefix of each module.
+//!
+//! A fresh cold start of a root is the same walk in every process that
+//! shares the plan: the same loads in the same order under the same
+//! stacks, whatever the process's time scale, zygote or observer; only the
+//! clock differs. So the plan also keeps each root's first fresh walk as a
+//! [`RecordedWalk`], written by that walk itself, and later fresh cold
+//! starts replay it instead of walking the imports again. Nothing is built
+//! per module for it: a recording costs O(the walk that writes it).
+
+use std::sync::{Arc, Mutex, PoisonError};
 
 use slimstart_appmodel::{Application, ModuleId};
+
+use crate::stack::{Frame, FrameKind};
 
 /// Shared per-application loader metadata. Build once (it is deterministic
 /// in the application, including its `stripped` flags) and share across all
@@ -25,6 +37,10 @@ pub struct LoaderPlan {
     /// shortest-first order, ending with the module itself — exactly the
     /// sequence the CPython-style loader visits for `import a.b.c`.
     ancestors: Vec<Box<[ModuleId]>>,
+    /// The recorded fresh cold start of each root walked so far, in the
+    /// order the roots were first walked. A deployment cold-starts a few
+    /// roots (its handlers' modules), so a scan finds one.
+    walks: Mutex<Vec<Arc<RecordedWalk>>>,
 }
 
 impl LoaderPlan {
@@ -41,7 +57,10 @@ impl LoaderPlan {
                     .collect(),
             );
         }
-        LoaderPlan { ancestors }
+        LoaderPlan {
+            ancestors,
+            walks: Mutex::new(Vec::new()),
+        }
     }
 
     /// The existing dotted-prefix ancestors of `module`, shortest first,
@@ -49,6 +68,136 @@ impl LoaderPlan {
     #[inline]
     pub fn ancestors(&self, module: ModuleId) -> &[ModuleId] {
         &self.ancestors[module.index()]
+    }
+
+    /// The recorded fresh cold start of `root`, once a fresh process
+    /// sharing this plan has walked it.
+    pub(crate) fn walk(&self, root: ModuleId) -> Option<Arc<RecordedWalk>> {
+        let walks = self.walks.lock().unwrap_or_else(PoisonError::into_inner);
+        walks.iter().find(|walk| walk.root == root).cloned()
+    }
+
+    /// Keeps `walk` as its root's recording, unless a process sharing the
+    /// plan on another thread kept one first (recordings of one root are
+    /// equal).
+    pub(crate) fn keep_walk(&self, walk: RecordedWalk) {
+        // Every push leaves the list whole, so a poisoned lock is usable.
+        let mut walks = self.walks.lock().unwrap_or_else(PoisonError::into_inner);
+        if walks.iter().all(|kept| kept.root != walk.root) {
+            walks.push(Arc::new(walk));
+        }
+    }
+}
+
+/// One root's fresh cold start as the loader walked it: the modules whose
+/// top level ran, in load order, and the call stack at each one's
+/// advance, stored as a delta from the step before.
+#[derive(Debug)]
+pub struct RecordedWalk {
+    root: ModuleId,
+    steps: Box<[WalkStep]>,
+    /// The frames the steps push below their own, step after step.
+    frames: Box<[Frame]>,
+}
+
+/// One load of a recorded walk. Its stack is the previous step's stack
+/// with that step's own frame popped, cut to `keep` frames, with the
+/// walk's frames from the previous step's `end` up to this one's pushed
+/// on top, and the module's own frame, at line 1, on top of those.
+#[derive(Debug, Clone, Copy)]
+struct WalkStep {
+    module: ModuleId,
+    keep: u32,
+    end: u32,
+}
+
+impl RecordedWalk {
+    /// Number of steps: the modules the walk loads.
+    pub fn len(&self) -> usize {
+        self.steps.len()
+    }
+
+    /// Whether the walk loads nothing.
+    pub fn is_empty(&self) -> bool {
+        self.steps.is_empty()
+    }
+
+    /// Each step's module, how many frames of the previous step's stack
+    /// (its own frame popped) it keeps, and the frames it pushes below
+    /// the module's own.
+    pub(crate) fn steps(&self) -> impl Iterator<Item = (ModuleId, usize, &[Frame])> {
+        let mut start = 0;
+        self.steps.iter().map(move |step| {
+            let pushed = &self.frames[start..step.end as usize];
+            start = step.end as usize;
+            (step.module, step.keep as usize, pushed)
+        })
+    }
+}
+
+/// Writes a [`RecordedWalk`] while the loader walks: one
+/// [`WalkRecorder::step`] per load, with the stack as it stands at the
+/// load's advance.
+#[derive(Debug)]
+pub(crate) struct WalkRecorder {
+    steps: Vec<WalkStep>,
+    frames: Vec<Frame>,
+    /// The last step's stack without its own frame: where the next step
+    /// starts from.
+    below: Vec<Frame>,
+}
+
+impl WalkRecorder {
+    /// A recorder for a walk of an application with `modules` modules.
+    /// The walk loads each at most once, so its steps never outgrow the
+    /// buffers.
+    pub(crate) fn new(modules: usize) -> WalkRecorder {
+        WalkRecorder {
+            steps: Vec::with_capacity(modules),
+            // A step pushes about one frame below its own (its importer's,
+            // at the next import's line).
+            frames: Vec::with_capacity(modules),
+            below: Vec::new(),
+        }
+    }
+
+    /// Records the load of `module` under `stack`, whose innermost frame
+    /// is the module's own, at line 1.
+    pub(crate) fn step(&mut self, module: ModuleId, stack: &[Frame]) {
+        let (own, stack) = stack.split_last().expect("a loading module has a frame");
+        debug_assert_eq!(
+            *own,
+            Frame {
+                kind: FrameKind::ModuleInit(module),
+                line: 1,
+            }
+        );
+        // Between two steps the loader pops the last step's frame, moves
+        // the line of the frame under it (its importer's) and pushes above
+        // that, so only the importer's frame can differ below the top.
+        let top = self.below.len().saturating_sub(1);
+        debug_assert_eq!(self.below[..top], stack[..top], "a lower frame moved");
+        let keep = match (self.below.get(top), stack.get(top)) {
+            (Some(last), Some(now)) if last == now => top + 1,
+            _ => top,
+        };
+        self.frames.extend_from_slice(&stack[keep..]);
+        self.steps.push(WalkStep {
+            module,
+            keep: keep as u32,
+            end: u32::try_from(self.frames.len()).expect("walk frames fit in u32"),
+        });
+        self.below.truncate(keep);
+        self.below.extend_from_slice(&stack[keep..]);
+    }
+
+    /// The finished recording of `root`'s walk.
+    pub(crate) fn finish(self, root: ModuleId) -> RecordedWalk {
+        RecordedWalk {
+            root,
+            steps: self.steps.into_boxed_slice(),
+            frames: self.frames.into_boxed_slice(),
+        }
     }
 }
 
@@ -100,5 +249,66 @@ mod tests {
             .map(|m| app.module(*m).name())
             .collect();
         assert_eq!(names, vec!["handler"]);
+    }
+
+    #[test]
+    fn a_recording_rebuilds_every_step_stack() {
+        let init = |i: usize, line: u32| Frame {
+            kind: FrameKind::ModuleInit(ModuleId::from_index(i)),
+            line,
+        };
+        // Each stack's innermost frame is the step's own; the lower
+        // frames change their lines and depth from step to step.
+        let stacks = [
+            vec![init(0, 2), init(1, 1)],
+            vec![init(0, 3), init(2, 4), init(3, 1)],
+            vec![init(0, 3), init(2, 1)],
+            vec![init(0, 1)],
+            vec![init(4, 1)],
+        ];
+        let module = |stack: &[Frame]| match stack.last().map(|f| f.kind) {
+            Some(FrameKind::ModuleInit(m)) => m,
+            _ => unreachable!("every step's innermost frame is a module init"),
+        };
+        let mut recorder = WalkRecorder::new(5);
+        for stack in &stacks {
+            recorder.step(module(stack), stack);
+        }
+        let walk = recorder.finish(ModuleId::from_index(0));
+        assert_eq!(walk.len(), stacks.len());
+        let mut stack: Vec<Frame> = Vec::new();
+        for ((step_module, keep, pushed), expected) in walk.steps().zip(&stacks) {
+            stack.pop();
+            assert!(keep <= stack.len());
+            stack.truncate(keep);
+            stack.extend_from_slice(pushed);
+            stack.push(init(step_module.index(), 1));
+            assert_eq!(&stack, expected);
+        }
+        // Steps keep what is unchanged: the second keeps nothing (its
+        // outer frame moved to line 3), the third keeps one frame.
+        let keeps: Vec<usize> = walk.steps().map(|(_, keep, _)| keep).collect();
+        assert_eq!(keeps, vec![0, 0, 1, 0, 0]);
+    }
+
+    #[test]
+    fn the_first_recording_of_a_root_is_kept() {
+        let app = app();
+        let plan = LoaderPlan::build(&app);
+        let h = app.module_by_name("handler").unwrap();
+        assert!(plan.walk(h).is_none());
+        plan.keep_walk(WalkRecorder::new(0).finish(h));
+        let first = plan.walk(h).expect("kept");
+        let mut longer = WalkRecorder::new(1);
+        longer.step(
+            h,
+            &[Frame {
+                kind: FrameKind::ModuleInit(h),
+                line: 1,
+            }],
+        );
+        plan.keep_walk(longer.finish(h));
+        assert!(Arc::ptr_eq(&first, &plan.walk(h).unwrap()));
+        assert!(plan.walk(ModuleId::from_index(1)).is_none());
     }
 }

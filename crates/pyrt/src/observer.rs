@@ -6,9 +6,12 @@
 //! virtual-time advance; the observer may charge *overhead* time back (the
 //! cost of taking samples), which is exactly what Fig. 9 measures.
 
+use std::sync::Arc;
+
 use slimstart_appmodel::Application;
 use slimstart_simcore::time::{SimDuration, SimTime};
 
+use crate::loader::RecordedWalk;
 use crate::stack::CallStack;
 
 /// Context handed to an observer on each virtual-time advance.
@@ -23,6 +26,20 @@ pub struct AdvanceContext<'a> {
     pub from: SimTime,
     /// End of the interval (exclusive).
     pub to: SimTime,
+    /// The step of a recorded walk this advance replays: `None` for every
+    /// other advance, those of the walk that records it included.
+    pub site: Option<WalkSite<'a>>,
+}
+
+/// Where a replayed cold-start advance stands in its recorded walk. The
+/// same walk and step always come with the same stack, in every process
+/// that shares the walk's [`LoaderPlan`](crate::loader::LoaderPlan).
+#[derive(Debug, Clone, Copy)]
+pub struct WalkSite<'a> {
+    /// The recorded walk being replayed.
+    pub walk: &'a Arc<RecordedWalk>,
+    /// The step's index: the advancing module's position in load order.
+    pub step: usize,
 }
 
 /// An attachment that observes a process's execution.
@@ -77,6 +94,7 @@ mod tests {
             stack: &stack,
             from: SimTime::ZERO,
             to: SimTime::from_millis(5),
+            site: None,
         });
         assert_eq!(d, SimDuration::ZERO);
         assert_eq!(obs.on_invocation_end(&app), SimDuration::ZERO);

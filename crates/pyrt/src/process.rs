@@ -14,8 +14,8 @@ use slimstart_simcore::rng::SimRng;
 use slimstart_simcore::time::{SimDuration, SimTime};
 
 use crate::fault::RuntimeFault;
-use crate::loader::LoaderPlan;
-use crate::observer::{AdvanceContext, ExecutionObserver};
+use crate::loader::{LoaderPlan, RecordedWalk, WalkRecorder};
+use crate::observer::{AdvanceContext, ExecutionObserver, WalkSite};
 use crate::snapshot::{SnapLoad, Snapshot};
 use crate::stack::{CallStack, FrameKind};
 use crate::zygote::ZygoteImage;
@@ -76,6 +76,9 @@ pub struct Process {
     peak_mem_kb: u64,
     observer: Option<Box<dyn ExecutionObserver>>,
     in_cold_start: bool,
+    /// Set while a fresh cold start walks a root that the plan has no
+    /// recording of yet: the walk writes one as it goes.
+    recorder: Option<WalkRecorder>,
     /// The zygote this process forked from, if any: modules resident in
     /// the image load at its flat fork cost instead of their init cost,
     /// and every restore replays them whether or not they are in the
@@ -148,6 +151,7 @@ impl Process {
             peak_mem_kb: 0,
             observer: None,
             in_cold_start: false,
+            recorder: None,
             zygote: None,
             fork_charge: SimDuration::ZERO,
         }
@@ -293,6 +297,13 @@ impl Process {
     /// Performs the cold-start load of the handler module graph and returns
     /// the initialization latency (library-loading portion of a cold start).
     ///
+    /// A fresh process (nothing loaded, with or without a zygote, observed
+    /// or not) replays the plan's recording of `root`'s walk, and the first
+    /// fresh cold start of `root` on the plan writes that recording as it
+    /// walks. Clocks, load events, memory and every observer callback are
+    /// the walk's own either way; a replayed advance also tells the
+    /// observer its [`WalkSite`].
+    ///
     /// # Errors
     ///
     /// Returns [`RuntimeFault::StrippedHandlerModule`] if the entry module
@@ -304,10 +315,36 @@ impl Process {
         let start = self.clock;
         self.in_cold_start = true;
         let app = Arc::clone(&self.app);
-        self.load_with_parents(&app, root);
+        // A walk's stacks start from an empty one, as between invocations.
+        debug_assert_eq!(self.stack.depth(), 0, "cold start inside a call");
+        if !self.is_fresh() {
+            self.load_with_parents(&app, root);
+        } else if let Some(walk) = self.plan.walk(root) {
+            self.replay_walk(&app, &walk);
+        } else {
+            self.recorder = Some(WalkRecorder::new(app.modules().len()));
+            self.load_with_parents(&app, root);
+            let recorder = self.recorder.take().expect("the recorder is set");
+            self.plan.keep_walk(recorder.finish(root));
+        }
         self.in_cold_start = false;
         self.bump_peak();
         Ok(self.clock.since(start))
+    }
+
+    /// Replays `walk` step by step: sets the stack to the step's recorded
+    /// frames and loads the step's module as [`Process::load_single`]
+    /// would, with every import it walks already loaded.
+    fn replay_walk(&mut self, app: &Application, walk: &Arc<RecordedWalk>) {
+        for (step, (module, keep, pushed)) in walk.steps().enumerate() {
+            self.stack.truncate(keep);
+            for frame in pushed {
+                self.stack.push(frame.kind, frame.line);
+            }
+            self.stack.push(FrameKind::ModuleInit(module), 1);
+            self.mark_loaded(module);
+            self.run_top_level(app, module, Some(WalkSite { walk, step }));
+        }
     }
 
     /// Captures the outcome of the cold start this process just performed
@@ -524,8 +561,9 @@ impl Process {
     }
 
     /// Advances the clock by `scaled`, a duration already scaled through
-    /// `time_scale`, reporting to the observer and charging its overhead.
-    fn advance(&mut self, scaled: SimDuration) {
+    /// `time_scale`, reporting to the observer (with the walk step a
+    /// replayed advance runs) and charging its overhead.
+    fn advance(&mut self, scaled: SimDuration, site: Option<WalkSite<'_>>) {
         let from = self.clock;
         let to = from + scaled;
         let overhead = match self.observer.as_mut() {
@@ -534,6 +572,7 @@ impl Process {
                 stack: &self.stack,
                 from,
                 to,
+                site,
             }),
             None => SimDuration::ZERO,
         };
@@ -549,8 +588,10 @@ impl Process {
 
     /// Loads `module` the Python way: ancestors first, then the module.
     fn load_with_parents(&mut self, app: &Arc<Application>, module: ModuleId) {
-        let plan = Arc::clone(&self.plan);
-        for &id in plan.ancestors(module) {
+        // `load_single` borrows `self` mutably, so index the chain afresh
+        // for each ancestor instead of holding a borrow of the plan.
+        for i in 0..self.plan.ancestors(module).len() {
+            let id = self.plan.ancestors(module)[i];
             if !self.is_loaded(id) && !app.module(id).stripped() {
                 self.load_single(app, id);
             }
@@ -578,15 +619,27 @@ impl Process {
             }
         }
 
-        // Execute the module's own top level — or, when the zygote this
-        // process forked from already holds the module initialized, just
-        // acquire it at the flat fork cost.
-        let before = self.clock;
         self.stack.set_line(1);
+        if let Some(recorder) = self.recorder.as_mut() {
+            recorder.step(module, self.stack.frames());
+        }
+        self.run_top_level(app, module, None);
+    }
+
+    /// Runs `module`'s top level, once its frame tops the stack at line 1
+    /// and its global imports have loaded — or, when the zygote this
+    /// process forked from already holds the module initialized, just
+    /// acquires it at the flat fork cost — then pops the frame and records
+    /// the load. The loader and the walk replay share it.
+    fn run_top_level(&mut self, app: &Application, module: ModuleId, site: Option<WalkSite<'_>>) {
+        let before = self.clock;
         if let Some(zygote) = self.zygote.as_deref().filter(|z| z.is_resident(module)) {
             zygote.note_forked_loads(1);
         }
-        self.advance(self.load_charge(module, app.module(module).init_cost()));
+        self.advance(
+            self.load_charge(module, app.module(module).init_cost()),
+            site,
+        );
         let self_cost = self.clock.since(before);
 
         self.stack.pop();
@@ -630,7 +683,7 @@ impl Process {
         for stmt in stmts {
             self.stack.set_line(stmt.line);
             match &stmt.kind {
-                StmtKind::Work(d) => self.advance(d.mul_f64(self.time_scale)),
+                StmtKind::Work(d) => self.advance(d.mul_f64(self.time_scale), None),
                 StmtKind::Call(site) => {
                     let callee_module = app.function(site.target).module();
                     if !self.is_loaded(callee_module) {

@@ -86,6 +86,13 @@ impl CallStack {
         frame
     }
 
+    /// Pops activations until `depth` remain.
+    pub(crate) fn truncate(&mut self, depth: usize) {
+        while self.frames.len() > depth {
+            self.pop();
+        }
+    }
+
     /// Updates the current line of the innermost frame (as execution moves
     /// from statement to statement).
     pub fn set_line(&mut self, line: u32) {

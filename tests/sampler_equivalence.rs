@@ -9,13 +9,22 @@
 //! store and with the asynchronous collector. Samples are compared by
 //! their frames: the reference keeps each path's frames, the sampler an
 //! interned id. This is the oracle that says "faster, not different".
+//!
+//! Replayed cold starts tell the sampler which step of a recorded walk
+//! each advance runs, and the in-process store keeps each step's path id
+//! for every later container of the deployment. The last cells pin that
+//! memo: attachments sharing a store replay one walk at different time
+//! scales, two deployments whose walks differ in one import's line share
+//! one store, and captures without a site follow memo hits.
 
+use std::cell::RefCell;
 use std::collections::HashMap;
+use std::rc::Rc;
 use std::sync::Arc;
 
 use slimstart::appmodel::app::AppBuilder;
-use slimstart::appmodel::catalog::{catalog, light_population};
-use slimstart::appmodel::{Application, FunctionId, ModuleId};
+use slimstart::appmodel::catalog::{by_code, catalog, light_population};
+use slimstart::appmodel::{Application, FunctionId, HandlerId, ImportMode, ModuleId};
 use slimstart::core::collector::AsyncCollector;
 use slimstart::core::pipeline::PipelineConfig;
 use slimstart::core::profile::{PathId, ProfileStore};
@@ -23,8 +32,9 @@ use slimstart::core::sampler::SamplerAttachment;
 use slimstart::core::stage::{PipelineCtx, ProfileStage, Stage};
 use slimstart::core::SamplerConfig;
 use slimstart::platform::{AppMetrics, Platform};
-use slimstart::pyrt::observer::{AdvanceContext, ExecutionObserver};
+use slimstart::pyrt::observer::{AdvanceContext, ExecutionObserver, WalkSite};
 use slimstart::pyrt::stack::{CallStack, Frame, FrameKind};
+use slimstart::pyrt::{LoaderPlan, Process, RecordedWalk};
 use slimstart::simcore::time::{SimDuration, SimTime};
 use slimstart::simcore::SimRng;
 
@@ -321,6 +331,7 @@ fn run_sequence(app: &Application, config: SamplerConfig, seed: u64, coverage: &
                     stack: &stack,
                     from,
                     to,
+                    site: None,
                 };
                 let overhead = ours.on_advance(ctx());
                 assert_eq!(
@@ -415,6 +426,7 @@ fn hand_written_edges_match_the_reference() {
             stack,
             from: SimTime::from_micros(from),
             to: SimTime::from_micros(to),
+            site: None,
         };
         let overhead = ours.on_advance(ctx());
         assert_eq!(overhead, reference.on_advance(ctx()), "{from} -> {to}");
@@ -576,4 +588,307 @@ fn profile_stage_matches_the_reference_on_light_apps() {
         let what = format!("light app {i} ({})", entry.code);
         assert_profile_stage_matches(&app, &entry.workload_weights(), seed, 8, &what);
     }
+}
+
+/// A dense sampler for the walk cells, so most load steps are sampled.
+fn walk_sampler() -> SamplerConfig {
+    SamplerConfig {
+        period: SimDuration::from_micros(200),
+        per_sample_cost: SimDuration::from_micros(7),
+        flush_cost: SimDuration::from_micros(13),
+        batch_size: 5,
+        bytes_per_sample: 160,
+    }
+}
+
+/// A plan of `app` on which a fresh process has walked `root` once, so
+/// every later fresh cold start of `root` on it replays that walk.
+fn recorded_plan(app: &Arc<Application>, root: ModuleId) -> Arc<LoaderPlan> {
+    let plan = Arc::new(LoaderPlan::build(app));
+    Process::with_plan(Arc::clone(app), Arc::clone(&plan), 1.0)
+        .cold_start(root)
+        .expect("the root cold-starts");
+    plan
+}
+
+/// Cold-starts `root` in a fresh process on `plan` at `scale` with
+/// `observer` attached, invokes every handler once, and returns the
+/// process's clock.
+fn profiled_run(
+    app: &Arc<Application>,
+    plan: &Arc<LoaderPlan>,
+    root: ModuleId,
+    scale: f64,
+    observer: Box<dyn ExecutionObserver>,
+) -> SimTime {
+    let mut process = Process::with_plan(Arc::clone(app), Arc::clone(plan), scale);
+    process.attach_observer(observer);
+    process.cold_start(root).expect("the root cold-starts");
+    for h in 0..app.handlers().len() {
+        process
+            .invoke(HandlerId::from_index(h), &mut SimRng::seed_from(h as u64))
+            .expect("handlers run");
+    }
+    process.clock()
+}
+
+/// A reference sampler delivering into `store`.
+fn reference_sampler(
+    config: SamplerConfig,
+    store: &Arc<std::sync::Mutex<reference::Store>>,
+) -> Box<reference::Sampler> {
+    Box::new(reference::Sampler::new(
+        config,
+        reference::Sink::Direct(Arc::clone(store)),
+    ))
+}
+
+#[test]
+fn attachments_replaying_one_walk_at_different_scales_match_the_reference() {
+    let config = walk_sampler();
+    for code in ["R-GB", "R-SA", "FWB-CML"] {
+        let built = by_code(code)
+            .expect("catalog entry")
+            .build(2025)
+            .expect("catalog app builds");
+        let (app, root) = (Arc::new(built.app), built.app_module);
+        let plan = recorded_plan(&app, root);
+        let store = ProfileStore::shared();
+        let reference_store = Arc::new(std::sync::Mutex::new(reference::Store::default()));
+        // Each scale samples other steps: some captures fill the row,
+        // some read what an earlier container filled.
+        for scale in [1.0, 1.37, 1.0, 0.61] {
+            let ours = SamplerAttachment::new(config, Arc::clone(&store));
+            let ours = profiled_run(&app, &plan, root, scale, Box::new(ours));
+            let theirs = reference_sampler(config, &reference_store);
+            let theirs = profiled_run(&app, &plan, root, scale, theirs);
+            assert_eq!(ours, theirs, "{code} at scale {scale}: clock");
+        }
+        let ours = store.lock().expect("profile store lock").clone();
+        let theirs = reference_store
+            .lock()
+            .expect("reference store lock")
+            .clone();
+        assert_stores_equal(&ours, &theirs, code);
+    }
+}
+
+/// handler imports lib at line 2, and lib imports lib.a at `line`; lib.a's
+/// top level spans several sampling periods of [`walk_sampler`]. Apps
+/// built with different lines have the same module ids and roots.
+fn import_line_app(line: u32) -> Application {
+    let mut b = AppBuilder::new("import-line");
+    let lib = b.add_library("lib");
+    let handler = b.add_app_module("handler", SimDuration::from_micros(300), 8);
+    let root = b.add_library_module("lib", SimDuration::from_micros(500), 8, false, lib);
+    let a = b.add_library_module("lib.a", SimDuration::from_micros(1_900), 8, false, lib);
+    b.add_import(handler, root, 2, ImportMode::Global)
+        .expect("import resolves");
+    b.add_import(root, a, line, ImportMode::Global)
+        .expect("import resolves");
+    let main = b.add_function(
+        "main",
+        handler,
+        4,
+        vec![slimstart::appmodel::function::Stmt {
+            line: 5,
+            kind: slimstart::appmodel::function::StmtKind::Work(SimDuration::from_micros(700)),
+        }],
+    );
+    b.add_handler("main", main);
+    b.finish().expect("app validates")
+}
+
+#[test]
+fn deployments_sharing_a_store_resolve_their_samples_to_their_own_frames() {
+    let config = walk_sampler();
+    let apps = [3, 7].map(|line| Arc::new(import_line_app(line)));
+    let root = apps[0].module_by_name("handler").expect("handler module");
+    assert_eq!(apps[1].module_by_name("handler"), Some(root));
+    let plans = [0, 1].map(|i| recorded_plan(&apps[i], root));
+    let store = ProfileStore::shared();
+    let reference_store = Arc::new(std::sync::Mutex::new(reference::Store::default()));
+    for round in 0..2 {
+        for (app, plan) in apps.iter().zip(&plans) {
+            let ours = SamplerAttachment::new(config, Arc::clone(&store));
+            let ours = profiled_run(app, plan, root, 1.0, Box::new(ours));
+            let theirs = profiled_run(
+                app,
+                plan,
+                root,
+                1.0,
+                reference_sampler(config, &reference_store),
+            );
+            assert_eq!(ours, theirs, "round {round}: clock");
+        }
+    }
+    let ours = store.lock().expect("profile store lock").clone();
+    let theirs = reference_store
+        .lock()
+        .expect("reference store lock")
+        .clone();
+    assert_stores_equal(&ours, &theirs, "two deployments");
+    // Both lines were sampled while lib.a loaded.
+    let lib = FrameKind::ModuleInit(apps[0].module_by_name("lib").expect("lib module"));
+    for line in [3, 7] {
+        assert!(
+            theirs
+                .samples
+                .iter()
+                .any(|(path, _)| path.contains(&Frame { kind: lib, line })),
+            "no sample under lib at line {line}"
+        );
+    }
+}
+
+/// One logged advance, with the recorded walk and step it replays.
+struct Logged {
+    frames: Vec<Frame>,
+    from: SimTime,
+    to: SimTime,
+    site: Option<(Arc<RecordedWalk>, usize)>,
+}
+
+/// Logs every advance of the process it observes, at no overhead.
+struct AdvanceLog(Rc<RefCell<Vec<Logged>>>);
+
+impl ExecutionObserver for AdvanceLog {
+    fn on_advance(&mut self, ctx: AdvanceContext<'_>) -> SimDuration {
+        self.0.borrow_mut().push(Logged {
+            frames: ctx.stack.frames().to_vec(),
+            from: ctx.from,
+            to: ctx.to,
+            site: ctx.site.map(|site| (Arc::clone(site.walk), site.step)),
+        });
+        SimDuration::ZERO
+    }
+}
+
+/// Feeds one advance over `frames` to both samplers and checks that they
+/// charge the same overhead.
+fn feed(
+    ours: &mut SamplerAttachment,
+    reference: &mut reference::Sampler,
+    app: &Application,
+    advance: (&[Frame], SimTime, SimTime),
+    site: Option<WalkSite<'_>>,
+) {
+    let (frames, from, to) = advance;
+    let mut stack = CallStack::new();
+    for frame in frames {
+        stack.push(frame.kind, frame.line);
+    }
+    let ctx = || AdvanceContext {
+        app,
+        stack: &stack,
+        from,
+        to,
+        site,
+    };
+    assert_eq!(
+        ours.on_advance(ctx()),
+        reference.on_advance(ctx()),
+        "overhead at {from} -> {to}"
+    );
+}
+
+#[test]
+fn captures_without_a_site_after_memo_hits_match_the_reference() {
+    let config = walk_sampler();
+    let period = config.period;
+    let built = by_code("R-SA")
+        .expect("catalog entry")
+        .build(2025)
+        .expect("catalog app builds");
+    let (app, root) = (Arc::new(built.app), built.app_module);
+    let plan = recorded_plan(&app, root);
+    let log = Rc::new(RefCell::new(Vec::new()));
+    let mut process = Process::with_plan(Arc::clone(&app), plan, 1.0);
+    process.attach_observer(Box::new(AdvanceLog(Rc::clone(&log))));
+    process.cold_start(root).expect("the root cold-starts");
+    let log = log.borrow();
+    assert!(
+        log.iter().all(|a| a.site.is_some()),
+        "the cold start replays"
+    );
+    let end = log.last().expect("the walk advances").to;
+
+    let store = ProfileStore::shared();
+    let reference_store = Arc::new(std::sync::Mutex::new(reference::Store::default()));
+    let replay =
+        |ours: &mut SamplerAttachment, reference: &mut reference::Sampler, shift: SimDuration| {
+            for a in log.iter() {
+                let site = a
+                    .site
+                    .as_ref()
+                    .map(|(walk, step)| WalkSite { walk, step: *step });
+                feed(
+                    ours,
+                    reference,
+                    &app,
+                    (&a.frames, a.from + shift, a.to + shift),
+                    site,
+                );
+            }
+        };
+
+    // The first container interns every sampled step's stack.
+    let mut first = SamplerAttachment::new(config, Arc::clone(&store));
+    let mut first_reference = *reference_sampler(config, &reference_store);
+    replay(&mut first, &mut first_reference, SimDuration::ZERO);
+    first.on_invocation_end(&app);
+    first_reference.on_invocation_end(&app);
+
+    // The second moves its cursor to one step's stack without a site, then
+    // replays the walk shifted by whole periods, so it samples the same
+    // steps and reads every id from the row while its cursor stays put.
+    let mut second = SamplerAttachment::new(config, Arc::clone(&store));
+    let mut second_reference = *reference_sampler(config, &reference_store);
+    let sampled: Vec<&Logged> = log
+        .iter()
+        .filter(|a| a.to.as_micros() / period.as_micros() > a.from.as_micros() / period.as_micros())
+        .collect();
+    assert!(sampled.len() > 20, "only {} sampled steps", sampled.len());
+    let x = &sampled[sampled.len() / 2].frames;
+    let lead = period * 2;
+    feed(
+        &mut second,
+        &mut second_reference,
+        &app,
+        (x, SimTime::ZERO, SimTime::ZERO + lead),
+        None,
+    );
+    replay(&mut second, &mut second_reference, lead);
+
+    // Captures without a site: the last sampled step's stack with a moved
+    // top line, its prefix, a call above it, and the cursor's own stack.
+    let last = &sampled.last().expect("sampled steps").frames;
+    let mut moved = last.clone();
+    moved.last_mut().expect("a step has frames").line += 1;
+    let mut called = last[..last.len() - 1].to_vec();
+    called.push(Frame {
+        kind: FrameKind::Call(FunctionId::from_index(0)),
+        line: 9,
+    });
+    let mut at = end + lead;
+    for frames in [&moved, &last[..last.len() - 1].to_vec(), &called, x, last] {
+        feed(
+            &mut second,
+            &mut second_reference,
+            &app,
+            (frames, at, at + period * 3),
+            None,
+        );
+        at += period * 3;
+    }
+    second.on_invocation_end(&app);
+    second_reference.on_invocation_end(&app);
+
+    let ours = store.lock().expect("profile store lock").clone();
+    let theirs = reference_store
+        .lock()
+        .expect("reference store lock")
+        .clone();
+    assert_eq!(ours.invocations, 2);
+    assert_stores_equal(&ours, &theirs, "site-less captures after memo hits");
 }
