@@ -80,7 +80,7 @@ impl SampleSink {
                     }
                 };
                 // A hit leaves the cursor where it was: it still holds
-                // frames and ids that the table issued together.
+                // frames and ids that the table gave out together.
                 if let Some(id) = row.get(site.step) {
                     return id;
                 }

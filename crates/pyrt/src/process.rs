@@ -77,8 +77,9 @@ pub struct Process {
     observer: Option<Box<dyn ExecutionObserver>>,
     in_cold_start: bool,
     /// Set while a fresh cold start walks a root that the plan has no
-    /// recording of yet: the walk writes one as it goes.
-    recorder: Option<WalkRecorder>,
+    /// recording of yet: the walk writes one as it goes. Boxed, so a
+    /// process that never records stays small.
+    recorder: Option<Box<WalkRecorder>>,
     /// The zygote this process forked from, if any: modules resident in
     /// the image load at its flat fork cost instead of their init cost,
     /// and every restore replays them whether or not they are in the
@@ -322,7 +323,7 @@ impl Process {
         } else if let Some(walk) = self.plan.walk(root) {
             self.replay_walk(&app, &walk);
         } else {
-            self.recorder = Some(WalkRecorder::new(app.modules().len()));
+            self.recorder = Some(Box::new(WalkRecorder::new(app.modules().len())));
             self.load_with_parents(&app, root);
             let recorder = self.recorder.take().expect("the recorder is set");
             self.plan.keep_walk(recorder.finish(root));
@@ -336,6 +337,7 @@ impl Process {
     /// frames and loads the step's module as [`Process::load_single`]
     /// would, with every import it walks already loaded.
     fn replay_walk(&mut self, app: &Application, walk: &Arc<RecordedWalk>) {
+        self.load_events.reserve(walk.len());
         for (step, (module, keep, pushed)) in walk.steps().enumerate() {
             self.stack.truncate(keep);
             for frame in pushed {
