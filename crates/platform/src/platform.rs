@@ -222,8 +222,9 @@ impl Platform {
     /// snapshot when one exists for this deployment. Observed processes
     /// never restore — the profiler must see every advance — so they load
     /// through the loader, which walks `root`'s imports on the
-    /// deployment's first fresh cold start of it and replays that walk's
-    /// recording on every later one, advance by advance. Unobserved
+    /// deployment's first two fresh cold starts of it, recording the
+    /// second, and replays that recording on every later one, advance by
+    /// advance. Unobserved
     /// full-stream restores are byte-identical to a walk, so records, load
     /// events and golden reports cannot tell the paths apart. Once a
     /// lazy-restore store has recorded a working set, a restore replays

@@ -17,10 +17,12 @@
 //! A fresh cold start of a root is the same walk in every process that
 //! shares the plan: the same loads in the same order under the same
 //! stacks, whatever the process's time scale, zygote or observer; only the
-//! clock differs. So the plan also keeps each root's first fresh walk as a
+//! clock differs. So the plan also keeps a root's second fresh walk as a
 //! [`RecordedWalk`], written by that walk itself, and later fresh cold
-//! starts replay it instead of walking the imports again. Nothing is built
-//! per module for it: a recording costs O(the walk that writes it).
+//! starts replay it instead of walking the imports again. The first walk
+//! records nothing: on a platform with a snapshot store it is often the
+//! only one. Nothing is built per module for it: a recording costs O(the
+//! walk that writes it).
 
 use std::sync::{Arc, Mutex, PoisonError};
 
@@ -37,10 +39,11 @@ pub struct LoaderPlan {
     /// shortest-first order, ending with the module itself — exactly the
     /// sequence the CPython-style loader visits for `import a.b.c`.
     ancestors: Vec<Box<[ModuleId]>>,
-    /// The recorded fresh cold start of each root walked so far, in the
-    /// order the roots were first walked. A deployment cold-starts a few
-    /// roots (its handlers' modules), so a scan finds one.
-    walks: Mutex<Vec<Arc<RecordedWalk>>>,
+    /// Each root a fresh process has walked, in the order of their first
+    /// walks, with its recording once its second walk has written one. A
+    /// deployment cold-starts a few roots (its handlers' modules), so a
+    /// scan finds one.
+    walks: Mutex<Vec<(ModuleId, Option<Arc<RecordedWalk>>)>>,
 }
 
 impl LoaderPlan {
@@ -70,23 +73,42 @@ impl LoaderPlan {
         &self.ancestors[module.index()]
     }
 
-    /// The recorded fresh cold start of `root`, once a fresh process
-    /// sharing this plan has walked it.
-    pub(crate) fn walk(&self, root: ModuleId) -> Option<Arc<RecordedWalk>> {
-        let walks = self.walks.lock().unwrap_or_else(PoisonError::into_inner);
-        walks.iter().find(|walk| walk.root == root).cloned()
-    }
-
-    /// Keeps `walk` as its root's recording, unless a process sharing the
-    /// plan on another thread kept one first (recordings of one root are
-    /// equal).
-    pub(crate) fn keep_walk(&self, walk: RecordedWalk) {
-        // Every push leaves the list whole, so a poisoned lock is usable.
+    /// How a fresh process cold-starts `root` on this plan: it replays
+    /// the root's recording, records one (the root's second fresh walk),
+    /// or walks without recording (its first).
+    pub(crate) fn fresh_walk(&self, root: ModuleId) -> FreshWalk {
+        // Every update leaves the list whole, so a poisoned lock is usable.
         let mut walks = self.walks.lock().unwrap_or_else(PoisonError::into_inner);
-        if walks.iter().all(|kept| kept.root != walk.root) {
-            walks.push(Arc::new(walk));
+        match walks.iter().find(|(walked, _)| *walked == root) {
+            Some((_, Some(walk))) => FreshWalk::Replay(Arc::clone(walk)),
+            Some((_, None)) => FreshWalk::Record,
+            None => {
+                walks.push((root, None));
+                FreshWalk::Walk
+            }
         }
     }
+
+    /// Keeps `walk` as `root`'s recording, unless a process sharing the
+    /// plan on another thread kept one first (recordings of one root are
+    /// equal).
+    pub(crate) fn keep_walk(&self, root: ModuleId, walk: RecordedWalk) {
+        let mut walks = self.walks.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some((_, kept @ None)) = walks.iter_mut().find(|(walked, _)| *walked == root) {
+            *kept = Some(Arc::new(walk));
+        }
+    }
+}
+
+/// How a fresh cold start of a root goes on a plan
+/// ([`LoaderPlan::fresh_walk`]).
+pub(crate) enum FreshWalk {
+    /// Replay the root's recording.
+    Replay(Arc<RecordedWalk>),
+    /// Walk the imports and record the walk.
+    Record,
+    /// Walk the imports.
+    Walk,
 }
 
 /// One root's fresh cold start as the loader walked it: the modules whose
@@ -94,7 +116,6 @@ impl LoaderPlan {
 /// advance, stored as a delta from the step before.
 #[derive(Debug)]
 pub struct RecordedWalk {
-    root: ModuleId,
     steps: Box<[WalkStep]>,
     /// The frames the steps push below their own, step after step.
     frames: Box<[Frame]>,
@@ -191,10 +212,9 @@ impl WalkRecorder {
         self.below.extend_from_slice(&stack[keep..]);
     }
 
-    /// The finished recording of `root`'s walk.
-    pub(crate) fn finish(self, root: ModuleId) -> RecordedWalk {
+    /// The finished recording.
+    pub(crate) fn finish(self) -> RecordedWalk {
         RecordedWalk {
-            root,
             steps: self.steps.into_boxed_slice(),
             frames: self.frames.into_boxed_slice(),
         }
@@ -274,7 +294,7 @@ mod tests {
         for stack in &stacks {
             recorder.step(module(stack), stack);
         }
-        let walk = recorder.finish(ModuleId::from_index(0));
+        let walk = recorder.finish();
         assert_eq!(walk.len(), stacks.len());
         let mut stack: Vec<Frame> = Vec::new();
         for ((step_module, keep, pushed), expected) in walk.steps().zip(&stacks) {
@@ -292,23 +312,23 @@ mod tests {
     }
 
     #[test]
-    fn the_first_recording_of_a_root_is_kept() {
+    fn a_root_records_its_second_fresh_walk_and_replays_later_ones() {
         let app = app();
         let plan = LoaderPlan::build(&app);
-        let h = app.module_by_name("handler").unwrap();
-        assert!(plan.walk(h).is_none());
-        plan.keep_walk(WalkRecorder::new(0).finish(h));
-        let first = plan.walk(h).expect("kept");
-        let mut longer = WalkRecorder::new(1);
-        longer.step(
-            h,
-            &[Frame {
-                kind: FrameKind::ModuleInit(h),
-                line: 1,
-            }],
-        );
-        plan.keep_walk(longer.finish(h));
-        assert!(Arc::ptr_eq(&first, &plan.walk(h).unwrap()));
-        assert!(plan.walk(ModuleId::from_index(1)).is_none());
+        let (h, lib) = (ModuleId::from_index(0), ModuleId::from_index(1));
+        assert!(matches!(plan.fresh_walk(h), FreshWalk::Walk));
+        assert!(matches!(plan.fresh_walk(lib), FreshWalk::Walk));
+        assert!(matches!(plan.fresh_walk(h), FreshWalk::Record));
+        plan.keep_walk(h, WalkRecorder::new(0).finish());
+        let FreshWalk::Replay(first) = plan.fresh_walk(h) else {
+            panic!("a recorded root replays");
+        };
+        // A second recording of the same root is dropped.
+        plan.keep_walk(h, WalkRecorder::new(0).finish());
+        let FreshWalk::Replay(again) = plan.fresh_walk(h) else {
+            panic!("a recorded root replays");
+        };
+        assert!(Arc::ptr_eq(&first, &again));
+        assert!(matches!(plan.fresh_walk(lib), FreshWalk::Record));
     }
 }

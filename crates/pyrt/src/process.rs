@@ -14,7 +14,7 @@ use slimstart_simcore::rng::SimRng;
 use slimstart_simcore::time::{SimDuration, SimTime};
 
 use crate::fault::RuntimeFault;
-use crate::loader::{LoaderPlan, RecordedWalk, WalkRecorder};
+use crate::loader::{FreshWalk, LoaderPlan, RecordedWalk, WalkRecorder};
 use crate::observer::{AdvanceContext, ExecutionObserver, WalkSite};
 use crate::snapshot::{SnapLoad, Snapshot};
 use crate::stack::{CallStack, FrameKind};
@@ -76,9 +76,9 @@ pub struct Process {
     peak_mem_kb: u64,
     observer: Option<Box<dyn ExecutionObserver>>,
     in_cold_start: bool,
-    /// Set while a fresh cold start walks a root that the plan has no
-    /// recording of yet: the walk writes one as it goes. Boxed, so a
-    /// process that never records stays small.
+    /// Set while a fresh cold start walks a root for the second time on
+    /// its plan: the walk writes the plan's recording as it goes. Boxed,
+    /// so a process that never records stays small.
     recorder: Option<Box<WalkRecorder>>,
     /// The zygote this process forked from, if any: modules resident in
     /// the image load at its flat fork cost instead of their init cost,
@@ -299,11 +299,12 @@ impl Process {
     /// the initialization latency (library-loading portion of a cold start).
     ///
     /// A fresh process (nothing loaded, with or without a zygote, observed
-    /// or not) replays the plan's recording of `root`'s walk, and the first
+    /// or not) replays the plan's recording of `root`'s walk. The second
     /// fresh cold start of `root` on the plan writes that recording as it
-    /// walks. Clocks, load events, memory and every observer callback are
-    /// the walk's own either way; a replayed advance also tells the
-    /// observer its [`WalkSite`].
+    /// walks; the first only walks, since on a platform that restores
+    /// snapshots it is often the only one. Clocks, load events, memory and
+    /// every observer callback are the walk's own either way; a replayed
+    /// advance also tells the observer its [`WalkSite`].
     ///
     /// # Errors
     ///
@@ -318,15 +319,16 @@ impl Process {
         let app = Arc::clone(&self.app);
         // A walk's stacks start from an empty one, as between invocations.
         debug_assert_eq!(self.stack.depth(), 0, "cold start inside a call");
-        if !self.is_fresh() {
-            self.load_with_parents(&app, root);
-        } else if let Some(walk) = self.plan.walk(root) {
-            self.replay_walk(&app, &walk);
-        } else {
-            self.recorder = Some(Box::new(WalkRecorder::new(app.modules().len())));
-            self.load_with_parents(&app, root);
-            let recorder = self.recorder.take().expect("the recorder is set");
-            self.plan.keep_walk(recorder.finish(root));
+        let fresh = self.is_fresh().then(|| self.plan.fresh_walk(root));
+        match fresh {
+            Some(FreshWalk::Replay(walk)) => self.replay_walk(&app, &walk),
+            Some(FreshWalk::Record) => {
+                self.recorder = Some(Box::new(WalkRecorder::new(app.modules().len())));
+                self.load_with_parents(&app, root);
+                let recorder = self.recorder.take().expect("the recorder is set");
+                self.plan.keep_walk(root, recorder.finish());
+            }
+            Some(FreshWalk::Walk) | None => self.load_with_parents(&app, root),
         }
         self.in_cold_start = false;
         self.bump_peak();

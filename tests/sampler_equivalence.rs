@@ -601,13 +601,24 @@ fn walk_sampler() -> SamplerConfig {
     }
 }
 
-/// A plan of `app` on which a fresh process has walked `root` once, so
-/// every later fresh cold start of `root` on it replays that walk.
+/// A plan of `app` on which two fresh processes have walked `root`, the
+/// second recording the walk, so every later fresh cold start of `root`
+/// on it replays that walk.
 fn recorded_plan(app: &Arc<Application>, root: ModuleId) -> Arc<LoaderPlan> {
     let plan = Arc::new(LoaderPlan::build(app));
-    Process::with_plan(Arc::clone(app), Arc::clone(&plan), 1.0)
-        .cold_start(root)
-        .expect("the root cold-starts");
+    for _ in 0..2 {
+        Process::with_plan(Arc::clone(app), Arc::clone(&plan), 1.0)
+            .cold_start(root)
+            .expect("the root cold-starts");
+    }
+    let log = Rc::new(RefCell::new(Vec::new()));
+    let mut process = Process::with_plan(Arc::clone(app), Arc::clone(&plan), 1.0);
+    process.attach_observer(Box::new(AdvanceLog(Rc::clone(&log))));
+    process.cold_start(root).expect("the root cold-starts");
+    assert!(
+        log.borrow().iter().all(|a: &Logged| a.site.is_some()),
+        "a fresh cold start on the plan replays"
+    );
     plan
 }
 

@@ -1,21 +1,22 @@
 //! Walk-replay equivalence: a fresh process's cold start replays its
-//! plan's recording of the root's first fresh walk instead of walking the
-//! imports again, and must be indistinguishable from that walk.
+//! plan's recording of the root's walk, written by the root's second fresh
+//! walk on the plan, instead of walking the imports again, and must be
+//! indistinguishable from that walk.
 //!
 //! For every handler root of every catalog app, of a FaaSLight-stripped
 //! copy of each, and of seeded random apps with dotted-name gaps and
-//! deferred imports, a replayed cold start is compared with the recursive
-//! walk of a process on a fresh plan: returned latency, clock, load
-//! events, memory, peak memory, forked-load counts, the captured snapshot
-//! and every advance the observer sees (its stack, `from` and `to`), at
-//! time scale 1.0 and jittered, with no zygote and forked from zygotes
-//! whose fork costs are 0 µs (so some advances are 0 µs long) and 101 µs.
-//! The recording is written once per plan by an unobserved process at
-//! scale 1.0 without a zygote, so each replay also shows that a recording
-//! does not depend on the process that wrote it. After the cold start both
-//! processes invoke every handler, which loads deferred imports through
-//! the recursion, and cold-start another root on the now non-fresh
-//! process; those must match too.
+//! deferred imports, a replayed cold start and a recording walk are
+//! compared with the plain recursive walk of a process on a fresh plan:
+//! returned latency, clock, load events, memory, peak memory, forked-load
+//! counts, the captured snapshot and every advance the observer sees (its
+//! stack, `from` and `to`), at time scale 1.0 and jittered, with no zygote
+//! and forked from zygotes whose fork costs are 0 µs (so some advances are
+//! 0 µs long) and 101 µs. The replayed recording is written by unobserved
+//! processes at scale 1.0 without a zygote, so each replay also shows that
+//! a recording does not depend on the process that wrote it. After the
+//! cold start every process invokes every handler, which loads deferred
+//! imports through the recursion, and cold-starts another root on the now
+//! non-fresh process; those must match too.
 
 mod common;
 
@@ -28,7 +29,7 @@ use slimstart::appmodel::{Application, HandlerId, ModuleId};
 use slimstart::faaslight::strip_unreachable;
 use slimstart::pyrt::observer::{AdvanceContext, ExecutionObserver};
 use slimstart::pyrt::stack::Frame;
-use slimstart::pyrt::{LoaderPlan, Process, ZygoteCounters, ZygoteImage};
+use slimstart::pyrt::{LoadEvent, LoaderPlan, Process, Snapshot, ZygoteCounters, ZygoteImage};
 use slimstart::simcore::{SimDuration, SimRng, SimTime};
 
 /// One observed advance: the stack, the interval, and the walk step it
@@ -87,25 +88,73 @@ fn zygote(app: &Application, fork_us: u64) -> (Arc<ZygoteImage>, Arc<ZygoteCount
     (Arc::new(image), counters)
 }
 
-/// An observed process on `plan` at `scale`, forked from a fresh zygote
-/// image when `fork_us` is set.
-fn process(
-    app: &Arc<Application>,
-    plan: &Arc<LoaderPlan>,
-    scale: f64,
-    fork_us: Option<u64>,
-) -> (Process, Log, Option<Arc<ZygoteCounters>>) {
-    let mut p = Process::with_plan(Arc::clone(app), Arc::clone(plan), scale);
-    let counters = fork_us.map(|us| {
-        let (image, counters) = zygote(app, us);
-        p.set_zygote(image);
-        counters
-    });
-    let log = Rc::new(RefCell::new(Vec::new()));
-    p.attach_observer(Box::new(Recorder {
-        log: Rc::clone(&log),
-    }));
-    (p, log, counters)
+/// An observed process, what its observer saw, and its zygote's counters.
+struct Run {
+    process: Process,
+    log: Log,
+    counters: Option<Arc<ZygoteCounters>>,
+}
+
+impl Run {
+    /// An observed process on `plan` at `scale`, forked from a fresh
+    /// zygote image when `fork_us` is set.
+    fn new(
+        app: &Arc<Application>,
+        plan: &Arc<LoaderPlan>,
+        scale: f64,
+        fork_us: Option<u64>,
+    ) -> Run {
+        let mut process = Process::with_plan(Arc::clone(app), Arc::clone(plan), scale);
+        let counters = fork_us.map(|us| {
+            let (image, counters) = zygote(app, us);
+            process.set_zygote(image);
+            counters
+        });
+        let log = Rc::new(RefCell::new(Vec::new()));
+        process.attach_observer(Box::new(Recorder {
+            log: Rc::clone(&log),
+        }));
+        Run {
+            process,
+            log,
+            counters,
+        }
+    }
+
+    /// The clock, load events, memory, peak memory and forked-load counts.
+    fn state(&self) -> (SimTime, Vec<LoadEvent>, u64, u64, Option<(u64, u64)>) {
+        let p = &self.process;
+        (
+            p.clock(),
+            p.load_events().to_vec(),
+            p.mem_kb(),
+            p.peak_mem_kb(),
+            self.counters
+                .as_ref()
+                .map(|c| (c.forks(), c.forked_loads())),
+        )
+    }
+
+    /// Every advance seen so far, without its site.
+    fn advances(&self) -> Vec<(Vec<Frame>, SimTime, SimTime)> {
+        let log = self.log.borrow();
+        log.iter()
+            .map(|a| (a.frames.clone(), a.from, a.to))
+            .collect()
+    }
+
+    /// The sites of the advances seen so far.
+    fn sites(&self) -> Vec<Option<(usize, usize)>> {
+        self.log.borrow().iter().map(|a| a.site).collect()
+    }
+
+    /// The snapshot of the cold start just made.
+    fn snapshot(&mut self) -> Snapshot {
+        let observer = self.process.detach_observer().expect("attached");
+        let snapshot = self.process.capture_snapshot();
+        self.process.attach_observer(observer);
+        snapshot
+    }
 }
 
 /// Which cases the apps exercised.
@@ -115,6 +164,18 @@ struct Coverage {
     zero_us_advances: u64,
     stripped_modules_skipped: u64,
     deferred_loads_after_replay: u64,
+}
+
+/// A plan on which two unobserved fresh processes at scale 1.0 without a
+/// zygote have cold-started `root`, the second recording its walk.
+fn recorded_plan(app: &Arc<Application>, root: ModuleId) -> Arc<LoaderPlan> {
+    let plan = Arc::new(LoaderPlan::build(app));
+    for _ in 0..2 {
+        Process::with_plan(Arc::clone(app), Arc::clone(&plan), 1.0)
+            .cold_start(root)
+            .expect("handler roots cold-start");
+    }
+    plan
 }
 
 /// Checks every handler root of `app` (see the module doc).
@@ -134,113 +195,96 @@ fn assert_replays_match(app: Application, what: &str, coverage: &mut Coverage) {
 
     for (r, &root) in roots.iter().enumerate() {
         let other = roots[(r + 1) % roots.len()];
-        let plan = Arc::new(LoaderPlan::build(&app));
-        Process::with_plan(Arc::clone(&app), Arc::clone(&plan), 1.0)
-            .cold_start(root)
-            .expect("handler roots cold-start");
+        let plan = recorded_plan(&app, root);
         for scale in [1.0, 1.37, 0.61] {
             for fork_us in [None, Some(0), Some(101)] {
                 let what = format!(
                     "{what}, root {}, scale {scale}, fork {fork_us:?}",
                     app.module(root).name()
                 );
+                // A fresh plan's first walk, its second (which records),
+                // and a replay of the recorded plan.
                 let fresh = Arc::new(LoaderPlan::build(&app));
-                let (mut walked, walk_log, walk_counters) = process(&app, &fresh, scale, fork_us);
-                let (mut replayed, replay_log, replay_counters) =
-                    process(&app, &plan, scale, fork_us);
-                let latency = walked.cold_start(root);
-                assert_eq!(replayed.cold_start(root), latency, "{what}: latency");
-
-                let (walk, replay) = (walk_log.borrow().clone(), replay_log.borrow().clone());
-                assert!(walk.iter().all(|a| a.site.is_none()), "{what}: walk sites");
-                let address = replay.first().and_then(|a| a.site).map(|(walk, _)| walk);
-                for (i, advance) in replay.iter().enumerate() {
-                    assert_eq!(advance.site, address.map(|w| (w, i)), "{what}: site {i}");
-                }
-                let strip_sites = |log: &[Advance]| -> Vec<(Vec<Frame>, SimTime, SimTime)> {
-                    log.iter()
-                        .map(|a| (a.frames.clone(), a.from, a.to))
-                        .collect()
-                };
-                assert_eq!(strip_sites(&replay), strip_sites(&walk), "{what}: advances");
-                let replayed_steps = replay.len();
-                coverage.replayed_steps += replayed_steps as u64;
-                coverage.zero_us_advances +=
-                    replay.iter().filter(|a| a.from == a.to).count() as u64;
-
-                assert_eq!(replayed.clock(), walked.clock(), "{what}: clock");
-                assert_eq!(
-                    replayed.load_events(),
-                    walked.load_events(),
-                    "{what}: loads"
-                );
-                assert_eq!(replayed.mem_kb(), walked.mem_kb(), "{what}: memory");
-                assert_eq!(replayed.peak_mem_kb(), walked.peak_mem_kb(), "{what}: peak");
-                let forked = |c: &Option<Arc<ZygoteCounters>>| {
-                    c.as_ref().map(|c| (c.forks(), c.forked_loads()))
-                };
-                assert_eq!(
-                    forked(&replay_counters),
-                    forked(&walk_counters),
-                    "{what}: forked loads"
-                );
-                coverage.stripped_modules_skipped += app
-                    .modules()
-                    .iter()
-                    .enumerate()
-                    .filter(|(i, m)| m.stripped() && !walked.is_loaded(ModuleId::from_index(*i)))
-                    .count() as u64;
-
-                let snapshots: Vec<_> = [&mut walked, &mut replayed]
-                    .into_iter()
-                    .map(|p| {
-                        let observer = p.detach_observer().expect("attached");
-                        let snapshot = p.capture_snapshot();
-                        p.attach_observer(observer);
-                        snapshot
-                    })
+                let mut runs = [
+                    Run::new(&app, &fresh, scale, fork_us),
+                    Run::new(&app, &fresh, scale, fork_us),
+                    Run::new(&app, &plan, scale, fork_us),
+                ];
+                let latencies: Vec<_> = runs
+                    .iter_mut()
+                    .map(|run| run.process.cold_start(root))
                     .collect();
-                assert_eq!(snapshots[1], snapshots[0], "{what}: snapshot");
+                let snapshots: Vec<Snapshot> = runs.iter_mut().map(Run::snapshot).collect();
+                let [walked, recording, replayed] = &runs;
+                for (i, run, name) in [(1, recording, "recording"), (2, replayed, "replay")] {
+                    assert_eq!(latencies[i], latencies[0], "{what}: {name} latency");
+                    assert_eq!(run.state(), walked.state(), "{what}: {name} state");
+                    assert_eq!(run.advances(), walked.advances(), "{what}: {name} advances");
+                    assert_eq!(snapshots[i], snapshots[0], "{what}: {name} snapshot");
+                }
+                assert!(
+                    walked
+                        .sites()
+                        .iter()
+                        .chain(&recording.sites())
+                        .all(Option::is_none),
+                    "{what}: a walk reported a site"
+                );
+                let sites = replayed.sites();
+                let address = sites.first().copied().flatten().map(|(walk, _)| walk);
+                assert!(address.is_some(), "{what}: the cold start did not replay");
+                for (i, site) in sites.iter().enumerate() {
+                    assert_eq!(*site, address.map(|w| (w, i)), "{what}: site {i}");
+                }
+                let replayed_steps = sites.len();
+                coverage.replayed_steps += replayed_steps as u64;
+                coverage.zero_us_advances += replayed
+                    .log
+                    .borrow()
+                    .iter()
+                    .filter(|a| a.from == a.to)
+                    .count() as u64;
+                coverage.stripped_modules_skipped += (0..app.modules().len())
+                    .map(ModuleId::from_index)
+                    .filter(|&m| app.module(m).stripped() && !walked.process.is_loaded(m))
+                    .count() as u64;
 
                 // Warm work after the cold start: deferred first-use loads
                 // and a cold start of another root on a non-fresh process
-                // take the recursion in both.
-                let loads = walked.load_events().len();
+                // take the recursion in every run.
+                let loads = walked.process.load_events().len();
                 for (k, &handler) in handlers.iter().enumerate() {
-                    let a = walked.invoke(handler, &mut SimRng::seed_from(k as u64));
-                    let b = replayed.invoke(handler, &mut SimRng::seed_from(k as u64));
-                    assert_eq!(b, a, "{what}: invocation {k}");
+                    let outcomes: Vec<_> = runs
+                        .iter_mut()
+                        .map(|run| {
+                            run.process
+                                .invoke(handler, &mut SimRng::seed_from(k as u64))
+                        })
+                        .collect();
+                    assert!(
+                        outcomes.iter().all(|o| *o == outcomes[0]),
+                        "{what}: invocation {k}"
+                    );
                 }
-                coverage.deferred_loads_after_replay += (walked.load_events().len() - loads) as u64;
-                assert_eq!(
-                    replayed.cold_start(other),
-                    walked.cold_start(other),
+                let again: Vec<_> = runs
+                    .iter_mut()
+                    .map(|run| run.process.cold_start(other))
+                    .collect();
+                assert!(
+                    again.iter().all(|l| *l == again[0]),
                     "{what}: second cold start"
                 );
-                assert_eq!(replayed.clock(), walked.clock(), "{what}: final clock");
-                assert_eq!(
-                    replayed.load_events(),
-                    walked.load_events(),
-                    "{what}: all loads"
-                );
-                assert_eq!(
-                    replayed.peak_mem_kb(),
-                    walked.peak_mem_kb(),
-                    "{what}: final peak"
-                );
-                assert_eq!(
-                    forked(&replay_counters),
-                    forked(&walk_counters),
-                    "{what}: all forked loads"
-                );
-                let (walk, replay) = (walk_log.borrow(), replay_log.borrow());
-                assert_eq!(
-                    strip_sites(&replay),
-                    strip_sites(&walk),
-                    "{what}: all advances"
-                );
+                let [walked, recording, replayed] = &runs;
+                coverage.deferred_loads_after_replay +=
+                    (walked.process.load_events().len() - loads) as u64;
+                for run in [recording, replayed] {
+                    assert_eq!(run.state(), walked.state(), "{what}: final state");
+                    assert_eq!(run.advances(), walked.advances(), "{what}: all advances");
+                }
                 assert!(
-                    replay[replayed_steps..].iter().all(|a| a.site.is_none()),
+                    replayed.sites()[replayed_steps..]
+                        .iter()
+                        .all(Option::is_none),
                     "{what}: an advance after the replay reported a site"
                 );
             }
