@@ -195,24 +195,18 @@ impl WalkPaths {
             Some(at) => self.rows.swap_remove(at),
             None => WalkRow {
                 walk: Arc::clone(walk),
-                ids: vec![PathId::ROOT; walk.len()].into_boxed_slice(),
+                ids: Vec::new(),
             },
         }
     }
 
     /// Returns a checked-out row. If another attachment returned a row of
-    /// the same walk meanwhile, the two are merged: both hold ids of this
-    /// table, and a step's id is the same in each row that has it.
+    /// the same walk meanwhile (two containers replaying it at once), the
+    /// store keeps that one: both hold ids of this table, and the steps
+    /// only the dropped row had are interned again at their next capture.
     pub(crate) fn check_in(&mut self, row: WalkRow) {
-        match self.rows.iter_mut().find(|kept| kept.is_for(&row.walk)) {
-            Some(kept) => {
-                for (id, &returned) in kept.ids.iter_mut().zip(row.ids.iter()) {
-                    if *id == PathId::ROOT {
-                        *id = returned;
-                    }
-                }
-            }
-            None => self.rows.push(row),
+        if !self.rows.iter().any(|kept| kept.is_for(&row.walk)) {
+            self.rows.push(row);
         }
     }
 }
@@ -222,10 +216,10 @@ impl WalkPaths {
 #[derive(Debug, Clone)]
 pub(crate) struct WalkRow {
     walk: Arc<RecordedWalk>,
-    /// `ids[step]` names the step's stack, or is the root before the
-    /// step's first capture: a step's stack holds at least its module's
-    /// frame, so its path is never the empty one.
-    ids: Box<[PathId]>,
+    /// `ids[step]` names the step's stack. The root, or no entry, means
+    /// the step has not been captured yet: a step's stack holds at least
+    /// its module's frame, so its path is never the empty one.
+    ids: Vec<PathId>,
 }
 
 impl WalkRow {
@@ -238,12 +232,15 @@ impl WalkRow {
     /// The id of `step`'s stack, once a capture interned it.
     #[inline]
     pub(crate) fn get(&self, step: usize) -> Option<PathId> {
-        Some(self.ids[step]).filter(|&id| id != PathId::ROOT)
+        self.ids.get(step).copied().filter(|&id| id != PathId::ROOT)
     }
 
     /// Records the id of `step`'s stack.
     #[inline]
     pub(crate) fn set(&mut self, step: usize, id: PathId) {
+        if step >= self.ids.len() {
+            self.ids.resize(step + 1, PathId::ROOT);
+        }
         self.ids[step] = id;
     }
 }

@@ -134,13 +134,8 @@ struct WalkStep {
 
 impl RecordedWalk {
     /// Number of steps: the modules the walk loads.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.steps.len()
-    }
-
-    /// Whether the walk loads nothing.
-    pub fn is_empty(&self) -> bool {
-        self.steps.is_empty()
     }
 
     /// Each step's module, how many frames of the previous step's stack
