@@ -40,9 +40,14 @@ cargo test -q --workspace --exclude slimstart
 # the lints' f64 package-cost sums (R-GB lint JSON), the run-weighted
 # utilization and init roll-up's equivalence with the per-sample and
 # reference package-tree roll-ups, the
-# sampler's equivalence with the per-boundary reference sampler and the
+# sampler's equivalence with the per-boundary reference sampler (its
+# per-deployment memo of replayed walk steps included) and the
 # CCT's node-by-node equivalence with the per-sample reference tree, on
-# synthetic streams and on catalog profiles; run them by
+# synthetic streams and on catalog profiles, the walk replay's
+# equivalence with the recursive loader walk (latency, clocks, load
+# events, memory, forked loads, snapshots and every observed advance, on
+# the catalog apps, their FaaSLight-stripped copies and random apps,
+# jittered and forked); run them by
 # name so a test-harness filter or workspace reshuffle can never silently
 # drop them from the gate. snapshot_pressure and
 # dependency_sharing also carry the former bench gates: the budget sweep's
@@ -55,13 +60,15 @@ echo "==> cargo test -q --test chaos_sweep --test golden_reports --test antipatt
      "--test snapshot_equivalence --test snapshot_pressure" \
      "--test dependency_sharing --test snapshot_eviction_order" \
      "--test analyzer_index_equivalence --test utilization_equivalence" \
-     "--test sampler_equivalence --test cct_equivalence"
+     "--test sampler_equivalence --test cct_equivalence" \
+     "--test walk_replay_equivalence"
 cargo test -q --test chaos_sweep --test golden_reports --test antipattern_lints \
     --test fleet_determinism --test fleet_streaming_equivalence \
     --test snapshot_equivalence --test snapshot_pressure \
     --test dependency_sharing --test snapshot_eviction_order \
     --test analyzer_index_equivalence --test utilization_equivalence \
-    --test sampler_equivalence --test cct_equivalence
+    --test sampler_equivalence --test cct_equivalence \
+    --test walk_replay_equivalence
 
 # The catalog's five below-gate fixture apps must stay lint-clean at the
 # warning level: `--deny warnings` exits 1 on any warning-or-worse
