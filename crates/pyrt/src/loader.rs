@@ -23,11 +23,19 @@
 //! records nothing: on a platform with a snapshot store it is often the
 //! only one. Nothing is built per module for it: a recording costs O(the
 //! walk that writes it).
+//!
+//! A recording is a [`Snapshot`] of the walk (its load stream, loaded bits
+//! and nominal init) next to the stack at each load, stored as deltas. An
+//! unobserved replay is a full restore of that snapshot through the
+//! restore kernel, which touches no stack and writes no per-load record;
+//! an observed one replays step by step, so its observer sees every
+//! advance under the walk's own stack.
 
 use std::sync::{Arc, Mutex, PoisonError};
 
 use slimstart_appmodel::{Application, ModuleId};
 
+use crate::snapshot::{SnapLoad, Snapshot};
 use crate::stack::{Frame, FrameKind};
 
 /// Shared per-application loader metadata. Build once (it is deterministic
@@ -111,28 +119,36 @@ pub(crate) enum FreshWalk {
     Walk,
 }
 
-/// One root's fresh cold start as the loader walked it: the modules whose
-/// top level ran, in load order, and the call stack at each one's
-/// advance, stored as a delta from the step before.
+/// One root's fresh cold start as the loader walked it: a [`Snapshot`] of
+/// the walk (the modules whose top level ran, in load order, with their
+/// nominal charges), and the call stack at each one's advance, stored as
+/// a delta from the step before.
 #[derive(Debug)]
 pub struct RecordedWalk {
+    snapshot: Snapshot,
+    /// One step per load of the snapshot's stream, in the same order.
     steps: Box<[WalkStep]>,
     /// The frames the steps push below their own, step after step.
     frames: Box<[Frame]>,
 }
 
-/// One load of a recorded walk. Its stack is the previous step's stack
-/// with that step's own frame popped, cut to `keep` frames, with the
-/// walk's frames from the previous step's `end` up to this one's pushed
-/// on top, and the module's own frame, at line 1, on top of those.
+/// The stack of one load of a recorded walk. It is the previous step's
+/// stack with that step's own frame popped, cut to `keep` frames, with
+/// the walk's frames from the previous step's `end` up to this one's
+/// pushed on top, and the module's own frame, at line 1, on top of those.
 #[derive(Debug, Clone, Copy)]
 struct WalkStep {
-    module: ModuleId,
     keep: u32,
     end: u32,
 }
 
 impl RecordedWalk {
+    /// The walk as a snapshot: its load stream, loaded bits and nominal
+    /// init, with no working set.
+    pub(crate) fn snapshot(&self) -> &Snapshot {
+        &self.snapshot
+    }
+
     /// Number of steps: the modules the walk loads.
     pub(crate) fn len(&self) -> usize {
         self.steps.len()
@@ -143,11 +159,15 @@ impl RecordedWalk {
     /// the module's own.
     pub(crate) fn steps(&self) -> impl Iterator<Item = (ModuleId, usize, &[Frame])> {
         let mut start = 0;
-        self.steps.iter().map(move |step| {
-            let pushed = &self.frames[start..step.end as usize];
-            start = step.end as usize;
-            (step.module, step.keep as usize, pushed)
-        })
+        self.snapshot
+            .loads
+            .iter()
+            .zip(self.steps.iter())
+            .map(move |(load, step)| {
+                let pushed = &self.frames[start..step.end as usize];
+                start = step.end as usize;
+                (load.module, step.keep as usize, pushed)
+            })
     }
 }
 
@@ -156,6 +176,8 @@ impl RecordedWalk {
 /// load's advance.
 #[derive(Debug)]
 pub(crate) struct WalkRecorder {
+    loads: Vec<SnapLoad>,
+    loaded: Vec<u64>,
     steps: Vec<WalkStep>,
     frames: Vec<Frame>,
     /// The last step's stack without its own frame: where the next step
@@ -169,6 +191,8 @@ impl WalkRecorder {
     /// buffers.
     pub(crate) fn new(modules: usize) -> WalkRecorder {
         WalkRecorder {
+            loads: Vec::with_capacity(modules),
+            loaded: vec![0; modules.div_ceil(64)],
             steps: Vec::with_capacity(modules),
             // A step pushes about one frame below its own (its importer's,
             // at the next import's line).
@@ -177,9 +201,10 @@ impl WalkRecorder {
         }
     }
 
-    /// Records the load of `module` under `stack`, whose innermost frame
-    /// is the module's own, at line 1.
-    pub(crate) fn step(&mut self, module: ModuleId, stack: &[Frame]) {
+    /// Records `load` under `stack`, whose innermost frame is the loading
+    /// module's own, at line 1.
+    pub(crate) fn step(&mut self, load: SnapLoad, stack: &[Frame]) {
+        let module = load.module;
         let (own, stack) = stack.split_last().expect("a loading module has a frame");
         debug_assert_eq!(
             *own,
@@ -198,8 +223,9 @@ impl WalkRecorder {
             _ => top,
         };
         self.frames.extend_from_slice(&stack[keep..]);
+        self.loads.push(load);
+        self.loaded[module.index() / 64] |= 1u64 << (module.index() % 64);
         self.steps.push(WalkStep {
-            module,
             keep: keep as u32,
             end: u32::try_from(self.frames.len()).expect("walk frames fit in u32"),
         });
@@ -209,7 +235,14 @@ impl WalkRecorder {
 
     /// The finished recording.
     pub(crate) fn finish(self) -> RecordedWalk {
+        let nominal_init = self.loads.iter().map(|l| l.init_cost).sum();
         RecordedWalk {
+            snapshot: Snapshot {
+                loads: self.loads.into(),
+                loaded: self.loaded.into_boxed_slice(),
+                nominal_init,
+                working: None,
+            },
             steps: self.steps.into_boxed_slice(),
             frames: self.frames.into_boxed_slice(),
         }
@@ -287,7 +320,12 @@ mod tests {
         };
         let mut recorder = WalkRecorder::new(5);
         for stack in &stacks {
-            recorder.step(module(stack), stack);
+            let load = SnapLoad {
+                module: module(stack),
+                init_cost: SimDuration::ZERO,
+                mem_kb: 0,
+            };
+            recorder.step(load, stack);
         }
         let walk = recorder.finish();
         assert_eq!(walk.len(), stacks.len());

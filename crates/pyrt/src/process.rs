@@ -24,7 +24,8 @@ use crate::zygote::ZygoteImage;
 /// bugs; real applications in the catalog stay far below this).
 const RECURSION_LIMIT: usize = 256;
 
-/// One module load performed by this process.
+/// One module load performed by this process, as
+/// [`Process::load_events`] reports it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LoadEvent {
     /// Which module loaded.
@@ -71,6 +72,12 @@ pub struct Process {
     /// one of these is a working-set fault, counted in `faulted_loads`.
     lazy_omitted: Vec<u64>,
     faulted_loads: u64,
+    /// The load stream that served this process's cold start, if the
+    /// restore kernel ran one (a restore, or the unobserved replay of a
+    /// recorded walk). Its loads' events are derived on demand.
+    stream: Option<Stream>,
+    /// Every load the stream did not serve, in order: walks and deferred
+    /// first-use loads.
     load_events: Vec<LoadEvent>,
     mem_kb: u64,
     peak_mem_kb: u64,
@@ -88,6 +95,14 @@ pub struct Process {
     /// The zygote's fork cost scaled through `time_scale`, which never
     /// changes: what every resident load charges (zero with no zygote).
     fork_charge: SimDuration,
+}
+
+/// The stream the restore kernel replayed into a process, and the clock
+/// it started at.
+#[derive(Debug)]
+struct Stream {
+    loads: Arc<[SnapLoad]>,
+    start: SimTime,
 }
 
 impl std::fmt::Debug for Process {
@@ -147,6 +162,7 @@ impl Process {
             touched: vec![0u64; words],
             lazy_omitted: vec![0u64; words],
             faulted_loads: 0,
+            stream: None,
             load_events: Vec::new(),
             mem_kb: 0,
             peak_mem_kb: 0,
@@ -225,9 +241,10 @@ impl Process {
         self.loaded[module.index() / 64] & (1u64 << (module.index() % 64)) != 0
     }
 
-    /// Whether nothing has loaded yet.
+    /// Whether nothing has loaded yet. A stream counts as loaded even if
+    /// its restore selected nothing: it marked what it omitted.
     fn is_fresh(&self) -> bool {
-        self.load_events.is_empty() && self.loaded.iter().all(|&w| w == 0)
+        self.stream.is_none() && self.load_events.is_empty() && self.loaded.iter().all(|&w| w == 0)
     }
 
     #[inline]
@@ -291,20 +308,55 @@ impl Process {
     }
 
     /// All loads performed so far, in order.
-    pub fn load_events(&self) -> &[LoadEvent] {
-        &self.load_events
+    ///
+    /// The restore kernel logs nothing per load, so the loads of a stream
+    /// it served (a restore, or the unobserved replay of a recorded walk)
+    /// are derived here: the streamed loads it selected, in stream order,
+    /// each charged by the loader's charge rule from the clock the kernel
+    /// started at, then every load logged since. A streamed module was
+    /// selected if and only if it is loaded and has no logged event of its
+    /// own: an omitted module that faults in later logs one. The events
+    /// are exactly those a walk of the same cold start would have logged.
+    pub fn load_events(&self) -> Vec<LoadEvent> {
+        let Some(stream) = &self.stream else {
+            return self.load_events.clone();
+        };
+        let mut logged = vec![0u64; self.loaded.len()];
+        for event in &self.load_events {
+            logged[event.module.index() / 64] |= 1u64 << (event.module.index() % 64);
+        }
+        let mut at = stream.start;
+        let mut events = Vec::with_capacity(stream.loads.len() + self.load_events.len());
+        for load in stream.loads.iter() {
+            let (word, bit) = (load.module.index() / 64, 1u64 << (load.module.index() % 64));
+            if self.loaded[word] & !logged[word] & bit != 0 {
+                let self_cost = self.load_charge(load.module, load.init_cost);
+                at += self_cost;
+                events.push(LoadEvent {
+                    module: load.module,
+                    at,
+                    self_cost,
+                    during_init: true,
+                });
+            }
+        }
+        events.extend_from_slice(&self.load_events);
+        events
     }
 
     /// Performs the cold-start load of the handler module graph and returns
     /// the initialization latency (library-loading portion of a cold start).
     ///
-    /// A fresh process (nothing loaded, with or without a zygote, observed
-    /// or not) replays the plan's recording of `root`'s walk. The second
-    /// fresh cold start of `root` on the plan writes that recording as it
-    /// walks; the first only walks, since on a platform that restores
-    /// snapshots it is often the only one. Clocks, load events, memory and
-    /// every observer callback are the walk's own either way; a replayed
-    /// advance also tells the observer its [`WalkSite`].
+    /// A fresh process (nothing loaded, with or without a zygote) replays
+    /// the plan's recording of `root`'s walk. The second fresh cold start
+    /// of `root` on the plan writes that recording as it walks; the first
+    /// only walks, since on a platform that restores snapshots it is often
+    /// the only one. An unobserved process replays the recording as a full
+    /// restore of its snapshot, through the restore kernel, which logs no
+    /// per-load event ([`Process::load_events`] derives them). An observed
+    /// one replays it step by step, and each replayed advance also tells
+    /// the observer its [`WalkSite`]. Clocks, load events, memory and
+    /// every observer callback are the walk's own either way.
     ///
     /// # Errors
     ///
@@ -321,6 +373,10 @@ impl Process {
         debug_assert_eq!(self.stack.depth(), 0, "cold start inside a call");
         let fresh = self.is_fresh().then(|| self.plan.fresh_walk(root));
         match fresh {
+            Some(FreshWalk::Replay(walk)) if self.observer.is_none() => {
+                let snapshot = walk.snapshot();
+                self.replay(snapshot, &snapshot.loaded);
+            }
             Some(FreshWalk::Replay(walk)) => self.replay_walk(&app, &walk),
             Some(FreshWalk::Record) => {
                 self.recorder = Some(Box::new(WalkRecorder::new(app.modules().len())));
@@ -335,9 +391,10 @@ impl Process {
         Ok(self.clock.since(start))
     }
 
-    /// Replays `walk` step by step: sets the stack to the step's recorded
-    /// frames and loads the step's module as [`Process::load_single`]
-    /// would, with every import it walks already loaded.
+    /// Replays `walk` step by step for an observer: sets the stack to the
+    /// step's recorded frames and loads the step's module as
+    /// [`Process::load_single`] would, with every import it walks already
+    /// loaded.
     fn replay_walk(&mut self, app: &Application, walk: &Arc<RecordedWalk>) {
         self.load_events.reserve(walk.len());
         for (step, (module, keep, pushed)) in walk.steps().enumerate() {
@@ -360,10 +417,13 @@ impl Process {
     /// perturbs clocks in ways a restore must not replay silently, and
     /// post-init deferred loads are not part of a cold start.
     ///
+    /// A cold start the restore kernel served whole (the replay of a
+    /// recorded walk, or a full restore) shares its stream.
+    ///
     /// # Panics
     ///
     /// Debug-asserts that no observer is attached and that every load so
-    /// far happened during init.
+    /// far happened during init (a streamed load always did).
     pub fn capture_snapshot(&self) -> Snapshot {
         debug_assert!(
             self.observer.is_none(),
@@ -373,18 +433,17 @@ impl Process {
             self.load_events.iter().all(|e| e.during_init),
             "snapshot capture after deferred loads"
         );
-        let loads: Box<[SnapLoad]> = self
-            .load_events
-            .iter()
-            .map(|e| {
-                let module = self.app.module(e.module);
-                SnapLoad {
-                    module: e.module,
-                    init_cost: module.init_cost(),
-                    mem_kb: module.mem_kb(),
-                }
-            })
-            .collect();
+        let load = |e: &LoadEvent| SnapLoad::of(&self.app, e.module);
+        let loads: Arc<[SnapLoad]> = match &self.stream {
+            None => self.load_events.iter().map(load).collect(),
+            // Nothing logged and nothing omitted: every streamed load ran.
+            Some(stream)
+                if self.load_events.is_empty() && self.lazy_omitted.iter().all(|&w| w == 0) =>
+            {
+                Arc::clone(&stream.loads)
+            }
+            Some(_) => self.load_events().iter().map(load).collect(),
+        };
         let nominal_init = loads.iter().map(|l| l.init_cost).sum();
         Snapshot {
             loads,
@@ -400,8 +459,9 @@ impl Process {
     /// the initialization latency, exactly as [`Process::cold_start`]
     /// would have: each stored raw charge goes through the loader's own
     /// charge rule and per-module rounding at this process's `time_scale`,
-    /// so clocks, load events, memory, and the module cache come out
-    /// byte-identical to a real replay — in O(modules) straight-line work.
+    /// so clocks, memory, the module cache and the load events derived
+    /// from the snapshot's stream come out byte-identical to a real replay
+    /// — in O(modules) straight-line work that logs nothing per load.
     ///
     /// # Panics
     ///
@@ -430,13 +490,18 @@ impl Process {
         )
     }
 
-    /// The one restore kernel. Replays, in capture order, every captured
-    /// load that is in `eager` or resident in this process's zygote (a
-    /// fork maps those in regardless), charging each through
-    /// [`Process::load_charge`] like the loader. Every other captured
-    /// module is marked omitted, so its first use counts as a working-set
-    /// fault. The resident captured modules are counted as forked loads
-    /// once per restore: each loads once, and all of them are selected.
+    /// The one restore kernel, which serves every unobserved cold start
+    /// but a walk: full, lazy and forked restores, and the replay of a
+    /// recorded walk. It selects every captured load that is in `eager` or
+    /// resident in this process's zygote (a fork maps those in
+    /// regardless) and adds each selected load's charge, through
+    /// [`Process::load_charge`] like the loader, and memory. Every other
+    /// captured module is marked omitted, so its first use counts as a
+    /// working-set fault. The resident captured modules are counted as
+    /// forked loads once per restore: each loads once, and all of them are
+    /// selected. It writes no per-load record and allocates nothing that
+    /// grows with the loads: it keeps the stream and its start clock, from
+    /// which [`Process::load_events`] derives the loads' events.
     fn replay(&mut self, snapshot: &Snapshot, eager: &[u64]) -> SimDuration {
         debug_assert!(self.is_fresh(), "snapshot restore into a non-fresh process");
         debug_assert!(
@@ -447,47 +512,33 @@ impl Process {
             self.loaded.len() == snapshot.loaded.len() && eager.len() == snapshot.loaded.len(),
             "snapshot from a different application shape"
         );
-        let mut selected_count = 0usize;
         let mut forked_count = 0u64;
         for (word, (&captured, &eager)) in snapshot.loaded.iter().zip(eager).enumerate() {
             let resident = self.zygote.as_deref().map_or(0, |z| z.resident()[word]);
             let selected = (eager | resident) & captured;
             self.loaded[word] = selected;
             self.lazy_omitted[word] = captured & !selected;
-            selected_count += selected.count_ones() as usize;
             forked_count += u64::from((resident & captured).count_ones());
         }
         if let Some(zygote) = self.zygote.as_deref() {
             zygote.note_forked_loads(forked_count);
         }
         let start = self.clock;
-        let mut clock = self.clock;
+        let mut clock = start;
         let mut mem_kb = self.mem_kb;
-        // A fresh process has no events yet; moving the buffer out lets
-        // the loop charge through `&self` while it appends.
-        let mut events = std::mem::take(&mut self.load_events);
-        events.reserve(selected_count);
-        events.extend(
-            snapshot
-                .loads
-                .iter()
-                .filter(|load| self.is_loaded(load.module))
-                .map(|load| {
-                    // Snapshots record nominal charges; the charge rule
-                    // substitutes the fork charge for resident modules
-                    // exactly as the real forked cold start did.
-                    let charge = self.load_charge(load.module, load.init_cost);
-                    clock += charge;
-                    mem_kb += load.mem_kb;
-                    LoadEvent {
-                        module: load.module,
-                        at: clock,
-                        self_cost: charge,
-                        during_init: true,
-                    }
-                }),
-        );
-        self.load_events = events;
+        for load in snapshot.loads.iter() {
+            if self.is_loaded(load.module) {
+                // Snapshots record nominal charges; the charge rule
+                // substitutes the fork charge for resident modules
+                // exactly as the real forked cold start did.
+                clock += self.load_charge(load.module, load.init_cost);
+                mem_kb += load.mem_kb;
+            }
+        }
+        self.stream = Some(Stream {
+            loads: Arc::clone(&snapshot.loads),
+            start,
+        });
         self.clock = clock;
         self.mem_kb = mem_kb;
         self.bump_peak();
@@ -625,7 +676,7 @@ impl Process {
 
         self.stack.set_line(1);
         if let Some(recorder) = self.recorder.as_mut() {
-            recorder.step(module, self.stack.frames());
+            recorder.step(SnapLoad::of(app, module), self.stack.frames());
         }
         self.run_top_level(app, module, None);
     }
@@ -634,7 +685,7 @@ impl Process {
     /// and its global imports have loaded — or, when the zygote this
     /// process forked from already holds the module initialized, just
     /// acquires it at the flat fork cost — then pops the frame and records
-    /// the load. The loader and the walk replay share it.
+    /// the load. The loader and the observed walk replay share it.
     fn run_top_level(&mut self, app: &Application, module: ModuleId, site: Option<WalkSite<'_>>) {
         let before = self.clock;
         if let Some(zygote) = self.zygote.as_deref().filter(|z| z.is_resident(module)) {

@@ -9,6 +9,13 @@
 //! second and later cold starts of the same deployment restore it in
 //! O(modules) straight-line work instead of re-walking the plan.
 //!
+//! A snapshot's load list is a shared stream (`Arc<[SnapLoad]>`): a
+//! recorded walk ([`crate::loader::RecordedWalk`]) carries its walk as
+//! one, a capture after a cold start that stream served shares it, every
+//! refinement of a stored entry shares it, and a process keeps the stream
+//! that served its cold start to derive that cold start's load events on
+//! demand ([`crate::process::Process::load_events`]). Nothing copies it.
+//!
 //! Two refinements sit on top of the PR 5 full-stream design:
 //!
 //! * **Working sets (REAP-style).** After an invocation has run, a store
@@ -42,25 +49,25 @@
 //!
 //! Restores are byte-exact: one kernel behind
 //! [`crate::process::Process::restore_snapshot`] and
-//! [`crate::process::Process::restore_snapshot_lazy`] replays the selected
-//! loads (the eager set plus any zygote-resident captured modules) in
-//! capture order and re-applies the stored raw charges through the
+//! [`crate::process::Process::restore_snapshot_lazy`] (and behind the
+//! unobserved replay of a recorded walk) selects the loads (the eager set
+//! plus any zygote-resident captured modules) and re-applies the stored
+//! raw charges of the selected ones, in capture order, through the
 //! restoring process's own `time_scale` with the same per-module rounding
-//! the loader uses, so load events, clocks, and memory are identical to a
-//! real replay at any jittered container speed. With a full working set
-//! the lazy path is byte-identical to the full stream — the retained
-//! differential oracle.
+//! the loader uses, so the derived load events, clocks, and memory are
+//! identical to a real replay at any jittered container speed. It writes
+//! no per-load record. With a full working set the lazy path is
+//! byte-identical to the full stream — the retained differential oracle.
 //! Snapshots are only taken from — and only restored into — unobserved
 //! processes: a profiling deployment must run its observer callbacks for
 //! real.
 
-use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use slimstart_appmodel::{Application, ModuleId};
-use slimstart_simcore::hash::FxHasher;
+use slimstart_simcore::hash::{FxHashMap, FxHasher};
 use slimstart_simcore::time::{SimDuration, SimTime};
 
 /// Identifies one memoized cold-start outcome: the entry module plus a
@@ -108,11 +115,25 @@ pub struct SnapLoad {
     pub mem_kb: u64,
 }
 
+impl SnapLoad {
+    /// The load of `module` with `app`'s nominal charges.
+    #[inline]
+    pub(crate) fn of(app: &Application, module: ModuleId) -> SnapLoad {
+        let m = app.module(module);
+        SnapLoad {
+            module,
+            init_cost: m.init_cost(),
+            mem_kb: m.mem_kb(),
+        }
+    }
+}
+
 /// The memoized outcome of one cold-start replay.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Snapshot {
-    /// Every load in replay order, with raw charges.
-    pub loads: Box<[SnapLoad]>,
+    /// Every load in replay order, with raw charges: a stream shared by
+    /// every snapshot, recording and process it serves.
+    pub loads: Arc<[SnapLoad]>,
     /// The loaded-module bitset after the replay (one bit per module id).
     pub loaded: Box<[u64]>,
     /// Cumulative nominal (unscaled) init latency of the replay.
@@ -165,7 +186,7 @@ struct StoreEntry {
 
 #[derive(Debug, Default)]
 struct StoreInner {
-    map: HashMap<SnapshotKey, StoreEntry>,
+    map: FxHashMap<SnapshotKey, StoreEntry>,
     resident_bytes: u64,
 }
 
@@ -324,8 +345,13 @@ impl SnapshotStore {
             }
             None => working.to_vec().into_boxed_slice(),
         };
-        let mut refined = (*entry.snapshot).clone();
-        refined.working = Some(merged);
+        // The refinement shares the load stream and copies only bitsets.
+        let refined = Snapshot {
+            loads: Arc::clone(&entry.snapshot.loads),
+            loaded: entry.snapshot.loaded.clone(),
+            nominal_init: entry.snapshot.nominal_init,
+            working: Some(merged),
+        };
         let bytes = refined.resident_bytes();
         let old_bytes = entry.bytes;
         entry.snapshot = Arc::new(refined);
@@ -492,7 +518,7 @@ mod tests {
 
     fn snap(loads: &[(usize, u64, u64)]) -> Snapshot {
         // (module index, init ms, mem kb) triples; bitset sized for 64.
-        let loads: Box<[SnapLoad]> = loads
+        let loads: Arc<[SnapLoad]> = loads
             .iter()
             .map(|&(i, ms, kb)| SnapLoad {
                 module: ModuleId::from_index(i),

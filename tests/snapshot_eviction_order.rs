@@ -31,7 +31,7 @@ fn synthetic_snapshot(rng: &mut SimRng) -> Snapshot {
     // 1-4 loads over a 64-module space; sizes and costs vary so the
     // cost-per-byte eviction score actually discriminates between entries.
     let n = 1 + rng.next_below(4);
-    let loads: Box<[SnapLoad]> = (0..n)
+    let loads: std::sync::Arc<[SnapLoad]> = (0..n)
         .map(|_| SnapLoad {
             module: ModuleId::from_index(rng.next_below(64)),
             init_cost: SimDuration::from_micros(50 + rng.next_below(5000) as u64),
