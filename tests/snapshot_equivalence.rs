@@ -13,7 +13,10 @@
 //! The last cell goes below the pipeline: on the real module graphs of the
 //! above-gate catalog apps, forked from their planned node zygotes at
 //! jittered time scales, every restore must match a real forked cold start
-//! load event for load event, forked-load counts included.
+//! load event for load event, forked-load counts included. A refined lazy
+//! restore's load events, which the process derives from the snapshot's
+//! stream, must be the selected captured loads in capture order, then the
+//! loads its handler's invocations fault in, each once.
 
 use std::sync::Arc;
 
@@ -25,8 +28,10 @@ use slimstart::fleet::NodeZygotePool;
 use slimstart::platform::chaos::ChaosConfig;
 use slimstart::platform::PlatformConfig;
 use slimstart::pyrt::snapshot::{Snapshot, SnapshotStore};
-use slimstart::pyrt::{LoaderPlan, Process, ZygoteCounters, ZygoteImage, DEFAULT_FORK_COST};
-use slimstart::simcore::{SimDuration, SimRng};
+use slimstart::pyrt::{
+    LoadEvent, LoaderPlan, Process, ZygoteCounters, ZygoteImage, DEFAULT_FORK_COST,
+};
+use slimstart::simcore::{SimDuration, SimRng, SimTime};
 
 /// Serialize one pipeline run with the given platform config.
 fn run_json(
@@ -189,12 +194,17 @@ fn jittered_forked_restores_match_the_forked_walk_on_catalog_graphs() {
         .collect();
     let zygotes = NodeZygotePool::new(2, 8, DEFAULT_FORK_COST).plan(&built);
     let mut scales = SimRng::seed_from(0x5CA1E);
-    let (mut forked_apps, mut resident_outside_working) = (0, 0);
+    let (mut forked_apps, mut resident_outside_working, mut faults) = (0, 0, 0);
     for ((index, app), entry) in built.into_iter().zip(&entries) {
         let app = Arc::new(app);
         let plan = Arc::new(LoaderPlan::build(&app));
         let handler = app.handler_by_name(&entry.workload_weights()[0].0).unwrap();
         let root = app.function(app.handler(handler).function()).module();
+        let handlers: Vec<_> = entry
+            .workload_weights()
+            .iter()
+            .filter_map(|(name, _)| app.handler_by_name(name))
+            .collect();
         let spec = zygotes.spec(index).unwrap();
         let image = Arc::new(ZygoteImage::for_app(
             &app,
@@ -258,7 +268,7 @@ fn jittered_forked_restores_match_the_forked_walk_on_catalog_graphs() {
                 );
                 assert_eq!(restored_forked, real_forked, "{label}: {kind}");
             }
-            let (lazy, lazy_forked) = forked(&app, &plan, scale, &image, |p| {
+            let (mut lazy, lazy_forked) = forked(&app, &plan, scale, &image, |p| {
                 p.restore_snapshot_lazy(&refined);
             });
             assert_eq!(
@@ -270,10 +280,85 @@ fn jittered_forked_restores_match_the_forked_walk_on_catalog_graphs() {
                     assert!(lazy.is_loaded(m), "{label}: resident module not replayed");
                 }
             }
+
+            // The reference: the selected captured loads in capture order,
+            // each at the fork charge or its nominal cost scaled on its own.
+            let mut at = SimTime::ZERO;
+            let restored: Vec<LoadEvent> = snapshot
+                .loads
+                .iter()
+                .filter(|l| refined.in_working_set(l.module) || image.is_resident(l.module))
+                .map(|l| {
+                    let self_cost = if image.is_resident(l.module) {
+                        fork_charge
+                    } else {
+                        l.init_cost.mul_f64(scale)
+                    };
+                    at += self_cost;
+                    LoadEvent {
+                        module: l.module,
+                        at,
+                        self_cost,
+                        during_init: true,
+                    }
+                })
+                .collect();
+            assert_eq!(lazy.load_events(), restored, "{label}: refined lazy events");
+            // Then the loads the handlers fault in, each logged once after
+            // the restored ones: invoke until an omitted module faults.
+            let mut faulted = 0;
+            for (k, handler) in handlers.iter().cycle().take(64).enumerate() {
+                lazy.invoke(*handler, &mut SimRng::seed_from(k as u64))
+                    .unwrap();
+                faulted += lazy.take_faulted_loads();
+                if faulted > 0 {
+                    break;
+                }
+            }
+            faults += faulted;
+            let events = lazy.load_events();
+            assert_eq!(
+                events[..restored.len()],
+                restored[..],
+                "{label}: restored events after faults"
+            );
+            let later = &events[restored.len()..];
+            assert!(
+                later.iter().all(|e| !e.during_init && e.at > at),
+                "{label}: a later load is not a deferred one"
+            );
+            let later_captured = later.iter().filter(|e| captured.contains(&e.module));
+            assert_eq!(
+                later_captured.count() as u64,
+                faulted,
+                "{label}: faulted loads"
+            );
+            let mut seen = vec![false; app.modules().len()];
+            for event in &events {
+                assert!(
+                    !std::mem::replace(&mut seen[event.module.index()], true),
+                    "{label}: {} loaded twice",
+                    app.module(event.module).name()
+                );
+                assert!(
+                    lazy.is_loaded(event.module),
+                    "{label}: event of an unloaded module"
+                );
+            }
+            let loaded = (0..app.modules().len())
+                .filter(|&i| lazy.is_loaded(ModuleId::from_index(i)))
+                .count();
+            assert_eq!(
+                events.len(),
+                loaded,
+                "{label}: a loaded module has no event"
+            );
         }
     }
-    // Not vacuous: every app forks captured modules from a zygote, and
-    // refined restores replay resident modules their working sets omit.
+    // Not vacuous: every app forks captured modules from a zygote,
+    // refined restores replay resident modules their working sets omit,
+    // and handlers fault omitted modules in.
     assert_eq!(forked_apps, 17, "apps that fork a captured module");
     assert!(resident_outside_working > 0);
+    assert!(faults > 0, "no refined lazy restore faulted");
 }

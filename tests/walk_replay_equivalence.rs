@@ -17,6 +17,16 @@
 //! cold start every process invokes every handler, which loads deferred
 //! imports through the recursion, and cold-starts another root on the now
 //! non-fresh process; those must match too.
+//!
+//! An unobserved process replays a recording through the restore kernel,
+//! as a full restore of the walk's snapshot that logs no per-load event.
+//! So each cell also runs an unobserved replay of the recorded plan and
+//! compares it with an unobserved plain walk on a fresh plan: latency,
+//! clock, load events (the replay's are derived from the walk's stream),
+//! memory, peak memory, forked-load counts and the captured snapshot, which
+//! shares the walk's stream; then again after every handler's invocation
+//! (deferred loads follow the derived events) and after a cold start of
+//! another root.
 
 mod common;
 
@@ -88,7 +98,8 @@ fn zygote(app: &Application, fork_us: u64) -> (Arc<ZygoteImage>, Arc<ZygoteCount
     (Arc::new(image), counters)
 }
 
-/// An observed process, what its observer saw, and its zygote's counters.
+/// A process, what its observer saw (nothing if it has none), and its
+/// zygote's counters.
 struct Run {
     process: Process,
     log: Log,
@@ -104,19 +115,29 @@ impl Run {
         scale: f64,
         fork_us: Option<u64>,
     ) -> Run {
+        let mut run = Run::unobserved(app, plan, scale, fork_us);
+        run.process.attach_observer(Box::new(Recorder {
+            log: Rc::clone(&run.log),
+        }));
+        run
+    }
+
+    /// The same process without an observer.
+    fn unobserved(
+        app: &Arc<Application>,
+        plan: &Arc<LoaderPlan>,
+        scale: f64,
+        fork_us: Option<u64>,
+    ) -> Run {
         let mut process = Process::with_plan(Arc::clone(app), Arc::clone(plan), scale);
         let counters = fork_us.map(|us| {
             let (image, counters) = zygote(app, us);
             process.set_zygote(image);
             counters
         });
-        let log = Rc::new(RefCell::new(Vec::new()));
-        process.attach_observer(Box::new(Recorder {
-            log: Rc::clone(&log),
-        }));
         Run {
             process,
-            log,
+            log: Rc::new(RefCell::new(Vec::new())),
             counters,
         }
     }
@@ -126,7 +147,7 @@ impl Run {
         let p = &self.process;
         (
             p.clock(),
-            p.load_events().to_vec(),
+            p.load_events(),
             p.mem_kb(),
             p.peak_mem_kb(),
             self.counters
@@ -150,9 +171,11 @@ impl Run {
 
     /// The snapshot of the cold start just made.
     fn snapshot(&mut self) -> Snapshot {
-        let observer = self.process.detach_observer().expect("attached");
+        let observer = self.process.detach_observer();
         let snapshot = self.process.capture_snapshot();
-        self.process.attach_observer(observer);
+        if let Some(observer) = observer {
+            self.process.attach_observer(observer);
+        }
         snapshot
     }
 }
@@ -164,6 +187,8 @@ struct Coverage {
     zero_us_advances: u64,
     stripped_modules_skipped: u64,
     deferred_loads_after_replay: u64,
+    unobserved_replayed_loads: u64,
+    deferred_loads_after_unobserved_replay: u64,
 }
 
 /// A plan on which two unobserved fresh processes at scale 1.0 without a
@@ -287,8 +312,90 @@ fn assert_replays_match(app: Application, what: &str, coverage: &mut Coverage) {
                         .all(Option::is_none),
                     "{what}: an advance after the replay reported a site"
                 );
+
+                assert_unobserved_replay_matches(
+                    &app,
+                    &plan,
+                    (root, other),
+                    &handlers,
+                    (scale, fork_us),
+                    &what,
+                    coverage,
+                );
             }
         }
+    }
+}
+
+/// Compares unobserved replays of `plan`'s recording of `root` with an
+/// unobserved plain walk on a fresh plan (see the module doc), at `scale`
+/// and forked from a zygote when `fork_us` is set.
+fn assert_unobserved_replay_matches(
+    app: &Arc<Application>,
+    plan: &Arc<LoaderPlan>,
+    (root, other): (ModuleId, ModuleId),
+    handlers: &[HandlerId],
+    (scale, fork_us): (f64, Option<u64>),
+    what: &str,
+    coverage: &mut Coverage,
+) {
+    let what = format!("{what}, unobserved");
+    let fresh = Arc::new(LoaderPlan::build(app));
+    let mut runs = [
+        Run::unobserved(app, &fresh, scale, fork_us),
+        Run::unobserved(app, plan, scale, fork_us),
+        Run::unobserved(app, plan, scale, fork_us),
+    ];
+    let latencies: Vec<_> = runs
+        .iter_mut()
+        .map(|run| run.process.cold_start(root))
+        .collect();
+    let snapshots: Vec<Snapshot> = runs.iter_mut().map(Run::snapshot).collect();
+    let [walked, replayed, again] = &runs;
+    for (i, run) in [(1, replayed), (2, again)] {
+        assert_eq!(latencies[i], latencies[0], "{what}: replay latency");
+        assert_eq!(run.state(), walked.state(), "{what}: replay state");
+        assert_eq!(snapshots[i], snapshots[0], "{what}: replay snapshot");
+    }
+    assert!(
+        Arc::ptr_eq(&snapshots[1].loads, &snapshots[2].loads),
+        "{what}: the captures of two replays do not share the walk's stream"
+    );
+    assert!(
+        walked.log.borrow().is_empty() && replayed.log.borrow().is_empty(),
+        "{what}: an unobserved process saw an advance"
+    );
+    let loads = walked.process.load_events().len();
+    coverage.unobserved_replayed_loads += loads as u64;
+
+    for (k, &handler) in handlers.iter().enumerate() {
+        let outcomes: Vec<_> = runs
+            .iter_mut()
+            .map(|run| {
+                run.process
+                    .invoke(handler, &mut SimRng::seed_from(k as u64))
+            })
+            .collect();
+        assert!(
+            outcomes.iter().all(|o| *o == outcomes[0]),
+            "{what}: invocation {k}"
+        );
+        for run in &runs[1..] {
+            assert_eq!(run.state(), runs[0].state(), "{what}: after invocation {k}");
+        }
+    }
+    let deferred = runs[0].process.load_events().len() - loads;
+    coverage.deferred_loads_after_unobserved_replay += deferred as u64;
+    let cold: Vec<_> = runs
+        .iter_mut()
+        .map(|run| run.process.cold_start(other))
+        .collect();
+    assert!(
+        cold.iter().all(|l| *l == cold[0]),
+        "{what}: second cold start"
+    );
+    for run in &runs[1..] {
+        assert_eq!(run.state(), runs[0].state(), "{what}: final state");
     }
 }
 
@@ -301,6 +408,7 @@ fn catalog_cold_starts_replay_their_walks() {
     }
     assert!(coverage.replayed_steps > 100_000, "{coverage:?}");
     assert!(coverage.zero_us_advances > 1_000, "{coverage:?}");
+    assert!(coverage.unobserved_replayed_loads > 100_000, "{coverage:?}");
 }
 
 #[test]
@@ -327,4 +435,8 @@ fn random_app_cold_starts_replay_their_walks() {
     }
     assert!(coverage.zero_us_advances > 100, "{coverage:?}");
     assert!(coverage.deferred_loads_after_replay > 100, "{coverage:?}");
+    assert!(
+        coverage.deferred_loads_after_unobserved_replay > 100,
+        "{coverage:?}"
+    );
 }
