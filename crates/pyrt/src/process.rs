@@ -70,6 +70,8 @@ pub struct Process {
     /// Modules a lazy (working-set) restore skipped: still in the
     /// snapshot, not in this process's module cache. A first-use load of
     /// one of these is a working-set fault, counted in `faulted_loads`.
+    /// Empty until a restore omits a module, as walks, replays and full
+    /// restores never do.
     lazy_omitted: Vec<u64>,
     faulted_loads: u64,
     /// The load stream that served this process's cold start, if the
@@ -160,7 +162,7 @@ impl Process {
             stack: CallStack::new(),
             loaded: vec![0u64; words],
             touched: vec![0u64; words],
-            lazy_omitted: vec![0u64; words],
+            lazy_omitted: Vec::new(),
             faulted_loads: 0,
             stream: None,
             load_events: Vec::new(),
@@ -251,7 +253,7 @@ impl Process {
     fn mark_loaded(&mut self, module: ModuleId) {
         let (word, bit) = (module.index() / 64, 1u64 << (module.index() % 64));
         self.loaded[word] |= bit;
-        if self.lazy_omitted[word] & bit != 0 {
+        if self.lazy_omitted.get(word).is_some_and(|&w| w & bit != 0) {
             // First use of a module a working-set restore left out: the
             // load cost being paid right now is the fault the lazy
             // restore deferred.
@@ -500,7 +502,8 @@ impl Process {
     /// working-set fault. The resident captured modules are counted as
     /// forked loads once per restore: each loads once, and all of them are
     /// selected. It writes no per-load record and allocates nothing that
-    /// grows with the loads: it keeps the stream and its start clock, from
+    /// grows with the loads (only the omitted-module bitset, the first
+    /// time it omits one): it keeps the stream and its start clock, from
     /// which [`Process::load_events`] derives the loads' events.
     fn replay(&mut self, snapshot: &Snapshot, eager: &[u64]) -> SimDuration {
         debug_assert!(self.is_fresh(), "snapshot restore into a non-fresh process");
@@ -517,7 +520,13 @@ impl Process {
             let resident = self.zygote.as_deref().map_or(0, |z| z.resident()[word]);
             let selected = (eager | resident) & captured;
             self.loaded[word] = selected;
-            self.lazy_omitted[word] = captured & !selected;
+            let omitted = captured & !selected;
+            if omitted != 0 {
+                if self.lazy_omitted.is_empty() {
+                    self.lazy_omitted = vec![0; self.loaded.len()];
+                }
+                self.lazy_omitted[word] = omitted;
+            }
             forked_count += u64::from((resident & captured).count_ones());
         }
         if let Some(zygote) = self.zygote.as_deref() {
