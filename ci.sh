@@ -25,7 +25,10 @@ cargo test -q --workspace --exclude slimstart
 # differential, the snapshot-restore equivalence (restores match the loader
 # walk byte for byte across the chaos grid, and forked restores match the
 # forked walk, forked-load counts included, at jittered time scales on the
-# real module graphs of the above-gate catalog apps), the snapshot-pool pressure
+# real module graphs of the above-gate catalog apps; a restore's load events
+# are derived from the snapshot's stream, and a refined lazy restore's match
+# a reference built from the snapshot, then its faults, each once), the
+# snapshot-pool pressure
 # invariants (lazy-restore oracle, budget bound, redeploy invalidation),
 # the zygote-pool dependency-sharing contract (thread-count byte identity,
 # v3 passthrough when disabled), the eviction-order determinism property,
@@ -47,7 +50,9 @@ cargo test -q --workspace --exclude slimstart
 # equivalence with the recursive loader walk (latency, clocks, load
 # events, memory, forked loads, snapshots and every observed advance, on
 # the catalog apps, their FaaSLight-stripped copies and random apps,
-# jittered and forked); run them by
+# jittered and forked), unobserved replays included, which run the restore
+# kernel over the recorded walk's stream and derive their load events;
+# run them by
 # name so a test-harness filter or workspace reshuffle can never silently
 # drop them from the gate. snapshot_pressure and
 # dependency_sharing also carry the former bench gates: the budget sweep's

@@ -224,9 +224,11 @@ impl Platform {
     /// through the loader, which walks `root`'s imports on the
     /// deployment's first two fresh cold starts of it, recording the
     /// second, and replays that recording on every later one, advance by
-    /// advance. Unobserved
-    /// full-stream restores are byte-identical to a walk, so records, load
-    /// events and golden reports cannot tell the paths apart. Once a
+    /// advance. An unobserved miss replays the recording too, once there
+    /// is one, through the same kernel as a restore, and its capture
+    /// shares the recording's load stream. Unobserved full-stream restores
+    /// are byte-identical to a walk, so records, the load events a process
+    /// derives and golden reports cannot tell the paths apart. Once a
     /// lazy-restore store has recorded a working set, a restore replays
     /// only that set, modeling a REAP-style restore: the cold start gets
     /// cheaper and omitted modules fault in at first use. A full-stream
