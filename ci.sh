@@ -27,7 +27,11 @@ cargo test -q --workspace --exclude slimstart
 # forked walk, forked-load counts included, at jittered time scales on the
 # real module graphs of the above-gate catalog apps; a restore's load events
 # are derived from the snapshot's stream, and a refined lazy restore's match
-# a reference built from the snapshot, then its faults, each once), the
+# a reference built from the snapshot, then its faults, each once; the
+# kernel charges restores from the snapshot's bitsets, and every restore
+# matches a per-load reference over the stream on random apps over more
+# than three bitset words and on the catalog apps, under empty, full,
+# every-third and random zygote residency and random working sets), the
 # snapshot-pool pressure
 # invariants (lazy-restore oracle, budget bound, redeploy invalidation),
 # the zygote-pool dependency-sharing contract (thread-count byte identity,

@@ -324,6 +324,7 @@ impl Platform {
     /// Panics if `invocations` is not sorted by arrival time.
     pub fn run(&mut self, invocations: &[Invocation]) -> Result<&[InvocationRecord], RuntimeFault> {
         let first_new = self.records.len();
+        self.records.reserve(invocations.len());
         let mut prev = SimTime::ZERO;
         for inv in invocations {
             assert!(inv.at >= prev, "invocations must be sorted by arrival time");

@@ -10,9 +10,12 @@
 //! The loader walks each module's global imports itself, in declaration
 //! order, because load order is observable (load events, stack shapes
 //! under the sampler); a walk therefore costs O(the modules it loads and
-//! the imports they declare), and building a plan costs one lookup in the
-//! application's name index ([`Application::module_name_index`]) per
-//! dotted prefix of each module.
+//! the imports they declare). Building a plan finds each module's parent,
+//! its longest dotted prefix that names a module, in the application's
+//! name index ([`Application::module_name_index`]): one lookup per module
+//! whose parent package exists, one more per missing package above it.
+//! A module's chain is its parent's chain plus itself, and all chains sit
+//! in one flat array.
 //!
 //! A fresh cold start of a root is the same walk in every process that
 //! shares the plan: the same loads in the same order under the same
@@ -43,10 +46,14 @@ use crate::stack::{Frame, FrameKind};
 /// processes via `Arc`.
 #[derive(Debug)]
 pub struct LoaderPlan {
-    /// For each module, the ids of its existing dotted-prefix ancestors in
-    /// shortest-first order, ending with the module itself — exactly the
-    /// sequence the CPython-style loader visits for `import a.b.c`.
-    ancestors: Vec<Box<[ModuleId]>>,
+    /// Every module's chain, in module-id order: the ids of its existing
+    /// dotted-prefix ancestors in shortest-first order, ending with the
+    /// module itself — exactly the sequence the CPython-style loader
+    /// visits for `import a.b.c`.
+    chains: Box<[ModuleId]>,
+    /// Where each module's chain ends in `chains`; it starts where the
+    /// previous module's ends.
+    ends: Box<[u32]>,
     /// Each root a fresh process has walked, in the order of their first
     /// walks, with its recording once its second walk has written one. A
     /// deployment cold-starts a few roots (its handlers' modules), so a
@@ -59,17 +66,31 @@ impl LoaderPlan {
     pub fn build(app: &Application) -> LoaderPlan {
         let by_name = app.module_name_index();
         let modules = app.modules();
-        let mut ancestors = Vec::with_capacity(modules.len());
-        for module in modules {
-            ancestors.push(
-                module
-                    .package_prefixes()
-                    .filter_map(|prefix| by_name.get(prefix).copied())
-                    .collect(),
-            );
+        let parents: Vec<Option<ModuleId>> = modules
+            .iter()
+            .map(|module| {
+                let name = module.name();
+                name.rmatch_indices('.')
+                    .find_map(|(end, _)| by_name.get(&name[..end]).copied())
+            })
+            .collect();
+        // Climbing the parents writes a chain back to front, so a parent
+        // may come after its children in module-id order.
+        let mut chains = Vec::with_capacity(modules.len());
+        let mut ends = Vec::with_capacity(modules.len());
+        for index in 0..modules.len() {
+            let start = chains.len();
+            let mut next = Some(ModuleId::from_index(index));
+            while let Some(module) = next {
+                chains.push(module);
+                next = parents[module.index()];
+            }
+            chains[start..].reverse();
+            ends.push(u32::try_from(chains.len()).expect("loader chains fit in u32"));
         }
         LoaderPlan {
-            ancestors,
+            chains: chains.into_boxed_slice(),
+            ends: ends.into_boxed_slice(),
             walks: Mutex::new(Vec::new()),
         }
     }
@@ -78,7 +99,12 @@ impl LoaderPlan {
     /// ending with `module` itself.
     #[inline]
     pub fn ancestors(&self, module: ModuleId) -> &[ModuleId] {
-        &self.ancestors[module.index()]
+        let index = module.index();
+        let start = match index {
+            0 => 0,
+            _ => self.ends[index - 1] as usize,
+        };
+        &self.chains[start..self.ends[index] as usize]
     }
 
     /// How a fresh process cold-starts `root` on this plan: it replays
@@ -235,12 +261,12 @@ impl WalkRecorder {
 
     /// The finished recording.
     pub(crate) fn finish(self) -> RecordedWalk {
-        let nominal_init = self.loads.iter().map(|l| l.init_cost).sum();
         RecordedWalk {
             snapshot: Snapshot {
+                nominal_init: self.loads.iter().map(|l| l.init_cost).sum(),
+                mem_kb: self.loads.iter().map(|l| l.mem_kb).sum(),
                 loads: self.loads.into(),
                 loaded: self.loaded.into_boxed_slice(),
-                nominal_init,
                 working: None,
             },
             steps: self.steps.into_boxed_slice(),
@@ -297,6 +323,32 @@ mod tests {
             .map(|m| app.module(*m).name())
             .collect();
         assert_eq!(names, vec!["handler"]);
+    }
+
+    #[test]
+    fn ancestors_skip_missing_packages() {
+        // `a.b` and `a.` name no module: `a.b.c` climbs past the first to
+        // `a`, and `a..b` past the second. Children come before their
+        // parents in module-id order.
+        let mut b = AppBuilder::new("gaps");
+        let lib = b.add_library("a");
+        for name in ["a.b.c", "a..b", "a.b.c.d", "a"] {
+            b.add_library_module(name, ms(1), 1, false, lib);
+        }
+        let f = b.add_function("main", ModuleId::from_index(3), 1, vec![]);
+        b.add_handler("main", f);
+        let app = b.finish().unwrap();
+        let plan = LoaderPlan::build(&app);
+        let chain = |name: &str| -> Vec<&str> {
+            plan.ancestors(app.module_by_name(name).unwrap())
+                .iter()
+                .map(|m| app.module(*m).name())
+                .collect()
+        };
+        assert_eq!(chain("a.b.c"), ["a", "a.b.c"]);
+        assert_eq!(chain("a..b"), ["a", "a..b"]);
+        assert_eq!(chain("a.b.c.d"), ["a", "a.b.c", "a.b.c.d"]);
+        assert_eq!(chain("a"), ["a"]);
     }
 
     #[test]

@@ -412,7 +412,8 @@ impl Process {
 
     /// Captures the outcome of the cold start this process just performed
     /// as a [`Snapshot`]: load order with raw (unscaled) per-module
-    /// charges, plus the resulting module-cache bitset.
+    /// charges, the resulting module-cache bitset, and the memory those
+    /// loads added.
     ///
     /// Only meaningful immediately after a successful
     /// [`Process::cold_start`] on an unobserved process — an observer
@@ -446,11 +447,17 @@ impl Process {
             }
             Some(_) => self.load_events().iter().map(load).collect(),
         };
-        let nominal_init = loads.iter().map(|l| l.init_cost).sum();
+        // Only the captured loads have added memory so far.
+        debug_assert_eq!(
+            self.mem_kb,
+            loads.iter().map(|l| l.mem_kb).sum::<u64>(),
+            "memory of the captured loads"
+        );
         Snapshot {
+            nominal_init: loads.iter().map(|l| l.init_cost).sum(),
+            mem_kb: self.mem_kb,
             loads,
             loaded: self.loaded.clone().into_boxed_slice(),
-            nominal_init,
             // Unrefined: no invocation has recorded a working set yet, so
             // restores replay the full stream until the store refines it.
             working: None,
@@ -459,16 +466,23 @@ impl Process {
 
     /// Replays a captured cold start onto this fresh process and returns
     /// the initialization latency, exactly as [`Process::cold_start`]
-    /// would have: each stored raw charge goes through the loader's own
-    /// charge rule and per-module rounding at this process's `time_scale`,
-    /// so clocks, memory, the module cache and the load events derived
-    /// from the snapshot's stream come out byte-identical to a real replay
-    /// — in O(modules) straight-line work that logs nothing per load.
+    /// would have: each captured module's nominal charge goes through the
+    /// loader's own charge rule and per-module rounding at this process's
+    /// `time_scale`, so clocks, memory, the module cache and the load
+    /// events derived from the snapshot's stream come out byte-identical
+    /// to a real replay. The restore kernel charges from the snapshot's
+    /// bitsets and logs nothing per load: it costs O(bitset words) plus
+    /// one step per captured module outside this process's zygote.
+    ///
+    /// The snapshot must have been captured from this process's
+    /// application: the kernel reads each module's nominal charges from
+    /// the application, not from the stream.
     ///
     /// # Panics
     ///
     /// Debug-asserts that this process is fresh (nothing loaded) and
-    /// unobserved.
+    /// unobserved, and that every stream load's charges are this
+    /// application's.
     pub fn restore_snapshot(&mut self, snapshot: &Snapshot) -> SimDuration {
         self.replay(snapshot, &snapshot.loaded)
     }
@@ -480,11 +494,16 @@ impl Process {
     /// replay the full stream, exactly like [`Process::restore_snapshot`].
     /// In a process forked from a zygote every zygote-resident captured
     /// module replays too, at fork cost: the fork maps it in regardless.
+    /// Like [`Process::restore_snapshot`], it costs O(bitset words) plus
+    /// one step per selected module outside the zygote and per omitted
+    /// module, and the snapshot must have been captured from this
+    /// process's application.
     ///
     /// # Panics
     ///
     /// Debug-asserts that this process is fresh (nothing loaded) and
-    /// unobserved.
+    /// unobserved, and that every stream load's charges are this
+    /// application's.
     pub fn restore_snapshot_lazy(&mut self, snapshot: &Snapshot) -> SimDuration {
         self.replay(
             snapshot,
@@ -494,17 +513,24 @@ impl Process {
 
     /// The one restore kernel, which serves every unobserved cold start
     /// but a walk: full, lazy and forked restores, and the replay of a
-    /// recorded walk. It selects every captured load that is in `eager` or
-    /// resident in this process's zygote (a fork maps those in
-    /// regardless) and adds each selected load's charge, through
-    /// [`Process::load_charge`] like the loader, and memory. Every other
-    /// captured module is marked omitted, so its first use counts as a
-    /// working-set fault. The resident captured modules are counted as
-    /// forked loads once per restore: each loads once, and all of them are
-    /// selected. It writes no per-load record and allocates nothing that
-    /// grows with the loads (only the omitted-module bitset, the first
-    /// time it omits one): it keeps the stream and its start clock, from
-    /// which [`Process::load_events`] derives the loads' events.
+    /// recorded walk. Word by word over the bitsets, it selects every
+    /// captured module that is in `eager` or resident in this process's
+    /// zygote (a fork maps those in regardless) and marks every other
+    /// captured module omitted, so its first use counts as a working-set
+    /// fault. It charges from the bits, by the loader's charge rule
+    /// ([`Process::load_charge`]): the resident captured modules at the
+    /// fork charge, scaled once per process, in one multiply, and each
+    /// other selected module at its nominal cost read from the
+    /// application and scaled on its own. Memory is the captured total
+    /// less the omitted modules'. Integer µs sums do not depend on order,
+    /// so this equals a charge of the stream load by load. The resident
+    /// captured modules are counted as forked loads once per restore.
+    ///
+    /// It costs O(bitset words + selected modules outside the zygote +
+    /// omitted modules), writes no per-load record and allocates nothing
+    /// that grows with the loads (only the omitted-module bitset, the
+    /// first time it omits one): it keeps the stream and its start clock,
+    /// from which [`Process::load_events`] derives the loads' events.
     fn replay(&mut self, snapshot: &Snapshot, eager: &[u64]) -> SimDuration {
         debug_assert!(self.is_fresh(), "snapshot restore into a non-fresh process");
         debug_assert!(
@@ -515,43 +541,80 @@ impl Process {
             self.loaded.len() == snapshot.loaded.len() && eager.len() == snapshot.loaded.len(),
             "snapshot from a different application shape"
         );
-        let mut forked_count = 0u64;
+        let modules = self.app.modules();
+        let resident = self.zygote.as_deref().map(ZygoteImage::resident);
+        let mut forked = 0u64;
+        let mut charged = SimDuration::ZERO;
+        let mut omitted_kb = 0u64;
         for (word, (&captured, &eager)) in snapshot.loaded.iter().zip(eager).enumerate() {
-            let resident = self.zygote.as_deref().map_or(0, |z| z.resident()[word]);
-            let selected = (eager | resident) & captured;
+            let resident = resident.map_or(0, |r| r[word]) & captured;
+            let selected = (eager & captured) | resident;
             self.loaded[word] = selected;
+            forked += u64::from(resident.count_ones());
+            let mut bits = selected & !resident;
+            while bits != 0 {
+                let module = &modules[word * 64 + bits.trailing_zeros() as usize];
+                charged += self.scaled(module.init_cost());
+                bits &= bits - 1;
+            }
             let omitted = captured & !selected;
             if omitted != 0 {
                 if self.lazy_omitted.is_empty() {
                     self.lazy_omitted = vec![0; self.loaded.len()];
                 }
                 self.lazy_omitted[word] = omitted;
+                let mut bits = omitted;
+                while bits != 0 {
+                    omitted_kb += modules[word * 64 + bits.trailing_zeros() as usize].mem_kb();
+                    bits &= bits - 1;
+                }
             }
-            forked_count += u64::from((resident & captured).count_ones());
         }
         if let Some(zygote) = self.zygote.as_deref() {
-            zygote.note_forked_loads(forked_count);
+            zygote.note_forked_loads(forked);
         }
         let start = self.clock;
-        let mut clock = start;
-        let mut mem_kb = self.mem_kb;
-        for load in snapshot.loads.iter() {
-            if self.is_loaded(load.module) {
-                // Snapshots record nominal charges; the charge rule
-                // substitutes the fork charge for resident modules
-                // exactly as the real forked cold start did.
-                clock += self.load_charge(load.module, load.init_cost);
-                mem_kb += load.mem_kb;
-            }
+        self.clock = start + charged + self.fork_charge * forked;
+        self.mem_kb += snapshot.mem_kb - omitted_kb;
+        if cfg!(debug_assertions) {
+            self.assert_charged_as_the_stream(snapshot, start, forked);
         }
         self.stream = Some(Stream {
             loads: Arc::clone(&snapshot.loads),
             start,
         });
-        self.clock = clock;
-        self.mem_kb = mem_kb;
         self.bump_peak();
         self.clock.since(start)
+    }
+
+    /// The restore kernel's cross-check: charges the stream load by load,
+    /// as the kernel once did, and asserts that the kernel's clock, memory
+    /// and forked-load count match. It also asserts that every stream load
+    /// carries this application's nominal charges, which the kernel reads
+    /// from the application: a snapshot of another application fails here.
+    fn assert_charged_as_the_stream(&self, snapshot: &Snapshot, start: SimTime, forked: u64) {
+        let (mut clock, mut mem_kb, mut forked_loads) = (start, 0u64, 0u64);
+        for load in snapshot.loads.iter() {
+            let module = self.app.module(load.module);
+            assert_eq!(
+                (load.init_cost, load.mem_kb),
+                (module.init_cost(), module.mem_kb()),
+                "snapshot load of {} has another application's charges",
+                load.module
+            );
+            if self.is_loaded(load.module) {
+                clock += self.load_charge(load.module, load.init_cost);
+                mem_kb += load.mem_kb;
+                forked_loads += u64::from(
+                    self.zygote
+                        .as_deref()
+                        .is_some_and(|z| z.is_resident(load.module)),
+                );
+            }
+        }
+        assert_eq!(self.clock, clock, "restore clock against the stream");
+        assert_eq!(self.mem_kb, mem_kb, "restore memory against the stream");
+        assert_eq!(forked, forked_loads, "forked loads against the stream");
     }
 
     /// Executes one invocation of `handler`, using `rng` for the
@@ -616,11 +679,21 @@ impl Process {
     fn load_charge(&self, module: ModuleId, nominal: SimDuration) -> SimDuration {
         match self.zygote.as_deref() {
             Some(zygote) if zygote.is_resident(module) => self.fork_charge,
-            // `mul_f64(1.0)` is exact identity for any µs count below 2^53
-            // (~285 years), so the unjittered common case can skip the
-            // float round-trip without perturbing a single byte.
-            _ if self.time_scale == 1.0 => nominal,
-            _ => nominal.mul_f64(self.time_scale),
+            _ => self.scaled(nominal),
+        }
+    }
+
+    /// The charge of one load outside the zygote: `nominal` scaled through
+    /// `time_scale` on its own.
+    #[inline]
+    fn scaled(&self, nominal: SimDuration) -> SimDuration {
+        // `mul_f64(1.0)` is exact identity for any µs count below 2^53
+        // (~285 years), so the unjittered common case can skip the float
+        // round-trip without perturbing a single byte.
+        if self.time_scale == 1.0 {
+            nominal
+        } else {
+            nominal.mul_f64(self.time_scale)
         }
     }
 

@@ -6,8 +6,9 @@
 //! the per-module init charges, the memory growth. A [`Snapshot`] captures
 //! the complete outcome of one such replay (load order, per-module raw
 //! init charges and memory, the resulting module-cache bitset) so the
-//! second and later cold starts of the same deployment restore it in
-//! O(modules) straight-line work instead of re-walking the plan.
+//! second and later cold starts of the same deployment restore it without
+//! re-walking the plan, in time linear in the bitset's words plus the
+//! modules the restore charges one by one (below).
 //!
 //! A snapshot's load list is a shared stream (`Arc<[SnapLoad]>`): a
 //! recorded walk ([`crate::loader::RecordedWalk`]) carries its walk as
@@ -51,13 +52,17 @@
 //! [`crate::process::Process::restore_snapshot`] and
 //! [`crate::process::Process::restore_snapshot_lazy`] (and behind the
 //! unobserved replay of a recorded walk) selects the loads (the eager set
-//! plus any zygote-resident captured modules) and re-applies the stored
-//! raw charges of the selected ones, in capture order, through the
-//! restoring process's own `time_scale` with the same per-module rounding
-//! the loader uses, so the derived load events, clocks, and memory are
-//! identical to a real replay at any jittered container speed. It writes
-//! no per-load record. With a full working set the lazy path is
-//! byte-identical to the full stream — the retained differential oracle.
+//! plus any zygote-resident captured modules) word by word over the
+//! bitsets and charges them from the bits, not the stream: the resident
+//! ones at the fork charge in one multiply, every other selected one at
+//! its nominal cost scaled on its own through the restoring process's
+//! `time_scale`, with the same per-module rounding the loader uses, and
+//! memory as the captured total ([`Snapshot::mem_kb`]) less the omitted
+//! modules'. Integer µs sums do not depend on order, so the clocks,
+//! memory and the load events derived from the stream are identical to a
+//! real replay at any jittered container speed. It writes no per-load
+//! record. With a full working set the lazy path is byte-identical to the
+//! full stream — the retained differential oracle.
 //! Snapshots are only taken from — and only restored into — unobserved
 //! processes: a profiling deployment must run its observer callbacks for
 //! real.
@@ -138,6 +143,10 @@ pub struct Snapshot {
     pub loaded: Box<[u64]>,
     /// Cumulative nominal (unscaled) init latency of the replay.
     pub nominal_init: SimDuration,
+    /// Memory of every captured load, KiB: the sum of the stream's
+    /// `mem_kb`. A restore charges it less the memory of the modules it
+    /// omits, without reading the stream.
+    pub mem_kb: u64,
     /// The recorded working set (one bit per module id), a subset of
     /// `loaded`: the modules a handler invocation actually touched, closed
     /// under package ancestry. `None` means no invocation has refined this
@@ -163,11 +172,15 @@ impl Snapshot {
     /// Modeled bytes a restore of this snapshot maps in eagerly: the
     /// working-set loads when refined, every load otherwise.
     fn resident_bytes(&self) -> u64 {
-        self.loads
-            .iter()
-            .filter(|l| self.in_working_set(l.module))
-            .map(|l| l.mem_kb * 1024)
-            .sum()
+        match &self.working {
+            Some(working) => self
+                .loads
+                .iter()
+                .filter(|l| bit_set(working, l.module.index()))
+                .map(|l| l.mem_kb * 1024)
+                .sum(),
+            None => self.mem_kb * 1024,
+        }
     }
 }
 
@@ -350,6 +363,7 @@ impl SnapshotStore {
             loads: Arc::clone(&entry.snapshot.loads),
             loaded: entry.snapshot.loaded.clone(),
             nominal_init: entry.snapshot.nominal_init,
+            mem_kb: entry.snapshot.mem_kb,
             working: Some(merged),
         };
         let bytes = refined.resident_bytes();
@@ -530,11 +544,11 @@ mod tests {
         for l in loads.iter() {
             loaded[0] |= 1 << l.module.index();
         }
-        let nominal_init = loads.iter().map(|l| l.init_cost).sum();
         Snapshot {
+            nominal_init: loads.iter().map(|l| l.init_cost).sum(),
+            mem_kb: loads.iter().map(|l| l.mem_kb).sum(),
             loads,
             loaded: Box::new(loaded),
-            nominal_init,
             working: None,
         }
     }

@@ -24,8 +24,10 @@
 //!   record *nominal* charges, so a restore under a zygote reproduces
 //!   exactly what a real forked cold start would have paid;
 //! * lazy (working-set) restores replay the working set **plus** the
-//!   resident modules (the fork maps them in regardless), in capture
-//!   order like every other restore.
+//!   resident modules (the fork maps them in regardless). The restore
+//!   kernel charges a bitset word's resident captured modules as one
+//!   popcount at the fork charge, so a restore's cost does not grow with
+//!   its forked loads.
 //!
 //! Memory is modeled conservatively: acquired modules still count their
 //! full footprint in the forked process (no copy-on-write dedup), and

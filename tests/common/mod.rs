@@ -135,6 +135,13 @@ impl ReferencePackageTree {
 
 /// One random application; the same seed always builds the same app.
 pub fn random_app(seed: u64) -> Application {
+    random_app_with_roots(seed, &["lib", "libx"])
+}
+
+/// A random application built like [`random_app`]'s, with one library per
+/// name in `roots`. Each library holds 2 to 11 modules, so thirty roots
+/// make about 200 modules, more than three bitset words.
+pub fn random_app_with_roots(seed: u64, roots: &[&str]) -> Application {
     let mut rng = SimRng::seed_from(seed ^ 0x9a95_11ce);
     let mut b = AppBuilder::new(format!("random-{seed}"));
     let parts = ["sem", "semantics", "s", "io"];
@@ -143,7 +150,7 @@ pub fn random_app(seed: u64) -> Application {
     // missing) and random dotted paths below it, so many have gaps.
     let mut lib_modules: Vec<ModuleId> = Vec::new();
     let mut lib_names: Vec<String> = Vec::new();
-    for root in ["lib", "libx"] {
+    for &root in roots {
         let lib = b.add_library(root);
         let mut names = Vec::new();
         if rng.chance(0.7) {

@@ -10,18 +10,24 @@
 //! — is enforced by `tests/golden_reports.rs`, which runs with the default
 //! (snapshot-enabled) platform configuration.
 //!
-//! The last cell goes below the pipeline: on the real module graphs of the
+//! The last cells go below the pipeline. On the real module graphs of the
 //! above-gate catalog apps, forked from their planned node zygotes at
 //! jittered time scales, every restore must match a real forked cold start
-//! load event for load event, forked-load counts included. A refined lazy
-//! restore's load events, which the process derives from the snapshot's
-//! stream, must be the selected captured loads in capture order, then the
-//! loads its handler's invocations fault in, each once.
+//! load event for load event, forked-load counts included. The restore
+//! kernel charges from the snapshot's bitsets, so every restore, on random
+//! apps over three and more bitset words and on the catalog apps, under
+//! empty, full, every-third and random zygote residency and random working
+//! sets, must match a reference that charges the snapshot's stream load by
+//! load. A restore's load events, which the process derives from the
+//! snapshot's stream, must be the selected captured loads in capture
+//! order, then the loads its handlers' invocations fault in, each once.
+
+mod common;
 
 use std::sync::Arc;
 
 use slimstart::appmodel::catalog::{catalog, fleet_population, CatalogApp};
-use slimstart::appmodel::{Application, ModuleId};
+use slimstart::appmodel::{Application, HandlerId, ModuleId};
 use slimstart::core::export::outcome_to_json;
 use slimstart::core::pipeline::{Pipeline, PipelineConfig};
 use slimstart::fleet::NodeZygotePool;
@@ -181,6 +187,146 @@ fn forked(
     (p, image.counters().forked_loads() - before)
 }
 
+fn has_bit(words: &[u64], module: ModuleId) -> bool {
+    words[module.index() / 64] & (1u64 << (module.index() % 64)) != 0
+}
+
+/// What a restore of a snapshot must produce, charged load by load over
+/// the snapshot's stream as the restore kernel once did.
+struct Reference {
+    /// The selected loads' events, in capture order.
+    events: Vec<LoadEvent>,
+    /// The selected modules: the eager set and the resident modules,
+    /// within the capture.
+    loaded: Vec<u64>,
+    /// The captured modules the restore leaves out.
+    omitted: Vec<u64>,
+    mem_kb: u64,
+    forked: u64,
+}
+
+impl Reference {
+    /// The restore of `snapshot` with eager set `eager` into a process at
+    /// `scale` forked from `image`, if any: each selected load at the fork
+    /// charge when resident, at its nominal cost scaled on its own
+    /// otherwise.
+    fn of(snapshot: &Snapshot, eager: &[u64], image: Option<&ZygoteImage>, scale: f64) -> Self {
+        let resident = |m: ModuleId| image.is_some_and(|z| z.is_resident(m));
+        let fork_charge = image.map_or(SimDuration::ZERO, |z| z.fork_cost().mul_f64(scale));
+        let mut reference = Reference {
+            events: Vec::new(),
+            loaded: vec![0; snapshot.loaded.len()],
+            omitted: vec![0; snapshot.loaded.len()],
+            mem_kb: 0,
+            forked: 0,
+        };
+        let mut at = SimTime::ZERO;
+        for load in snapshot.loads.iter() {
+            let (word, bit) = (load.module.index() / 64, 1u64 << (load.module.index() % 64));
+            if !has_bit(eager, load.module) && !resident(load.module) {
+                reference.omitted[word] |= bit;
+                continue;
+            }
+            let self_cost = if resident(load.module) {
+                reference.forked += 1;
+                fork_charge
+            } else {
+                load.init_cost.mul_f64(scale)
+            };
+            at += self_cost;
+            reference.events.push(LoadEvent {
+                module: load.module,
+                at,
+                self_cost,
+                during_init: true,
+            });
+            reference.loaded[word] |= bit;
+            reference.mem_kb += load.mem_kb;
+        }
+        reference
+    }
+
+    /// The clock at the end of the restore.
+    fn end(&self) -> SimTime {
+        self.events.last().map_or(SimTime::ZERO, |e| e.at)
+    }
+
+    /// Asserts that `p`, right after its restore, matches the reference:
+    /// latency, clock, memory, peak, loaded bits, forked loads and events.
+    fn assert_restored(&self, p: &Process, init: SimDuration, forked: u64, label: &str) {
+        assert_eq!(init, self.end().since(SimTime::ZERO), "{label}: latency");
+        assert_eq!(p.clock(), self.end(), "{label}: clock");
+        assert_eq!(p.mem_kb(), self.mem_kb, "{label}: memory");
+        assert_eq!(p.peak_mem_kb(), self.mem_kb, "{label}: peak");
+        for i in 0..p.app().modules().len() {
+            let m = ModuleId::from_index(i);
+            assert_eq!(p.is_loaded(m), has_bit(&self.loaded, m), "{label}: bit {i}");
+        }
+        assert_eq!(forked, self.forked, "{label}: forked loads");
+        assert_eq!(p.load_events(), self.events, "{label}: events");
+    }
+
+    /// Invokes `handlers` in turn on `p`, restored as this reference says,
+    /// until an invocation faults an omitted module in or `limit`
+    /// invocations have run, and checks what follows the restore: its
+    /// events stay first, every later load is deferred, the omitted ones
+    /// among them are the faults, no module loads twice and every loaded
+    /// module has an event. Returns the faults.
+    fn assert_faults(
+        &self,
+        p: &mut Process,
+        handlers: &[HandlerId],
+        limit: usize,
+        label: &str,
+    ) -> u64 {
+        let mut faulted = 0;
+        for (k, handler) in handlers.iter().cycle().take(limit).enumerate() {
+            p.invoke(*handler, &mut SimRng::seed_from(k as u64))
+                .unwrap();
+            faulted += p.take_faulted_loads();
+            if faulted > 0 {
+                break;
+            }
+        }
+        let events = p.load_events();
+        assert_eq!(
+            events[..self.events.len()],
+            self.events[..],
+            "{label}: restored events after faults"
+        );
+        let later = &events[self.events.len()..];
+        assert!(
+            later.iter().all(|e| !e.during_init && e.at > self.end()),
+            "{label}: a later load is not a deferred one"
+        );
+        let later_omitted = later.iter().filter(|e| has_bit(&self.omitted, e.module));
+        assert_eq!(
+            later_omitted.count() as u64,
+            faulted,
+            "{label}: faulted loads"
+        );
+        let mut seen = vec![false; p.app().modules().len()];
+        for event in &events {
+            assert!(
+                !std::mem::replace(&mut seen[event.module.index()], true),
+                "{label}: {} loaded twice",
+                p.app().module(event.module).name()
+            );
+            assert!(
+                p.is_loaded(event.module),
+                "{label}: event of an unloaded module"
+            );
+        }
+        let loaded = (0..seen.len()).filter(|&i| p.is_loaded(ModuleId::from_index(i)));
+        assert_eq!(
+            events.len(),
+            loaded.count(),
+            "{label}: a loaded module has no event"
+        );
+        faulted
+    }
+}
+
 #[test]
 fn jittered_forked_restores_match_the_forked_walk_on_catalog_graphs() {
     // The node-shared geometry: the 17 above-gate catalog apps on
@@ -268,91 +414,16 @@ fn jittered_forked_restores_match_the_forked_walk_on_catalog_graphs() {
                 );
                 assert_eq!(restored_forked, real_forked, "{label}: {kind}");
             }
+            let mut init = SimDuration::ZERO;
             let (mut lazy, lazy_forked) = forked(&app, &plan, scale, &image, |p| {
-                p.restore_snapshot_lazy(&refined);
+                init = p.restore_snapshot_lazy(&refined);
             });
-            assert_eq!(
-                lazy_forked, resident_captured as u64,
-                "{label}: refined lazy"
-            );
-            for &m in &captured {
-                if image.is_resident(m) {
-                    assert!(lazy.is_loaded(m), "{label}: resident module not replayed");
-                }
-            }
-
-            // The reference: the selected captured loads in capture order,
-            // each at the fork charge or its nominal cost scaled on its own.
-            let mut at = SimTime::ZERO;
-            let restored: Vec<LoadEvent> = snapshot
-                .loads
-                .iter()
-                .filter(|l| refined.in_working_set(l.module) || image.is_resident(l.module))
-                .map(|l| {
-                    let self_cost = if image.is_resident(l.module) {
-                        fork_charge
-                    } else {
-                        l.init_cost.mul_f64(scale)
-                    };
-                    at += self_cost;
-                    LoadEvent {
-                        module: l.module,
-                        at,
-                        self_cost,
-                        during_init: true,
-                    }
-                })
-                .collect();
-            assert_eq!(lazy.load_events(), restored, "{label}: refined lazy events");
-            // Then the loads the handlers fault in, each logged once after
-            // the restored ones: invoke until an omitted module faults.
-            let mut faulted = 0;
-            for (k, handler) in handlers.iter().cycle().take(64).enumerate() {
-                lazy.invoke(*handler, &mut SimRng::seed_from(k as u64))
-                    .unwrap();
-                faulted += lazy.take_faulted_loads();
-                if faulted > 0 {
-                    break;
-                }
-            }
-            faults += faulted;
-            let events = lazy.load_events();
-            assert_eq!(
-                events[..restored.len()],
-                restored[..],
-                "{label}: restored events after faults"
-            );
-            let later = &events[restored.len()..];
-            assert!(
-                later.iter().all(|e| !e.during_init && e.at > at),
-                "{label}: a later load is not a deferred one"
-            );
-            let later_captured = later.iter().filter(|e| captured.contains(&e.module));
-            assert_eq!(
-                later_captured.count() as u64,
-                faulted,
-                "{label}: faulted loads"
-            );
-            let mut seen = vec![false; app.modules().len()];
-            for event in &events {
-                assert!(
-                    !std::mem::replace(&mut seen[event.module.index()], true),
-                    "{label}: {} loaded twice",
-                    app.module(event.module).name()
-                );
-                assert!(
-                    lazy.is_loaded(event.module),
-                    "{label}: event of an unloaded module"
-                );
-            }
-            let loaded = (0..app.modules().len())
-                .filter(|&i| lazy.is_loaded(ModuleId::from_index(i)))
-                .count();
-            assert_eq!(
-                events.len(),
-                loaded,
-                "{label}: a loaded module has no event"
-            );
+            let working = refined.working.as_deref().expect("the snapshot is refined");
+            let reference = Reference::of(&snapshot, working, Some(&image), scale);
+            assert_eq!(reference.forked, resident_captured as u64);
+            let label = format!("{label}: refined lazy");
+            reference.assert_restored(&lazy, init, lazy_forked, &label);
+            faults += reference.assert_faults(&mut lazy, &handlers, 64, &label);
         }
     }
     // Not vacuous: every app forks captured modules from a zygote,
@@ -361,4 +432,146 @@ fn jittered_forked_restores_match_the_forked_walk_on_catalog_graphs() {
     assert_eq!(forked_apps, 17, "apps that fork a captured module");
     assert!(resident_outside_working > 0);
     assert!(faults > 0, "no refined lazy restore faulted");
+}
+
+/// Coverage of [`bitset_restores_match_a_per_load_reference`], so that none
+/// of its comparisons is vacuous.
+#[derive(Debug, Default)]
+struct KernelCoverage {
+    restores: usize,
+    /// Restores that leave a captured module out.
+    omitting: usize,
+    /// Restores that charge a selected module outside the zygote.
+    charging_nominal: usize,
+    /// Restores that fork a captured module.
+    forking: usize,
+    /// Restores that select a module on bit 63 or 64, the last of one
+    /// bitset word or the first of the next.
+    selecting_edge: usize,
+    /// Restores that omit a module on bit 63 or 64.
+    omitting_edge: usize,
+    faults: u64,
+}
+
+#[test]
+fn bitset_restores_match_a_per_load_reference() {
+    // Random apps with thirty libraries span more than three bitset
+    // words; the catalog apps add the real module graphs.
+    let roots: Vec<String> = (0..30).map(|i| format!("lib{i}")).collect();
+    let roots: Vec<&str> = roots.iter().map(String::as_str).collect();
+    let mut apps: Vec<(String, Application, Vec<HandlerId>)> = (0..4u64)
+        .map(|seed| {
+            let app = common::random_app_with_roots(seed, &roots);
+            assert!(
+                app.modules().len() > 128,
+                "random app {seed} spans three bitset words"
+            );
+            let handlers = (0..app.handlers().len())
+                .map(HandlerId::from_index)
+                .collect();
+            (format!("random-{seed}"), app, handlers)
+        })
+        .collect();
+    for entry in catalog() {
+        let app = entry.build(2025).unwrap().app;
+        let handlers = entry
+            .workload_weights()
+            .iter()
+            .filter_map(|(name, _)| app.handler_by_name(name))
+            .collect();
+        apps.push((entry.code.to_string(), app, handlers));
+    }
+    let fork_cost = SimDuration::from_micros(101);
+    let mut rng = SimRng::seed_from(0xB175E7);
+    let mut coverage = KernelCoverage::default();
+    for (name, app, handlers) in apps {
+        let app = Arc::new(app);
+        let plan = Arc::new(LoaderPlan::build(&app));
+        let mut origin = Process::with_plan(Arc::clone(&app), Arc::clone(&plan), 1.0);
+        origin.cold_start(app.handler_module(handlers[0])).unwrap();
+        let snapshot = origin.capture_snapshot();
+
+        let edge = |words: &[u64]| {
+            [63, 64]
+                .iter()
+                .any(|&i| i < app.modules().len() && has_bit(words, ModuleId::from_index(i)))
+        };
+        let names: Vec<&str> = app.modules().iter().map(|m| m.name()).collect();
+        let every_third: Vec<&str> = names.iter().copied().step_by(3).collect();
+        let random: Vec<&str> = names.iter().copied().filter(|_| rng.chance(0.5)).collect();
+        let residencies: [(&str, Option<&[&str]>); 5] = [
+            ("no zygote", None),
+            ("empty", Some(&[])),
+            ("full", Some(&names)),
+            ("every third", Some(&every_third)),
+            ("random", Some(&random)),
+        ];
+        for (residency, ranked) in residencies {
+            let image = ranked.map(|ranked| {
+                Arc::new(ZygoteImage::for_app(
+                    &app,
+                    ranked,
+                    ranked.len(),
+                    fork_cost,
+                    Arc::new(ZygoteCounters::default()),
+                ))
+            });
+            // The full restore, then lazy restores of random working sets
+            // of random densities.
+            let mut workings: Vec<Option<Box<[u64]>>> = vec![None];
+            for _ in 0..2 {
+                let density = rng.uniform(0.0, 1.0);
+                let working = snapshot
+                    .loaded
+                    .iter()
+                    .map(|&w| {
+                        (0..64)
+                            .filter(|_| rng.chance(density))
+                            .fold(0, |r, b| r | 1 << b)
+                            & w
+                    })
+                    .collect();
+                workings.push(Some(working));
+            }
+            for working in workings {
+                let refined = Snapshot {
+                    working,
+                    ..snapshot.clone()
+                };
+                let (kind, restore, eager): (&str, Restore, &[u64]) = match &refined.working {
+                    Some(working) => ("lazy", Process::restore_snapshot_lazy, working),
+                    None => ("full", Process::restore_snapshot, &snapshot.loaded),
+                };
+                for scale in [1.0, rng.uniform(0.85, 1.2)] {
+                    let label = format!("{name}, {residency} residency, {kind} at scale {scale}");
+                    let reference = Reference::of(&snapshot, eager, image.as_deref(), scale);
+                    let mut p = Process::with_plan(Arc::clone(&app), Arc::clone(&plan), scale);
+                    if let Some(image) = &image {
+                        p.set_zygote(Arc::clone(image));
+                    }
+                    let forked_loads = || image.as_ref().map_or(0, |z| z.counters().forked_loads());
+                    let before = forked_loads();
+                    let init = restore(&mut p, &refined);
+                    reference.assert_restored(&p, init, forked_loads() - before, &label);
+                    coverage.faults += reference.assert_faults(&mut p, &handlers, 8, &label);
+
+                    let nominal = reference.events.len() as u64 > reference.forked;
+                    coverage.restores += 1;
+                    coverage.omitting += usize::from(reference.omitted.iter().any(|&w| w != 0));
+                    coverage.charging_nominal += usize::from(nominal);
+                    coverage.forking += usize::from(reference.forked > 0);
+                    coverage.selecting_edge += usize::from(edge(&reference.loaded));
+                    coverage.omitting_edge += usize::from(edge(&reference.omitted));
+                }
+            }
+        }
+    }
+    // 26 apps, 5 residencies, 3 working sets, 2 scales.
+    assert_eq!(coverage.restores, 26 * 5 * 3 * 2, "{coverage:?}");
+    assert!(coverage.omitting >= 200, "{coverage:?}");
+    assert!(coverage.charging_nominal >= 300, "{coverage:?}");
+    assert!(coverage.forking >= 200, "{coverage:?}");
+    assert!(coverage.selecting_edge >= 200, "{coverage:?}");
+    assert!(coverage.omitting_edge >= 100, "{coverage:?}");
+    assert!(coverage.faults >= 1_000, "{coverage:?}");
 }

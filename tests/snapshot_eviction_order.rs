@@ -42,10 +42,10 @@ fn synthetic_snapshot(rng: &mut SimRng) -> Snapshot {
     for load in loads.iter() {
         loaded[0] |= 1 << load.module.index();
     }
-    let nominal_init = loads.iter().map(|l| l.init_cost).sum();
     Snapshot {
         loaded: Box::new(loaded),
-        nominal_init,
+        nominal_init: loads.iter().map(|l| l.init_cost).sum(),
+        mem_kb: loads.iter().map(|l| l.mem_kb).sum(),
         working: None,
         loads,
     }
