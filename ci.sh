@@ -29,8 +29,8 @@ cargo test -q --workspace --exclude slimstart
 # are derived from the snapshot's stream, and a refined lazy restore's match
 # a reference built from the snapshot, then its faults, each once; the
 # kernel charges restores from the snapshot's bitsets, and every restore
-# matches a per-load reference over the stream on random apps over more
-# than three bitset words and on the catalog apps, under empty, full,
+# matches a per-load reference over the stream on random apps spanning three
+# or more bitset words and on the catalog apps, under empty, full,
 # every-third and random zygote residency and random working sets), the
 # snapshot-pool pressure
 # invariants (lazy-restore oracle, budget bound, redeploy invalidation),

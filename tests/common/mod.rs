@@ -139,8 +139,9 @@ pub fn random_app(seed: u64) -> Application {
 }
 
 /// A random application built like [`random_app`]'s, with one library per
-/// name in `roots`. Each library holds 2 to 11 modules, so thirty roots
-/// make about 200 modules, more than three bitset words.
+/// name in `roots`. Each library draws 2 to 10 dotted module names and
+/// often its root module, so thirty roots make enough modules to fill
+/// more than two bitset words.
 pub fn random_app_with_roots(seed: u64, roots: &[&str]) -> Application {
     let mut rng = SimRng::seed_from(seed ^ 0x9a95_11ce);
     let mut b = AppBuilder::new(format!("random-{seed}"));

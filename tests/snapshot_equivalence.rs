@@ -15,7 +15,7 @@
 //! jittered time scales, every restore must match a real forked cold start
 //! load event for load event, forked-load counts included. The restore
 //! kernel charges from the snapshot's bitsets, so every restore, on random
-//! apps over three and more bitset words and on the catalog apps, under
+//! apps spanning three or more bitset words and on the catalog apps, under
 //! empty, full, every-third and random zygote residency and random working
 //! sets, must match a reference that charges the snapshot's stream load by
 //! load. A restore's load events, which the process derives from the
@@ -455,7 +455,7 @@ struct KernelCoverage {
 
 #[test]
 fn bitset_restores_match_a_per_load_reference() {
-    // Random apps with thirty libraries span more than three bitset
+    // Random apps with thirty libraries span three or more bitset
     // words; the catalog apps add the real module graphs.
     let roots: Vec<String> = (0..30).map(|i| format!("lib{i}")).collect();
     let roots: Vec<&str> = roots.iter().map(String::as_str).collect();
