@@ -33,7 +33,11 @@ cargo test -q --workspace --exclude slimstart
 # or more bitset words and on the catalog apps, under empty, full,
 # every-third and random zygote residency and random working sets), the
 # snapshot-pool pressure
-# invariants (lazy-restore oracle, budget bound, redeploy invalidation),
+# invariants (lazy-restore oracle, budget bound, redeploy invalidation,
+# admission rejections only at the sweep's tightest budget; the workspace
+# step above runs pyrt's check that a refinement which skips the closure
+# when nothing is new leaves its store as always closing would, and
+# simcore's pin of the inlined jitter rounding to libm's `round`),
 # the zygote-pool dependency-sharing contract (thread-count byte identity,
 # v3 passthrough when disabled), the eviction-order determinism property,
 # the indexed deferral verifier's equivalence with the string-scan

@@ -9,7 +9,7 @@ use std::sync::Arc;
 use slimstart_appmodel::Application;
 use slimstart_pyrt::loader::LoaderPlan;
 use slimstart_pyrt::process::Process;
-use slimstart_pyrt::snapshot::{Snapshot, SnapshotKey};
+use slimstart_pyrt::snapshot::SnapshotKey;
 use slimstart_simcore::time::{SimDuration, SimTime};
 
 /// A provisioned container holding a live runtime process.
@@ -20,10 +20,10 @@ pub struct Container {
     busy_until: SimTime,
     /// When the container last finished serving (for keep-alive).
     last_used: SimTime,
-    /// The snapshot this container's cold start went through (restored or
-    /// freshly captured), so post-invocation working-set refinements know
-    /// which store entry to update.
-    snapshot: Option<(SnapshotKey, Arc<Snapshot>)>,
+    /// The key of the snapshot this container's cold start went through
+    /// (restored or freshly captured), so post-invocation working-set
+    /// refinements know which store entry to update.
+    snapshot_key: Option<SnapshotKey>,
 }
 
 impl std::fmt::Debug for Container {
@@ -58,18 +58,19 @@ impl Container {
             process: Process::with_plan(app, plan, time_scale),
             busy_until: provisioned_at,
             last_used: provisioned_at,
-            snapshot: None,
+            snapshot_key: None,
         }
     }
 
-    /// Remembers the snapshot this container cold-started through.
-    pub fn set_snapshot(&mut self, key: SnapshotKey, snapshot: Arc<Snapshot>) {
-        self.snapshot = Some((key, snapshot));
+    /// Remembers the key of the snapshot this container cold-started
+    /// through.
+    pub fn set_snapshot_key(&mut self, key: SnapshotKey) {
+        self.snapshot_key = Some(key);
     }
 
-    /// The snapshot this container cold-started through, if any.
-    pub fn snapshot(&self) -> Option<&(SnapshotKey, Arc<Snapshot>)> {
-        self.snapshot.as_ref()
+    /// The key of the snapshot this container cold-started through, if any.
+    pub fn snapshot_key(&self) -> Option<SnapshotKey> {
+        self.snapshot_key
     }
 
     /// The container's id.

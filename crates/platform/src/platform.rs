@@ -244,31 +244,30 @@ impl Platform {
             _ => return container.process_mut().cold_start(root),
         };
         let key = SnapshotKey::new(root, self.snapshot_fingerprint);
+        container.set_snapshot_key(key);
         if let Some(snapshot) = store.get(&key, now) {
-            let load = container.process_mut().restore_snapshot_lazy(&snapshot);
-            container.set_snapshot(key, snapshot);
-            return Ok(load);
+            return Ok(container.process_mut().restore_snapshot_lazy(&snapshot));
         }
         let load = container.process_mut().cold_start(root)?;
-        let snapshot = store.insert(key, container.process().capture_snapshot(), now);
-        container.set_snapshot(key, snapshot);
+        store.insert(key, container.process().capture_snapshot(), now);
         Ok(load)
     }
 
     /// Post-invocation bookkeeping for working-set stores: charges the
     /// lazily-faulted loads this invocation paid and refines the stored
-    /// working set with what the handler has touched. Full-stream stores
+    /// working set with what the handler has touched, which costs
+    /// O(bitset words) once the set holds all of it. Full-stream stores
     /// skip all of it (nothing is ever omitted, so nothing can fault).
     fn refine_snapshot(store: &SnapshotStore, container: &mut Container, now: SimTime) {
         if !store.lazy_restore() {
             return;
         }
-        let Some((key, snapshot)) = container.snapshot().cloned() else {
+        let Some(key) = container.snapshot_key() else {
             return;
         };
-        store.record_faults(container.process_mut().take_faulted_loads());
-        let working = container.process().working_set_for(&snapshot);
-        store.refine(&key, &working, now);
+        let process = container.process_mut();
+        store.record_faults(process.take_faulted_loads());
+        store.refine(&key, process.touched(), process.plan(), now);
     }
 
     /// The deployed application.

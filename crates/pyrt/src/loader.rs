@@ -107,6 +107,29 @@ impl LoaderPlan {
         &self.chains[start..self.ends[index] as usize]
     }
 
+    /// The working set of `touched` within `loaded` (bitsets over module
+    /// ids): the touched modules that are loaded, plus every loaded
+    /// ancestor of each. Chains are full dotted-prefix lists, so one pass
+    /// over the intersection is already transitively closed.
+    pub(crate) fn working_set(&self, touched: &[u64], loaded: &[u64]) -> Vec<u64> {
+        debug_assert_eq!(touched.len(), loaded.len());
+        let mut working: Vec<u64> = touched.iter().zip(loaded).map(|(t, l)| t & l).collect();
+        for word in 0..working.len() {
+            let mut bits = working[word];
+            while bits != 0 {
+                let index = word * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                for &a in self.ancestors(ModuleId::from_index(index)) {
+                    let (w, b) = (a.index() / 64, 1u64 << (a.index() % 64));
+                    if loaded[w] & b != 0 {
+                        working[w] |= b;
+                    }
+                }
+            }
+        }
+        working
+    }
+
     /// How a fresh process cold-starts `root` on this plan: it replays
     /// the root's recording, records one (the root's second fresh walk),
     /// or walks without recording (its first).
@@ -266,7 +289,7 @@ impl WalkRecorder {
                 nominal_init: self.loads.iter().map(|l| l.init_cost).sum(),
                 mem_kb: self.loads.iter().map(|l| l.mem_kb).sum(),
                 loads: self.loads.into(),
-                loaded: self.loaded.into_boxed_slice(),
+                loaded: self.loaded.into(),
                 working: None,
             },
             steps: self.steps.into_boxed_slice(),

@@ -282,31 +282,11 @@ impl Process {
     /// The modules this process has touched during handler execution,
     /// intersected with `snapshot`'s loaded set and closed under package
     /// ancestry — what a REAP-style restore of `snapshot` must replay
-    /// eagerly for this process's traffic. Ancestor chains are full
-    /// dotted-prefix lists, so one closure pass over the intersection is
-    /// already transitively closed.
+    /// eagerly for this process's traffic. It is the set
+    /// [`SnapshotStore::refine`](crate::snapshot::SnapshotStore::refine)
+    /// merges when its entry lacks one of these modules.
     pub fn working_set_for(&self, snapshot: &Snapshot) -> Vec<u64> {
-        debug_assert_eq!(self.touched.len(), snapshot.loaded.len());
-        let mut working: Vec<u64> = self
-            .touched
-            .iter()
-            .zip(snapshot.loaded.iter())
-            .map(|(t, l)| t & l)
-            .collect();
-        for word in 0..working.len() {
-            let mut bits = working[word];
-            while bits != 0 {
-                let index = word * 64 + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                for &a in self.plan.ancestors(ModuleId::from_index(index)) {
-                    let (w, b) = (a.index() / 64, 1u64 << (a.index() % 64));
-                    if snapshot.loaded[w] & b != 0 {
-                        working[w] |= b;
-                    }
-                }
-            }
-        }
-        working
+        self.plan.working_set(&self.touched, &snapshot.loaded)
     }
 
     /// All loads performed so far, in order.
@@ -457,7 +437,7 @@ impl Process {
             nominal_init: loads.iter().map(|l| l.init_cost).sum(),
             mem_kb: self.mem_kb,
             loads,
-            loaded: self.loaded.clone().into_boxed_slice(),
+            loaded: self.loaded.as_slice().into(),
             // Unrefined: no invocation has recorded a working set yet, so
             // restores replay the full stream until the store refines it.
             working: None,
@@ -1305,7 +1285,7 @@ mod tests {
         let mut snapshot = origin.capture_snapshot();
         // Full working set: the lazy path must be byte-identical to the
         // full-stream restore — the differential oracle of this PR.
-        snapshot.working = Some(snapshot.loaded.clone());
+        snapshot.working = Some(Box::from(&snapshot.loaded[..]));
         for scale in [1.0, 0.5, 1.37, 2.0] {
             let mut full = Process::with_plan(Arc::clone(&app), Arc::clone(&plan), scale);
             let full_init = full.restore_snapshot(&snapshot);

@@ -16,13 +16,18 @@
 //! refinement of a stored entry shares it, and a process keeps the stream
 //! that served its cold start to derive that cold start's load events on
 //! demand ([`crate::process::Process::load_events`]). Nothing copies it.
+//! The loaded bitset ([`Snapshot::loaded`], an `Arc<[u64]>`) is shared
+//! the same way by every refinement of an entry.
 //!
 //! Two refinements sit on top of the PR 5 full-stream design:
 //!
 //! * **Working sets (REAP-style).** After an invocation has run, a store
 //!   created in lazy-restore mode records which modules the handler
 //!   actually touched and refines the stored snapshot with that bitmap
-//!   ([`SnapshotStore::refine`]). Restores then replay only the working
+//!   ([`SnapshotStore::refine`]). A refinement that finds nothing new
+//!   costs O(bitset words); only a first one, or one that finds a new
+//!   module, closes the touched set under package ancestry, under the
+//!   store's lock. Restores then replay only the working
 //!   set eagerly ([`crate::process::Process::restore_snapshot_lazy`]);
 //!   everything else faults in on first import through the ordinary
 //!   deferred-load path, paying its real init cost through the same
@@ -74,6 +79,8 @@ use std::sync::{Arc, Mutex};
 use slimstart_appmodel::{Application, ModuleId};
 use slimstart_simcore::hash::{FxHashMap, FxHasher};
 use slimstart_simcore::time::{SimDuration, SimTime};
+
+use crate::loader::LoaderPlan;
 
 /// Identifies one memoized cold-start outcome: the entry module plus a
 /// fingerprint of the deployment (and any platform perturbation) it was
@@ -139,8 +146,10 @@ pub struct Snapshot {
     /// Every load in replay order, with raw charges: a stream shared by
     /// every snapshot, recording and process it serves.
     pub loads: Arc<[SnapLoad]>,
-    /// The loaded-module bitset after the replay (one bit per module id).
-    pub loaded: Box<[u64]>,
+    /// The loaded-module bitset after the replay (one bit per module id),
+    /// shared like the stream: every refinement of a stored entry shares
+    /// it, since a working set never changes which modules were captured.
+    pub loaded: Arc<[u64]>,
     /// Cumulative nominal (unscaled) init latency of the replay.
     pub nominal_init: SimDuration,
     /// Memory of every captured load, KiB: the sum of the stream's
@@ -197,6 +206,15 @@ struct StoreEntry {
     last_used: SimTime,
 }
 
+impl StoreEntry {
+    /// Notes a use at `now`; the timestamp never moves back.
+    fn use_at(&mut self, now: SimTime) {
+        if now > self.last_used {
+            self.last_used = now;
+        }
+    }
+}
+
 #[derive(Debug, Default)]
 struct StoreInner {
     map: FxHashMap<SnapshotKey, StoreEntry>,
@@ -213,6 +231,8 @@ pub struct SnapshotStats {
     pub misses: u64,
     /// Entries removed by budget pressure or fingerprint invalidation.
     pub evictions: u64,
+    /// Inserts turned away because the entry alone exceeds the budget.
+    pub rejections: u64,
     /// Module loads paid lazily because a working-set restore omitted
     /// them and the handler faulted them in on first use.
     pub faulted_loads: u64,
@@ -238,6 +258,7 @@ pub struct SnapshotStore {
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
+    rejections: AtomicU64,
     faulted: AtomicU64,
 }
 
@@ -276,9 +297,7 @@ impl SnapshotStore {
         let mut inner = self.inner.lock().expect("snapshot store poisoned");
         match inner.map.get_mut(key) {
             Some(entry) => {
-                if now > entry.last_used {
-                    entry.last_used = now;
-                }
+                entry.use_at(now);
                 let snapshot = Arc::clone(&entry.snapshot);
                 drop(inner);
                 self.hits.fetch_add(1, Ordering::Relaxed);
@@ -295,12 +314,14 @@ impl SnapshotStore {
     /// Inserts (or replaces) the snapshot for `key` at sim-time `now`,
     /// then evicts lowest-score entries until the store is back within
     /// budget. An entry that alone exceeds the budget is rejected outright
-    /// (the returned handle is still usable for the current restore), so
-    /// resident bytes can never exceed the budget.
+    /// and counted in [`SnapshotStats::rejections`] (the returned handle is
+    /// still usable for the current restore), so resident bytes can never
+    /// exceed the budget.
     pub fn insert(&self, key: SnapshotKey, snapshot: Snapshot, now: SimTime) -> Arc<Snapshot> {
         let snapshot = Arc::new(snapshot);
         let bytes = snapshot.resident_bytes();
         if self.budget_bytes.is_some_and(|b| bytes > b) {
+            self.rejections.fetch_add(1, Ordering::Relaxed);
             return snapshot;
         }
         let cost_micros = snapshot.nominal_init.as_micros();
@@ -321,61 +342,104 @@ impl SnapshotStore {
         snapshot
     }
 
-    /// Merges `working` (a bitset over module ids, already intersected
-    /// with the snapshot's loaded set and closed under ancestry by the
-    /// caller) into the stored working set for `key`. The first
-    /// refinement replaces the implicit full working set; later ones
-    /// union in, so the set only grows. A growth that pushes the store
-    /// over budget triggers eviction of *other* entries.
-    pub fn refine(&self, key: &SnapshotKey, working: &[u64], now: SimTime) {
+    /// Refines the working set stored for `key` with `touched`, the
+    /// modules a process restored from (or captured into) that entry has
+    /// used so far (a bitset over module ids, [`Process::touched`]), at
+    /// sim-time `now`. `plan` is the entry's application's loader plan,
+    /// whose chains close the set under package ancestry.
+    ///
+    /// Every stored working set is closed under ancestry within the
+    /// entry's loaded set, and so is any union of such sets. So if every
+    /// touched loaded module is already in the stored set, its closure is
+    /// too, and nothing is new: the entry's timestamp moves and nothing
+    /// else does, in O(bitset words). Only otherwise does the closure run
+    /// ([`Process::working_set_for`] computes the same set), against the
+    /// entry's own loaded set and under the store's lock, and its set is
+    /// merged in: the first refinement replaces the implicit full working
+    /// set, later ones union in, so the set only grows. A growth that
+    /// pushes the store over budget evicts *other* entries. An absent key
+    /// is left absent.
+    ///
+    /// [`Process::touched`]: crate::process::Process::touched
+    /// [`Process::working_set_for`]: crate::process::Process::working_set_for
+    pub fn refine(&self, key: &SnapshotKey, touched: &[u64], plan: &LoaderPlan, now: SimTime) {
         let mut inner = self.inner.lock().expect("snapshot store poisoned");
         let Some(entry) = inner.map.get_mut(key) else {
             return;
         };
+        let snapshot = &entry.snapshot;
+        debug_assert_eq!(
+            touched.len(),
+            snapshot.loaded.len(),
+            "touched set from a different application shape"
+        );
+        if let Some(working) = &snapshot.working {
+            let nothing_new = touched
+                .iter()
+                .zip(snapshot.loaded.iter())
+                .zip(working.iter())
+                .all(|((t, l), w)| t & l & !w == 0);
+            if nothing_new {
+                entry.use_at(now);
+                return;
+            }
+        }
+        let working = plan.working_set(touched, &snapshot.loaded);
+        self.merge(&mut inner, key, working, now);
+    }
+
+    /// Merges `working` (a bitset over module ids, a subset of the entry's
+    /// loaded set closed under ancestry within it) into the working set
+    /// stored for `key`, as [`SnapshotStore::refine`] describes. The
+    /// merged set takes over `working`'s buffer; the refined snapshot
+    /// shares the entry's load stream and loaded bitset.
+    fn merge(
+        &self,
+        inner: &mut StoreInner,
+        key: &SnapshotKey,
+        mut working: Vec<u64>,
+        now: SimTime,
+    ) {
+        let Some(entry) = inner.map.get_mut(key) else {
+            return;
+        };
+        let snapshot = &entry.snapshot;
         debug_assert_eq!(
             working.len(),
-            entry.snapshot.loaded.len(),
+            snapshot.loaded.len(),
             "working set from a different application shape"
         );
         debug_assert!(
             working
                 .iter()
-                .zip(entry.snapshot.loaded.iter())
+                .zip(snapshot.loaded.iter())
                 .all(|(w, l)| w & !l == 0),
             "working set not a subset of the snapshot's loaded set"
         );
-        let merged: Box<[u64]> = match &entry.snapshot.working {
-            Some(old) => {
-                if old.iter().zip(working.iter()).all(|(o, w)| w & !o == 0) {
-                    // No new bits: keep the existing Arc (the steady state
-                    // after the working set stabilizes).
-                    if now > entry.last_used {
-                        entry.last_used = now;
-                    }
-                    return;
-                }
-                old.iter().zip(working.iter()).map(|(o, w)| o | w).collect()
+        if let Some(old) = &snapshot.working {
+            if old.iter().zip(working.iter()).all(|(o, w)| w & !o == 0) {
+                // No new bits: keep the existing Arc (the steady state
+                // after the working set stabilizes).
+                entry.use_at(now);
+                return;
             }
-            None => working.to_vec().into_boxed_slice(),
-        };
-        // The refinement shares the load stream and copies only bitsets.
+            for (w, o) in working.iter_mut().zip(old.iter()) {
+                *w |= o;
+            }
+        }
         let refined = Snapshot {
-            loads: Arc::clone(&entry.snapshot.loads),
-            loaded: entry.snapshot.loaded.clone(),
-            nominal_init: entry.snapshot.nominal_init,
-            mem_kb: entry.snapshot.mem_kb,
-            working: Some(merged),
+            loads: Arc::clone(&snapshot.loads),
+            loaded: Arc::clone(&snapshot.loaded),
+            nominal_init: snapshot.nominal_init,
+            mem_kb: snapshot.mem_kb,
+            working: Some(working.into_boxed_slice()),
         };
         let bytes = refined.resident_bytes();
-        let old_bytes = entry.bytes;
+        let old_bytes = std::mem::replace(&mut entry.bytes, bytes);
         entry.snapshot = Arc::new(refined);
-        entry.bytes = bytes;
-        if now > entry.last_used {
-            entry.last_used = now;
-        }
+        entry.use_at(now);
         inner.resident_bytes = inner.resident_bytes - old_bytes + bytes;
-        let key = *key;
-        self.evict_over_budget(&mut inner, &key);
+        self.evict_over_budget(inner, key);
     }
 
     /// Evicts every entry whose key fingerprint differs from
@@ -496,6 +560,7 @@ impl SnapshotStore {
             hits: self.hits(),
             misses: self.misses(),
             evictions: self.evictions(),
+            rejections: self.rejections.load(Ordering::Relaxed),
             faulted_loads: self.faulted_loads(),
             resident_bytes,
             entries,
@@ -529,6 +594,8 @@ pub fn deployment_fingerprint(app: &Application) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use slimstart_appmodel::app::AppBuilder;
+    use slimstart_simcore::rng::SimRng;
 
     fn snap(loads: &[(usize, u64, u64)]) -> Snapshot {
         // (module index, init ms, mem kb) triples; bitset sized for 64.
@@ -548,13 +615,20 @@ mod tests {
             nominal_init: loads.iter().map(|l| l.init_cost).sum(),
             mem_kb: loads.iter().map(|l| l.mem_kb).sum(),
             loads,
-            loaded: Box::new(loaded),
+            loaded: Arc::new(loaded),
             working: None,
         }
     }
 
     fn at(us: u64) -> SimTime {
         SimTime::ZERO + SimDuration::from_micros(us)
+    }
+
+    /// Merges an ancestor-closed `working` set into `key`'s entry, as a
+    /// refinement that found new bits does.
+    fn merge(store: &SnapshotStore, key: &SnapshotKey, working: &[u64], now: SimTime) {
+        let mut inner = store.inner.lock().unwrap();
+        store.merge(&mut inner, key, working.to_vec(), now);
     }
 
     #[test]
@@ -670,6 +744,15 @@ mod tests {
         assert_eq!(handle.loads.len(), 1); // still usable by the caller
         assert_eq!(store.len(), 0);
         assert_eq!(store.resident_bytes(), 0);
+        assert_eq!(store.stats().rejections, 1);
+        // An entry that fits is admitted and not counted.
+        store.insert(
+            SnapshotKey::new(ModuleId::from_index(1), 1),
+            snap(&[(1, 10, 1)]),
+            at(1),
+        );
+        assert_eq!(store.len(), 1);
+        assert_eq!((store.stats().rejections, store.evictions()), (1, 0));
     }
 
     #[test]
@@ -679,18 +762,18 @@ mod tests {
         store.insert(key, snap(&[(0, 1, 1), (1, 1, 1), (2, 1, 1)]), at(0));
         assert_eq!(store.resident_bytes(), 3 * 1024);
         // First refinement: only module 0 in the working set.
-        store.refine(&key, &[0b001], at(1));
+        merge(&store, &key, &[0b001], at(1));
         assert_eq!(store.resident_bytes(), 1024);
         let s = store.get(&key, at(2)).unwrap();
         assert_eq!(s.working.as_deref(), Some(&[0b001u64][..]));
         // Second refinement unions in module 2; module 1 stays omitted.
-        store.refine(&key, &[0b100], at(3));
+        merge(&store, &key, &[0b100], at(3));
         assert_eq!(store.resident_bytes(), 2 * 1024);
         let s = store.get(&key, at(4)).unwrap();
         assert_eq!(s.working.as_deref(), Some(&[0b101u64][..]));
         // A no-new-bits refinement keeps the same Arc.
         let before = Arc::as_ptr(&store.get(&key, at(5)).unwrap());
-        store.refine(&key, &[0b001], at(6));
+        merge(&store, &key, &[0b001], at(6));
         assert_eq!(Arc::as_ptr(&store.get(&key, at(7)).unwrap()), before);
     }
 
@@ -721,8 +804,214 @@ mod tests {
         assert_eq!(stats.hits, 1);
         assert_eq!(stats.misses, 1);
         assert_eq!(stats.evictions, 0);
+        assert_eq!(stats.rejections, 0);
         assert_eq!(stats.faulted_loads, 3);
         assert_eq!(stats.resident_bytes, 1024);
         assert_eq!(stats.entries, 1);
+    }
+
+    /// An application of nested packages (chains up to five modules deep)
+    /// over three words of module ids, added in shuffled id order so a
+    /// parent may come after its children, with random charges.
+    fn nested_app(rng: &mut SimRng) -> Arc<Application> {
+        let mut names = Vec::new();
+        for lib in 0..4 {
+            let mut level = vec![format!("l{lib}")];
+            for _ in 0..4 {
+                let mut next = Vec::new();
+                for parent in &level {
+                    for child in 0..1 + rng.next_below(3) {
+                        next.push(format!("{parent}.m{child}"));
+                    }
+                }
+                names.extend(std::mem::replace(&mut level, next));
+            }
+            names.extend(level);
+        }
+        names.truncate(150);
+        rng.shuffle(&mut names);
+        let mut b = AppBuilder::new("nested");
+        let libs: Vec<_> = (0..4).map(|l| b.add_library(format!("l{l}"))).collect();
+        let handler = b.add_app_module("handler", SimDuration::from_micros(10), 4);
+        for name in &names {
+            let lib = libs[usize::from(name.as_bytes()[1] - b'0')];
+            let cost = SimDuration::from_micros(1 + rng.next_below(5_000) as u64);
+            b.add_library_module(name, cost, 1 + rng.next_below(64) as u64, false, lib);
+        }
+        let main = b.add_function("main", handler, 1, Vec::new());
+        b.add_handler("main", main);
+        Arc::new(b.finish().expect("nested app builds"))
+    }
+
+    /// The state two stores must agree on, per entry in key order: the
+    /// working set, resident bytes and last use; then the store's
+    /// resident bytes and counters.
+    type StoreState = (
+        Vec<(SnapshotKey, Option<Box<[u64]>>, u64, SimTime)>,
+        u64,
+        SnapshotStats,
+    );
+
+    fn store_state(store: &SnapshotStore) -> StoreState {
+        let mut entries: Vec<_> = {
+            let inner = store.inner.lock().unwrap();
+            inner
+                .map
+                .iter()
+                .map(|(key, e)| (*key, e.snapshot.working.clone(), e.bytes, e.last_used))
+                .collect()
+        };
+        entries.sort_by_key(|(key, ..)| (key.root.index(), key.fingerprint));
+        (entries, store.resident_bytes(), store.stats())
+    }
+
+    /// `refine` skips the closure when nothing is new; a twin store that
+    /// always computes the closure and merges it must end every step of a
+    /// seeded trace of inserts, evictions, invalidations, lookups and
+    /// refinements with random touched sets in the same state.
+    #[test]
+    fn refine_matches_always_closing_the_touched_set() {
+        let (mut skipped, mut first, mut grown, mut absent) = (0, 0, 0, 0);
+        for seed in 0..4u64 {
+            let mut rng = SimRng::seed_from(0x5EED_0000 + seed);
+            let app = nested_app(&mut rng);
+            let plan = LoaderPlan::build(&app);
+            let modules = app.modules().len();
+            assert!(
+                (0..modules).any(|m| plan.ancestors(ModuleId::from_index(m)).len() >= 4),
+                "chains must nest"
+            );
+            let words = modules.div_ceil(64);
+            let bits = |rng: &mut SimRng, density: f64| -> Vec<u64> {
+                let mut set = vec![0u64; words];
+                for m in 0..modules {
+                    if rng.chance(density) {
+                        set[m / 64] |= 1 << (m % 64);
+                    }
+                }
+                set
+            };
+            // Four roots under three fingerprints; each key's capture has
+            // its own loaded set, closed under ancestry for most keys.
+            let mut captures: FxHashMap<SnapshotKey, Snapshot> = FxHashMap::default();
+            let mut keys = Vec::new();
+            for root in 0..4 {
+                for fingerprint in 1..=3u64 {
+                    let picks = bits(&mut rng, 0.25);
+                    let loaded = if root == 0 {
+                        picks
+                    } else {
+                        plan.working_set(&picks, &vec![u64::MAX; words])
+                    };
+                    let loads: Arc<[SnapLoad]> = (0..modules)
+                        .filter(|&m| loaded[m / 64] & (1 << (m % 64)) != 0)
+                        .map(|m| SnapLoad::of(&app, ModuleId::from_index(m)))
+                        .collect();
+                    let key = SnapshotKey::new(ModuleId::from_index(root), fingerprint);
+                    let snapshot = Snapshot {
+                        nominal_init: loads.iter().map(|l| l.init_cost).sum(),
+                        mem_kb: loads.iter().map(|l| l.mem_kb).sum(),
+                        loads,
+                        loaded: loaded.into(),
+                        working: None,
+                    };
+                    captures.insert(key, snapshot);
+                    keys.push(key);
+                }
+            }
+            // Room for about four unrefined captures.
+            let mean_kb = captures.values().map(|s| s.mem_kb).sum::<u64>() / keys.len() as u64;
+            let budget = Some(4 * mean_kb * 1024);
+            let fast = SnapshotStore::with_limits(budget, true);
+            let reference = SnapshotStore::with_limits(budget, true);
+            let mut last = keys[0];
+            for step in 0..3_000u64 {
+                let now = at(step / 2);
+                // Most refinements follow the lookup or insert of their
+                // key, as a cold start's do.
+                let key = if rng.chance(0.5) {
+                    last
+                } else {
+                    *rng.pick(&keys)
+                };
+                last = key;
+                match rng.next_below(20) {
+                    0..=4 => {
+                        fast.insert(key, captures[&key].clone(), now);
+                        reference.insert(key, captures[&key].clone(), now);
+                    }
+                    5 => {
+                        assert_eq!(
+                            fast.get(&key, now).is_some(),
+                            reference.get(&key, now).is_some()
+                        );
+                    }
+                    6 => {
+                        let fingerprint = 1 + rng.next_below(3) as u64;
+                        assert_eq!(
+                            fast.invalidate_stale(fingerprint),
+                            reference.invalidate_stale(fingerprint)
+                        );
+                    }
+                    _ => {
+                        let loaded = &captures[&key].loaded;
+                        let density = *rng.pick(&[0.0, 0.01, 0.05, 0.3]);
+                        let mut touched = bits(&mut rng, density);
+                        let stored = {
+                            let inner = reference.inner.lock().unwrap();
+                            inner.map.get(&key).map(|e| e.snapshot.working.clone())
+                        };
+                        if let Some(Some(working)) = &stored {
+                            if rng.chance(0.5) {
+                                // Only modules the entry already holds,
+                                // plus ones outside the capture.
+                                for ((t, w), l) in
+                                    touched.iter_mut().zip(working.iter()).zip(loaded.iter())
+                                {
+                                    *t &= w | !l;
+                                }
+                            }
+                        }
+                        match &stored {
+                            None => absent += 1,
+                            Some(None) => first += 1,
+                            Some(Some(working)) => {
+                                let new = touched
+                                    .iter()
+                                    .zip(loaded.iter())
+                                    .zip(working.iter())
+                                    .any(|((t, l), w)| t & l & !w != 0);
+                                if new {
+                                    grown += 1;
+                                } else {
+                                    skipped += 1;
+                                }
+                            }
+                        }
+                        fast.refine(&key, &touched, &plan, now);
+                        let working = plan.working_set(&touched, loaded);
+                        let mut inner = reference.inner.lock().unwrap();
+                        reference.merge(&mut inner, &key, working, now);
+                    }
+                }
+                assert_eq!(
+                    store_state(&fast),
+                    store_state(&reference),
+                    "seed {seed}, step {step}"
+                );
+                // Refinements share the capture's loaded bitset.
+                let inner = fast.inner.lock().unwrap();
+                if let Some(entry) = inner.map.get(&key) {
+                    assert!(Arc::ptr_eq(&entry.snapshot.loaded, &captures[&key].loaded));
+                }
+            }
+            let stats = fast.stats();
+            assert!(stats.evictions > 100, "seed {seed}: {stats:?}");
+        }
+        // Seen: 1,305 skipped, 1,484 first, 465 growing, 4,572 absent.
+        assert!(skipped >= 600, "closures skipped: {skipped}");
+        assert!(first >= 700, "first refinements: {first}");
+        assert!(grown >= 200, "growth refinements: {grown}");
+        assert!(absent >= 2_000, "refinements of absent keys: {absent}");
     }
 }

@@ -175,17 +175,32 @@ impl SimDuration {
     }
 
     /// Multiplies the span by a non-negative factor, rounding to the nearest
-    /// microsecond.
+    /// microsecond, ties away from zero: exactly
+    /// `(micros as f64 * factor).round() as u64`.
+    ///
+    /// Every jittered charge of the simulator goes through here, so it is
+    /// inlined and rounds without calling libm. Below 2^52 the product's
+    /// truncation and its fraction are both exact, so adding one when the
+    /// fraction is at least one half is `round`; the comparison becomes an
+    /// integer added, not a branch. From 2^52 up every double is an
+    /// integer and `round` is left to do the saturating conversion.
     ///
     /// # Panics
     ///
     /// Panics if `factor` is negative or not finite.
+    #[inline]
     pub fn mul_f64(self, factor: f64) -> SimDuration {
         assert!(
             factor.is_finite() && factor >= 0.0,
             "SimDuration::mul_f64: factor must be finite and non-negative, got {factor}"
         );
-        SimDuration((self.0 as f64 * factor).round() as u64)
+        let v = self.0 as f64 * factor;
+        if v < (1u64 << 52) as f64 {
+            let t = v as i64;
+            SimDuration((t + i64::from(v - t as f64 >= 0.5)) as u64)
+        } else {
+            SimDuration(v.round() as u64)
+        }
     }
 
     /// The ratio `self / other` as a float.
@@ -354,6 +369,49 @@ mod tests {
         assert_eq!(d.mul_f64(0.5), SimDuration::from_millis(5));
         assert_eq!(d.mul_f64(0.0), SimDuration::ZERO);
         assert_eq!(d.mul_f64(2.0), SimDuration::from_millis(20));
+    }
+
+    /// `mul_f64` rounds without libm; this pins it to libm's `round` on
+    /// seeded jitter and uniform factors, exact ties, the 2^52 boundary
+    /// and the extremes.
+    #[test]
+    fn mul_f64_rounds_exactly_as_libm_round() {
+        use crate::rng::SimRng;
+        fn check(micros: u64, factor: f64) {
+            assert_eq!(
+                SimDuration::from_micros(micros).mul_f64(factor).as_micros(),
+                (micros as f64 * factor).round() as u64,
+                "{micros} µs × {factor:e}"
+            );
+        }
+        let mut rng = SimRng::seed_from(0x6A17);
+        for _ in 0..500_000 {
+            // Counts up to 2^40 µs, spread over every magnitude.
+            let micros = rng.next_u64() >> (24 + rng.next_below(40));
+            // The platform's log-normal container speed at sigma 0.1
+            // (its default is 0.04), drawn the way it draws one.
+            let u1 = (1.0 - rng.next_f64()).max(f64::MIN_POSITIVE);
+            let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * rng.next_f64()).cos();
+            check(micros, (0.1 * z).exp());
+            check(micros, rng.uniform(0.0, 4.0));
+        }
+        // Exact ties k + 0.5 round up, and their neighbours either way.
+        for k in [0u64, 1, 2, 3, 1_000, 123_456_789, (1 << 50) + 1] {
+            check(2 * k + 1, 0.5);
+            check(4 * k + 2, 0.25);
+            check(2 * k + 1, 0.5 + f64::EPSILON);
+            check(2 * k + 1, 0.5 - f64::EPSILON / 2.0);
+        }
+        for micros in [(1u64 << 52) - 1, 1 << 52, (1 << 52) + 1, 1 << 53, u64::MAX] {
+            for factor in [0.0, -0.0, 1.0, 0.5, 1.5, 0.999_999_9, f64::MAX / 2.0] {
+                check(micros, factor);
+            }
+        }
+        // Products on either side of 2^52 from a count below it.
+        check((1 << 52) - 1, 1.0 + f64::EPSILON);
+        check(3 << 50, 4.0 / 3.0);
+        check(0, f64::MAX);
+        check(1, f64::MAX);
     }
 
     #[test]

@@ -542,6 +542,7 @@ struct PressurePoint {
     hits: u64,
     misses: u64,
     evictions: u64,
+    rejections: u64,
     faulted_loads: u64,
     resident_bytes: u64,
     p99_cold_us: u64,
@@ -575,6 +576,7 @@ fn pressure_point(
         hits: 0,
         misses: 0,
         evictions: 0,
+        rejections: 0,
         faulted_loads: 0,
         resident_bytes: 0,
         p99_cold_us: 0,
@@ -612,6 +614,7 @@ fn pressure_point(
         point.hits += stats.hits;
         point.misses += stats.misses;
         point.evictions += stats.evictions;
+        point.rejections += stats.rejections;
         point.faulted_loads += stats.faulted_loads;
         point.resident_bytes += stats.resident_bytes;
     }
@@ -650,6 +653,12 @@ fn snapshot_pressure_sweep_shows_budget_pressure() {
         points.iter().skip(1).any(|p| p.evictions > 0),
         "constrained budgets must evict: {points:?}"
     );
+    // Only the tightest budget turns entries away at admission: every
+    // entry fits a shard at the unlimited, 100% and 50% points.
+    for p in &points[..3] {
+        assert_eq!(p.rejections, 0, "{p:?}");
+    }
+    assert!(tightest.rejections > 0, "{tightest:?}");
     assert!(
         tightest.hit_rate() < unlimited.hit_rate(),
         "tightest budget hit rate {:.3} not below unlimited {:.3}",
