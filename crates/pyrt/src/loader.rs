@@ -289,7 +289,7 @@ impl WalkRecorder {
                 nominal_init: self.loads.iter().map(|l| l.init_cost).sum(),
                 mem_kb: self.loads.iter().map(|l| l.mem_kb).sum(),
                 loads: self.loads.into(),
-                loaded: self.loaded.into(),
+                loaded: self.loaded.into_boxed_slice(),
                 working: None,
             },
             steps: self.steps.into_boxed_slice(),

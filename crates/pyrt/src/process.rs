@@ -437,7 +437,7 @@ impl Process {
             nominal_init: loads.iter().map(|l| l.init_cost).sum(),
             mem_kb: self.mem_kb,
             loads,
-            loaded: self.loaded.as_slice().into(),
+            loaded: self.loaded.clone().into_boxed_slice(),
             // Unrefined: no invocation has recorded a working set yet, so
             // restores replay the full stream until the store refines it.
             working: None,
@@ -1285,7 +1285,7 @@ mod tests {
         let mut snapshot = origin.capture_snapshot();
         // Full working set: the lazy path must be byte-identical to the
         // full-stream restore — the differential oracle of this PR.
-        snapshot.working = Some(Box::from(&snapshot.loaded[..]));
+        snapshot.working = Some(snapshot.loaded.clone());
         for scale in [1.0, 0.5, 1.37, 2.0] {
             let mut full = Process::with_plan(Arc::clone(&app), Arc::clone(&plan), scale);
             let full_init = full.restore_snapshot(&snapshot);

@@ -16,8 +16,6 @@
 //! refinement of a stored entry shares it, and a process keeps the stream
 //! that served its cold start to derive that cold start's load events on
 //! demand ([`crate::process::Process::load_events`]). Nothing copies it.
-//! The loaded bitset ([`Snapshot::loaded`], an `Arc<[u64]>`) is shared
-//! the same way by every refinement of an entry.
 //!
 //! Two refinements sit on top of the PR 5 full-stream design:
 //!
@@ -146,10 +144,8 @@ pub struct Snapshot {
     /// Every load in replay order, with raw charges: a stream shared by
     /// every snapshot, recording and process it serves.
     pub loads: Arc<[SnapLoad]>,
-    /// The loaded-module bitset after the replay (one bit per module id),
-    /// shared like the stream: every refinement of a stored entry shares
-    /// it, since a working set never changes which modules were captured.
-    pub loaded: Arc<[u64]>,
+    /// The loaded-module bitset after the replay (one bit per module id).
+    pub loaded: Box<[u64]>,
     /// Cumulative nominal (unscaled) init latency of the replay.
     pub nominal_init: SimDuration,
     /// Memory of every captured load, KiB: the sum of the stream's
@@ -212,6 +208,40 @@ impl StoreEntry {
         if now > self.last_used {
             self.last_used = now;
         }
+    }
+
+    /// Merges `working` (a bitset over module ids, a subset of the
+    /// snapshot's loaded set closed under ancestry within it) into the
+    /// stored working set at `now`, as [`SnapshotStore::refine`]
+    /// describes, and returns the entry's resident bytes before the merge.
+    /// The merged set takes over `working`'s buffer. The store's callers
+    /// drop their handles after a restore, so the entry's snapshot is
+    /// usually refined in place; one still shared is copied first, so a
+    /// handle never changes under its holder.
+    fn merge(&mut self, mut working: Vec<u64>, now: SimTime) -> u64 {
+        let snapshot = &self.snapshot;
+        debug_assert_eq!(
+            working.len(),
+            snapshot.loaded.len(),
+            "working set from a different application shape"
+        );
+        debug_assert!(
+            working
+                .iter()
+                .zip(snapshot.loaded.iter())
+                .all(|(w, l)| w & !l == 0),
+            "working set not a subset of the snapshot's loaded set"
+        );
+        if let Some(old) = &snapshot.working {
+            for (w, o) in working.iter_mut().zip(old.iter()) {
+                *w |= o;
+            }
+        }
+        let snapshot = Arc::make_mut(&mut self.snapshot);
+        snapshot.working = Some(working.into_boxed_slice());
+        let old_bytes = std::mem::replace(&mut self.bytes, snapshot.resident_bytes());
+        self.use_at(now);
+        old_bytes
     }
 }
 
@@ -385,61 +415,10 @@ impl SnapshotStore {
             }
         }
         let working = plan.working_set(touched, &snapshot.loaded);
-        self.merge(&mut inner, key, working, now);
-    }
-
-    /// Merges `working` (a bitset over module ids, a subset of the entry's
-    /// loaded set closed under ancestry within it) into the working set
-    /// stored for `key`, as [`SnapshotStore::refine`] describes. The
-    /// merged set takes over `working`'s buffer; the refined snapshot
-    /// shares the entry's load stream and loaded bitset.
-    fn merge(
-        &self,
-        inner: &mut StoreInner,
-        key: &SnapshotKey,
-        mut working: Vec<u64>,
-        now: SimTime,
-    ) {
-        let Some(entry) = inner.map.get_mut(key) else {
-            return;
-        };
-        let snapshot = &entry.snapshot;
-        debug_assert_eq!(
-            working.len(),
-            snapshot.loaded.len(),
-            "working set from a different application shape"
-        );
-        debug_assert!(
-            working
-                .iter()
-                .zip(snapshot.loaded.iter())
-                .all(|(w, l)| w & !l == 0),
-            "working set not a subset of the snapshot's loaded set"
-        );
-        if let Some(old) = &snapshot.working {
-            if old.iter().zip(working.iter()).all(|(o, w)| w & !o == 0) {
-                // No new bits: keep the existing Arc (the steady state
-                // after the working set stabilizes).
-                entry.use_at(now);
-                return;
-            }
-            for (w, o) in working.iter_mut().zip(old.iter()) {
-                *w |= o;
-            }
-        }
-        let refined = Snapshot {
-            loads: Arc::clone(&snapshot.loads),
-            loaded: Arc::clone(&snapshot.loaded),
-            nominal_init: snapshot.nominal_init,
-            mem_kb: snapshot.mem_kb,
-            working: Some(working.into_boxed_slice()),
-        };
-        let bytes = refined.resident_bytes();
-        let old_bytes = std::mem::replace(&mut entry.bytes, bytes);
-        entry.snapshot = Arc::new(refined);
-        entry.use_at(now);
+        let old_bytes = entry.merge(working, now);
+        let bytes = entry.bytes;
         inner.resident_bytes = inner.resident_bytes - old_bytes + bytes;
-        self.evict_over_budget(inner, key);
+        self.evict_over_budget(&mut inner, key);
     }
 
     /// Evicts every entry whose key fingerprint differs from
@@ -615,7 +594,7 @@ mod tests {
             nominal_init: loads.iter().map(|l| l.init_cost).sum(),
             mem_kb: loads.iter().map(|l| l.mem_kb).sum(),
             loads,
-            loaded: Arc::new(loaded),
+            loaded: Box::new(loaded),
             working: None,
         }
     }
@@ -624,11 +603,18 @@ mod tests {
         SimTime::ZERO + SimDuration::from_micros(us)
     }
 
-    /// Merges an ancestor-closed `working` set into `key`'s entry, as a
-    /// refinement that found new bits does.
-    fn merge(store: &SnapshotStore, key: &SnapshotKey, working: &[u64], now: SimTime) {
+    /// Merges an ancestor-closed `working` set into `key`'s entry, if
+    /// present, and evicts over budget, as a refinement that runs the
+    /// closure does.
+    fn merge(store: &SnapshotStore, key: &SnapshotKey, working: Vec<u64>, now: SimTime) {
         let mut inner = store.inner.lock().unwrap();
-        store.merge(&mut inner, key, working.to_vec(), now);
+        let Some(entry) = inner.map.get_mut(key) else {
+            return;
+        };
+        let old_bytes = entry.merge(working, now);
+        let bytes = entry.bytes;
+        inner.resident_bytes = inner.resident_bytes - old_bytes + bytes;
+        store.evict_over_budget(&mut inner, key);
     }
 
     #[test]
@@ -762,19 +748,17 @@ mod tests {
         store.insert(key, snap(&[(0, 1, 1), (1, 1, 1), (2, 1, 1)]), at(0));
         assert_eq!(store.resident_bytes(), 3 * 1024);
         // First refinement: only module 0 in the working set.
-        merge(&store, &key, &[0b001], at(1));
+        merge(&store, &key, vec![0b001], at(1));
         assert_eq!(store.resident_bytes(), 1024);
-        let s = store.get(&key, at(2)).unwrap();
-        assert_eq!(s.working.as_deref(), Some(&[0b001u64][..]));
+        let first = store.get(&key, at(2)).unwrap();
+        assert_eq!(first.working.as_deref(), Some(&[0b001u64][..]));
         // Second refinement unions in module 2; module 1 stays omitted.
-        merge(&store, &key, &[0b100], at(3));
+        merge(&store, &key, vec![0b100], at(3));
         assert_eq!(store.resident_bytes(), 2 * 1024);
         let s = store.get(&key, at(4)).unwrap();
         assert_eq!(s.working.as_deref(), Some(&[0b101u64][..]));
-        // A no-new-bits refinement keeps the same Arc.
-        let before = Arc::as_ptr(&store.get(&key, at(5)).unwrap());
-        merge(&store, &key, &[0b001], at(6));
-        assert_eq!(Arc::as_ptr(&store.get(&key, at(7)).unwrap()), before);
+        // The handle taken before it still reads the set it was given.
+        assert_eq!(first.working.as_deref(), Some(&[0b001u64][..]));
     }
 
     #[test]
@@ -972,26 +956,36 @@ mod tests {
                                 }
                             }
                         }
+                        let mut nothing_new = false;
                         match &stored {
                             None => absent += 1,
                             Some(None) => first += 1,
                             Some(Some(working)) => {
-                                let new = touched
+                                nothing_new = touched
                                     .iter()
                                     .zip(loaded.iter())
                                     .zip(working.iter())
-                                    .any(|((t, l), w)| t & l & !w != 0);
-                                if new {
-                                    grown += 1;
-                                } else {
+                                    .all(|((t, l), w)| t & l & !w == 0);
+                                if nothing_new {
                                     skipped += 1;
+                                } else {
+                                    grown += 1;
                                 }
                             }
                         }
+                        // Held only when nothing is new, so a merge
+                        // refines its entry in place as on the platform.
+                        let before = nothing_new.then(|| {
+                            let inner = fast.inner.lock().unwrap();
+                            Arc::clone(&inner.map[&key].snapshot)
+                        });
                         fast.refine(&key, &touched, &plan, now);
-                        let working = plan.working_set(&touched, loaded);
-                        let mut inner = reference.inner.lock().unwrap();
-                        reference.merge(&mut inner, &key, working, now);
+                        if let Some(before) = before {
+                            // The entry keeps its snapshot, not a copy.
+                            let inner = fast.inner.lock().unwrap();
+                            assert!(Arc::ptr_eq(&inner.map[&key].snapshot, &before));
+                        }
+                        merge(&reference, &key, plan.working_set(&touched, loaded), now);
                     }
                 }
                 assert_eq!(
@@ -999,11 +993,6 @@ mod tests {
                     store_state(&reference),
                     "seed {seed}, step {step}"
                 );
-                // Refinements share the capture's loaded bitset.
-                let inner = fast.inner.lock().unwrap();
-                if let Some(entry) = inner.map.get(&key) {
-                    assert!(Arc::ptr_eq(&entry.snapshot.loaded, &captures[&key].loaded));
-                }
             }
             let stats = fast.stats();
             assert!(stats.evictions > 100, "seed {seed}: {stats:?}");

@@ -43,7 +43,7 @@ fn synthetic_snapshot(rng: &mut SimRng) -> Snapshot {
         loaded[0] |= 1 << load.module.index();
     }
     Snapshot {
-        loaded: std::sync::Arc::new(loaded),
+        loaded: Box::new(loaded),
         nominal_init: loads.iter().map(|l| l.init_cost).sum(),
         mem_kb: loads.iter().map(|l| l.mem_kb).sum(),
         working: None,
